@@ -10,8 +10,8 @@ every route, and batch campaigns measure Rellich identities, spectral
 localization, quadratic estimates, and perturbation stability.
 """
 
-from . import (algebra, assembly, bvp, calculus, cli, diagnostics, grid,
-               oracles, verify)
+from . import (algebra, assembly, bvp, calculus, diagnostics, grid, oracles,
+               verify)
 from .bvp import (BoundaryFrame, SolutionField, SolveReport,
                   WellPosednessError, solve_dirichlet, solve_neumann,
                   solve_neu_perp, solve_regularity, solve_transmission)
@@ -19,7 +19,7 @@ from .grid import (CoefficientField, Field, Torus, identity_coefficients,
                    vector_block_coefficients)
 
 __all__ = [
-    "algebra", "assembly", "bvp", "calculus", "cli", "diagnostics", "grid",
+    "algebra", "assembly", "bvp", "calculus", "diagnostics", "grid",
     "oracles", "verify",
     "BoundaryFrame", "SolutionField", "SolveReport", "WellPosednessError",
     "solve_dirichlet", "solve_neumann", "solve_neu_perp", "solve_regularity",

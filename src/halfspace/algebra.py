@@ -49,7 +49,6 @@ __all__ = [
     "tangential_proj_matrix",
     "reflection_matrix",
     "mask_label",
-    "is_degree_preserving",
 ]
 
 
@@ -330,10 +329,3 @@ def reflection_matrix(dim_n: int) -> np.ndarray:
 def mask_label(dim_n: int, mask: int) -> str:
     """Bit-string name of a basis mask, index 0 first: mask 1 -> '10' (n=1)."""
     return "".join("1" if (mask >> i) & 1 else "0" for i in range(dim_n + 1))
-
-
-def is_degree_preserving(dim_n: int, mat: np.ndarray, tol: float = 0.0) -> bool:
-    """Whether a Lambda-endomorphism maps each degree-k subspace to itself."""
-    degs = mask_degrees(dim_n)
-    off = degs[:, None] != degs[None, :]
-    return bool(np.all(np.abs(mat[off]) <= tol))

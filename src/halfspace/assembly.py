@@ -52,14 +52,12 @@ __all__ = [
     "tangential_proj_full",
     "underline_d_matrix",
     "underline_d_star_B_matrix",
-    "gamma_matrix",
     "assemble_MB",
     "assemble_TB",
     "assemble_NB",
     "coefficient_matrix",
     "hat_h1_basis",
     "hat_hk_basis",
-    "mean_zero_basis",
     "restrict",
     "duality_pairing",
     "duality_gram",
@@ -88,10 +86,14 @@ class SubspaceInvarianceError(ValueError):
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense operator on a (possibly restricted) discrete field space."""
+    """Dense operator on a (possibly restricted) discrete field space.
+
+    ``invariance_defect`` is set by ``restrict`` when it measured one.
+    """
 
     entries: np.ndarray
     basis_tag: str = "full"
+    invariance_defect: float | None = None
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex)
@@ -105,15 +107,6 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries, 2))
-
-    def cond(self, cap: float = 1e18) -> float:
-        sv = np.linalg.svd(self.entries, compute_uv=False)
-        if sv[-1] <= sv[0] / cap:
-            return cap
-        return float(sv[0] / sv[-1])
 
     def __matmul__(self, other):
         if isinstance(other, OperatorMatrix):
@@ -249,11 +242,6 @@ def underline_d_star_B_matrix(B: CoefficientField) -> np.ndarray:
     return Binv @ (1j * m_full_matrix(torus) @ d_star_matrix(torus)) @ Bm
 
 
-def gamma_matrix(torus: Torus) -> np.ndarray:
-    """Gamma = N m d, the nilpotent half of the block-coefficient operator."""
-    return reflection_full_matrix(torus) @ m_full_matrix(torus) @ d_matrix(torus)
-
-
 # ---------------------------------------------------------------------------
 # the Dirac-type operator and perturbed reflections
 # ---------------------------------------------------------------------------
@@ -289,13 +277,19 @@ def assemble_MB(B: CoefficientField) -> OperatorMatrix:
 def assemble_TB(B: CoefficientField) -> OperatorMatrix:
     """T_B = M_B^{-1} (m d + B^{-1} m d* B) on the full discrete field space."""
     torus = B.torus
-    MB = assemble_MB(B)
     m = m_full_matrix(torus)
-    Bm = coefficient_matrix(B)
     Binv = pointwise_operator(
         torus, _pointwise_inverse(torus, B.maps, "coefficient map B"))
-    K = m @ d_matrix(torus) + Binv @ m @ d_star_matrix(torus) @ Bm
-    T = np.linalg.solve(MB.entries, K)
+    # Binv m d* Bm left to right, as the plain product, each dense factor
+    # built just before its use and released after it: at most four
+    # full-size matrices are alive at once, at every frame build alike
+    K = Binv @ m
+    del Binv
+    K = K @ d_star_matrix(torus)
+    K = K @ coefficient_matrix(B)
+    K = m @ d_matrix(torus) + K
+    del m
+    T = np.linalg.solve(assemble_MB(B).entries, K)
     return OperatorMatrix(T, basis_tag="full")
 
 
@@ -449,56 +443,31 @@ def hat_hk_basis(B: CoefficientField, k: int,
     return SubspaceBasis(cols, label=f"hat_hk(k={k})")
 
 
-def mean_zero_basis(basis: SubspaceBasis, torus: Torus) -> SubspaceBasis:
-    """Sub-basis of ``basis`` orthogonal to all constant fields.
-
-    Constant fields are the discrete stand-in for the missing L2 constants
-    on R^n; boundary data is projected onto this complement.
-    """
-    d = torus.lambda_dim
-    P = torus.num_points
-    const = np.zeros((P * d, d), dtype=complex)
-    for mask in range(d):
-        col = np.zeros((P, d), dtype=complex)
-        col[:, mask] = 1.0 / np.sqrt(P)
-        const[:, mask] = col.reshape(-1)
-    # project the constants into the subspace, drop their span
-    inside = basis.columns.conj().T @ const
-    u, s, _ = np.linalg.svd(inside, full_matrices=False)
-    q = u[:, s > 1e-10]
-    proj = np.eye(basis.dim) - q @ q.conj().T
-    u, s, _ = np.linalg.svd(proj)
-    cols_coords = u[:, s > 0.5]
-    return SubspaceBasis(basis.columns @ cols_coords,
-                         label=basis.label + "+mean_zero")
-
-
 def restrict(op: OperatorMatrix, basis: SubspaceBasis,
              invariance_tol: float | None = None) -> OperatorMatrix:
     """Compress an operator to a subspace: columns* . op . columns.
 
-    Also measures the invariance defect ||(I - P) op P|| relative to ||op||;
-    if ``invariance_tol`` is given and the defect exceeds it, a
-    SubspaceInvarianceError is raised.  The defect is attached to the
-    returned matrix as ``restrict.last_defect``.
+    If ``invariance_tol`` is given, also measures the invariance defect
+    ||(I - P) op P|| relative to ||op|| (two exact 2-norms), attaches it to
+    the returned matrix as ``invariance_defect`` and raises a
+    SubspaceInvarianceError if it exceeds the tolerance.
     """
     if basis.ambient_dim != op.dim:
         raise ValueError("basis ambient dimension does not match operator")
     U = basis.columns
     opU = op.entries @ U
     compressed = U.conj().T @ opU
-    leak = opU - U @ compressed
-    scale = max(np.linalg.norm(op.entries, 2), 1e-300)
-    defect = float(np.linalg.norm(leak, 2) / scale)
-    restrict.last_defect = defect
-    if invariance_tol is not None and defect > invariance_tol:
-        raise SubspaceInvarianceError(
-            f"operator does not preserve subspace {basis.label!r}: "
-            f"relative defect {defect:.3e} > {invariance_tol:.1e}", defect)
-    return OperatorMatrix(compressed, basis_tag=basis.label)
-
-
-restrict.last_defect = 0.0
+    defect = None
+    if invariance_tol is not None:
+        leak = opU - U @ compressed
+        scale = max(np.linalg.norm(op.entries, 2), 1e-300)
+        defect = float(np.linalg.norm(leak, 2) / scale)
+        if defect > invariance_tol:
+            raise SubspaceInvarianceError(
+                f"operator does not preserve subspace {basis.label!r}: "
+                f"relative defect {defect:.3e} > {invariance_tol:.1e}", defect)
+    return OperatorMatrix(compressed, basis_tag=basis.label,
+                          invariance_defect=defect)
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,13 @@ from . import algebra, calculus
 from .assembly import (OperatorMatrix, assemble_NB, assemble_TB,
                        hat_h1_basis, hat_hk_basis,
                        reflection_full_matrix, restrict, derivative_matrix)
-from .calculus import (apply_to_vector, custom,
-                       decompose, exp_minus_t_abs, sgn)
-from .grid import (CoefficientField, Field, Torus,
+from .calculus import (apply_to_vector, decompose, exp_minus_t_abs,
+                       psi_abs_exp, semigroup_dt, sgn, square_function)
+from .grid import (CoefficientField, Field, Torus, gradient_of,
                    vector_block_coefficients)
 
 COND_CAP = 1e10
+SCALAR_KINDS = ("neumann", "regularity", "neu_perp", "dirichlet")
 
 __all__ = [
     "WellPosednessError",
@@ -54,10 +55,13 @@ __all__ = [
     "solve_neu_perp",
     "solve_dirichlet",
     "solve_transmission",
+    "SCALAR_KINDS",
+    "solve_kind",
     "norm_sup_t",
     "norm_triplebar_dt",
     "norm_triplebar_gradx",
     "nontangential_max",
+    "reflection_conditions",
     "wellposedness_report",
     "dirichlet_values",
     "dirichlet_second_order_residual",
@@ -91,8 +95,7 @@ class BoundaryData:
     degree: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("neumann", "regularity", "neu_perp",
-                             "dirichlet", "transmission"):
+        if self.kind not in SCALAR_KINDS + ("transmission",):
             raise ValueError(f"unknown problem kind {self.kind!r}")
         if self.kind == "transmission" and self.alpha_plus == self.alpha_minus:
             raise ValueError("transmission requires alpha_plus != alpha_minus")
@@ -162,7 +165,7 @@ class BoundaryFrame:
             self.basis = hat_hk_basis(B, degree)
         T_full = assemble_TB(B)
         self.T = restrict(T_full, self.basis, invariance_tol=invariance_tol)
-        self.invariance_defect = restrict.last_defect
+        self.invariance_defect = self.T.invariance_defect
         self.dec = decompose(self.T, (B.kappa, B.sup_norm),
                              kernel_tol=kernel_tol)
         self.E = calculus.apply_function(self.dec, sgn()).entries
@@ -199,7 +202,8 @@ class BoundaryFrame:
         Kernel directions of T invisible to the boundary datum make the
         solve operators structurally rank deficient by at most dim ker T;
         any null space beyond that, or an effective condition number past
-        the cap, is a well-posedness failure.
+        the cap, is a well-posedness failure.  ``rhs`` is a vector or a
+        matrix of right-hand-side columns.
         """
         try:
             U, s, Vh = np.linalg.svd(op)
@@ -221,7 +225,8 @@ class BoundaryFrame:
             raise WellPosednessError(
                 f"boundary operator {label!r} is numerically singular "
                 f"(condition number {cond:.3e} >= {COND_CAP:.0e})", cond)
-        x = Vh.conj().T[:, keep] @ ((U[:, keep].conj().T @ rhs) / s[keep])
+        x = Vh.conj().T[:, keep] @ (((U[:, keep].conj().T @ rhs).T
+                                     / s[keep]).T)
         return x, cond, null_dim
 
     # -- field/coordinate plumbing ----------------------------------------
@@ -235,11 +240,6 @@ class BoundaryFrame:
 
     def to_field(self, coords: np.ndarray) -> Field:
         return Field.from_flat(self.torus, self.basis.from_coords(coords))
-
-    def project_nonkernel(self, coords: np.ndarray):
-        proj = self.Pnk @ coords
-        scale = max(np.linalg.norm(coords), 1e-300)
-        return proj, float(np.linalg.norm(coords - proj) / scale)
 
     def phys_norm(self, coords: np.ndarray) -> float:
         return float(np.sqrt(self.torus.weight) * np.linalg.norm(coords))
@@ -268,12 +268,7 @@ class SolutionField:
 
     def dt_coords_at_t(self, t: float) -> np.ndarray:
         """Exact d/dt F_t = -|T| F_t through the semigroup generator."""
-        dec = self.frame.dec
-        desc = custom(
-            lambda z, t=t: -(z * np.where(z.real > 0, 1, -1)) * np.exp(
-                -t * z * np.where(z.real > 0, 1, -1)),
-            kernel_value=0.0, name=f"-abs*exp(-t abs), t={t}")
-        return apply_to_vector(dec, desc, self.coords)
+        return apply_to_vector(self.frame.dec, semigroup_dt(t, 1), self.coords)
 
     def hardy_defect(self) -> float:
         """Relative size of the Hardy component for the wrong half space
@@ -440,15 +435,12 @@ def dirichlet_second_order_residual(sol: SolutionField, t_samples) -> float:
     Dx = [derivative_matrix(torus, j) for j in range(n)]
     worst = 0.0
     dec = frame.dec
-    hol_abs = lambda z: z * np.where(z.real > 0, 1, -1)
     for t in t_samples:
         U = sol.at_t(t).component(1).reshape(-1)
         Ut = frame.to_field(apply_to_vector(
-            dec, custom(lambda z, t=t: -hol_abs(z) * np.exp(-t * hol_abs(z)),
-                        kernel_value=0.0), sol.coords)).component(1).reshape(-1)
+            dec, semigroup_dt(t, 1), sol.coords)).component(1).reshape(-1)
         Utt = frame.to_field(apply_to_vector(
-            dec, custom(lambda z, t=t: hol_abs(z) ** 2 * np.exp(-t * hol_abs(z)),
-                        kernel_value=0.0), sol.coords)).component(1).reshape(-1)
+            dec, semigroup_dt(t, 2), sol.coords)).component(1).reshape(-1)
         gradU = [D @ U for D in Dx]
         gradUt = [D @ Ut for D in Dx]
         Aflat = A.reshape(-1, n + 1, n + 1)
@@ -558,6 +550,23 @@ def solve_transmission(B: CoefficientField, degree: int, alpha_plus: complex,
     return (sol_p, sol_m), report
 
 
+def solve_kind(kind: str, frame: BoundaryFrame, scalar: np.ndarray):
+    """Solve one of the four scalar-datum problems on ``frame``.
+
+    ``scalar`` is phi for 'neumann' and 'neu_perp', u for 'dirichlet', and
+    the potential psi for 'regularity', whose datum is grad psi.
+    """
+    if kind == "regularity":
+        return solve_regularity(None, gradient_of(frame.torus, scalar),
+                                frame=frame)
+    solvers = {"neumann": solve_neumann, "neu_perp": solve_neu_perp,
+               "dirichlet": solve_dirichlet}
+    if kind not in solvers:
+        raise ValueError(f"unknown problem kind {kind!r}; valid kinds: "
+                         f"{', '.join(SCALAR_KINDS)}")
+    return solvers[kind](None, scalar, frame=frame)
+
+
 # ---------------------------------------------------------------------------
 # solution norms
 # ---------------------------------------------------------------------------
@@ -574,17 +583,9 @@ def norm_triplebar_dt(sol: SolutionField, points_per_decade: int = 40) -> float:
     """Triple-bar norm (int ||t dF/dt||^2 dt/t)^{1/2} via the generator."""
     dec = sol.frame.dec
     ts, h = calculus.default_t_grid(dec, points_per_decade=points_per_decade)
-    c = dec.Vinv @ sol.coords
-    lam = dec.eigenvalues
-    abs_lam = lam * np.where(lam.real > 0, 1, -1)
-    total = 0.0
-    for t in ts:
-        vals = np.where(dec.kernel_indices, 0.0,
-                        t * abs_lam * np.exp(-t * abs_lam))
-        y = dec.V @ (vals * c)
-        total += h * float(np.vdot(y, y).real)
+    total = square_function(dec, psi_abs_exp, sol.coords, ts, h)
     # small-t tail: integrand ~ (t |lam|)^2
-    Tf = dec.V @ (np.where(dec.kernel_indices, 0.0, abs_lam) * c)
+    Tf = apply_to_vector(dec, calculus.abs_power(1.0), sol.coords)
     t_lo = ts[0] * np.exp(-h / 2)
     total += (t_lo ** 2 / 2.0) * float(np.vdot(Tf, Tf).real)
     return float(np.sqrt(sol.frame.torus.weight * total))
@@ -649,21 +650,24 @@ def nontangential_max(sol: SolutionField, c0: float = 0.5, c1: float = 1.0,
 # well-posedness landscape
 # ---------------------------------------------------------------------------
 
-def wellposedness_report(frame: BoundaryFrame, cap: float = COND_CAP) -> dict:
-    """Condition numbers of the four boundary operators plus the restricted
-    Hardy-to-normal/tangential projection gaps."""
+def reflection_conditions(frame: BoundaryFrame) -> dict:
+    """Uncapped 2-norm condition numbers of I -+ E N_A and I -+ E N."""
     eye = np.eye(frame.dec.dim)
-    ops = {
-        "I-EN_A": eye - frame.E @ frame.NA,
-        "I+EN_A": eye + frame.E @ frame.NA,
-        "I-EN": eye - frame.E @ frame.N,
-        "I+EN": eye + frame.E @ frame.N,
-    }
+    EN_A, EN = frame.E @ frame.NA, frame.E @ frame.N
+    ops = {"I-EN_A": eye - EN_A, "I+EN_A": eye + EN_A,
+           "I-EN": eye - EN, "I+EN": eye + EN}
     out = {}
     for label, op in ops.items():
         sv = np.linalg.svd(op, compute_uv=False)
-        cond = float(sv[0] / sv[-1]) if sv[-1] > sv[0] / cap else cap
-        out[label] = {"cond": cond, "capped": cond >= cap}
+        out[label] = float(sv[0] / max(sv[-1], 1e-300))
+    return out
+
+
+def wellposedness_report(frame: BoundaryFrame, cap: float = COND_CAP) -> dict:
+    """Condition numbers of the four boundary operators (capped at ``cap``)
+    plus the restricted Hardy-to-normal/tangential projection gaps."""
+    out = {label: {"cond": min(cond, cap), "capped": cond >= cap}
+           for label, cond in reflection_conditions(frame).items()}
     # restricted projections N^{+-}_A : E^+ H -> N^{+-}_A H on non-kernel part
     Pnk = frame.Pnk
     Eplus = 0.5 * (Pnk + frame.E @ Pnk)

@@ -3,26 +3,28 @@
 At desk scale the Dunford contour integral is redundant: the assembled
 operator is a finite matrix, so every sectorial symbol b is evaluated
 through a dense eigendecomposition T = V diag(lambda) V^{-1} as
-b(T) = V diag(b(lambda)) V^{-1}.  A direct-solve resolvent provides an
-independent cross-check route, and is the fallback when the eigenbasis is
-ill conditioned.
+b(T) = V diag(b(lambda)) V^{-1}.  There is no second evaluation route: an
+eigenbasis whose condition number exceeds the cap raises
+IllConditionedEigenbasisError, naming the stage and the measured cond(V).
 
 Eigenvalues close to zero (relative threshold ``kernel_tol``) form the
 discrete kernel, the stand-in for the missing constants of the continuum
 problem.  Each symbol declares its kernel value explicitly: sgn and the
 spectral projections vanish there, the semigroup and resolvent-type
-symbols are one.
+symbols are one.  Symbols built on the holomorphic sgn are undefined on the
+imaginary axis and say so through ``sign_sensitive``.
 
-The quadratic-estimate functional integrates ||Q_t f||^2 dt/t over a
-log-spaced grid (midpoint rule, 40 points per decade) with analytic tail
-corrections from the spectral extremes.  For self-adjoint injective T the
-exact value is ||f||^2 / 2, from the closed integral
-int_0^inf (s/(1+s^2))^2 ds/s = 1/2.
+Square-function norms int ||psi_t(T) f||^2 dt/t are summed by one midpoint
+rule over a log-spaced grid (40 points per decade); each caller adds its
+own analytic tail corrections from the spectral extremes.  For psi_t = q_t
+and self-adjoint injective T the exact value is ||f||^2 / 2, from the
+closed integral int_0^inf (s/(1+s^2))^2 ds/s = 1/2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,8 +36,9 @@ __all__ = [
     "IllConditionedEigenbasisError",
     "SectorViolationError",
     "decompose",
+    "sector_half_angle",
+    "sector_margin",
     "apply_function",
-    "resolvent_direct",
     "resolvent",
     "q_t",
     "p_t",
@@ -44,12 +47,13 @@ __all__ = [
     "sgn",
     "exp_minus_t_abs",
     "abs_power",
+    "semigroup_dt",
+    "psi_abs_exp",
     "psi_exp",
-    "custom",
     "default_t_grid",
+    "square_function",
     "quadratic_norm",
     "quadratic_constants",
-    "lipschitz_probe",
 ]
 
 POINTS_PER_DECADE = 40
@@ -69,11 +73,16 @@ class SectorViolationError(ValueError):
 
 @dataclass(frozen=True)
 class FunctionDescriptor:
-    """A holomorphic symbol on the double sector with a declared kernel value."""
+    """A holomorphic symbol on the double sector with a declared kernel value.
+
+    ``sign_sensitive`` marks symbols built on the holomorphic sgn, which are
+    undefined on the imaginary axis.
+    """
 
     name: str
     fn: object  # callable complex array -> complex array
     kernel_value: complex
+    sign_sensitive: bool = False
 
     def __call__(self, lam):
         return self.fn(np.asarray(lam, dtype=complex))
@@ -112,40 +121,60 @@ def p_t(t: float) -> FunctionDescriptor:
 
 def chi_plus() -> FunctionDescriptor:
     return FunctionDescriptor(
-        "chi_plus", lambda z: (1.0 + _holo_sign(z)) / 2.0, kernel_value=0.0)
+        "chi_plus", lambda z: (1.0 + _holo_sign(z)) / 2.0, kernel_value=0.0,
+        sign_sensitive=True)
 
 
 def chi_minus() -> FunctionDescriptor:
     return FunctionDescriptor(
-        "chi_minus", lambda z: (1.0 - _holo_sign(z)) / 2.0, kernel_value=0.0)
+        "chi_minus", lambda z: (1.0 - _holo_sign(z)) / 2.0, kernel_value=0.0,
+        sign_sensitive=True)
 
 
 def sgn() -> FunctionDescriptor:
-    return FunctionDescriptor("sgn", _holo_sign, kernel_value=0.0)
+    return FunctionDescriptor("sgn", _holo_sign, kernel_value=0.0,
+                              sign_sensitive=True)
 
 
 def exp_minus_t_abs(t: float) -> FunctionDescriptor:
     return FunctionDescriptor(
         f"exp_minus_t_abs(t={t!r})",
         lambda z: np.exp(-t * _holo_abs(z)),
-        kernel_value=1.0)
+        kernel_value=1.0, sign_sensitive=True)
 
 
 def abs_power(s: float) -> FunctionDescriptor:
     return FunctionDescriptor(
         f"abs_power(s={s!r})",
         lambda z: _holo_abs(z) ** s,
-        kernel_value=0.0)
+        kernel_value=0.0, sign_sensitive=True)
 
 
-def psi_exp() -> FunctionDescriptor:
-    """psi(z) = z e^{-|z|}, an alternative quadratic-estimate symbol."""
+def semigroup_dt(t: float, order: int) -> FunctionDescriptor:
+    """(d/dt)^order e^{-t|z|} = (-|z|)^order e^{-t|z|}, order >= 1."""
+    def fn(z):
+        a = _holo_abs(z)
+        return (-a) ** order * np.exp(-t * a)
+    return FunctionDescriptor(f"semigroup_dt(t={t!r}, order={order!r})", fn,
+                              kernel_value=0.0, sign_sensitive=True)
+
+
+def psi_abs_exp(t: float) -> FunctionDescriptor:
+    """t|z| e^{-t|z|}, the symbol of -t d/dt e^{-t|T|}."""
+    def fn(z):
+        a = _holo_abs(z)
+        return t * a * np.exp(-t * a)
+    return FunctionDescriptor(f"psi_abs_exp(t={t!r})", fn, kernel_value=0.0,
+                              sign_sensitive=True)
+
+
+def psi_exp(t: float) -> FunctionDescriptor:
+    """psi(tz) with psi(z) = z e^{-|z|}, an alternative quadratic-estimate
+    symbol."""
     return FunctionDescriptor(
-        "psi_exp", lambda z: z * np.exp(-_holo_abs(z)), kernel_value=0.0)
-
-
-def custom(fn, kernel_value: complex, name: str = "custom") -> FunctionDescriptor:
-    return FunctionDescriptor(name, fn, kernel_value=kernel_value)
+        f"psi_exp(t={t!r})",
+        lambda z: t * z * np.exp(-t * _holo_abs(z)),
+        kernel_value=0.0, sign_sensitive=True)
 
 
 @dataclass(frozen=True)
@@ -170,6 +199,13 @@ class SpectralDecomposition:
     def nonkernel(self) -> np.ndarray:
         return ~self.kernel_indices
 
+    @cached_property
+    def near_imaginary(self) -> np.ndarray:
+        """Non-kernel eigenvalues on the imaginary axis up to rounding,
+        where symbols built on sgn are undefined."""
+        lam = self.eigenvalues
+        return lam[self.nonkernel & (np.abs(lam.real) <= 1e-14 * np.abs(lam))]
+
     def matrix(self) -> np.ndarray:
         return (self.V * self.eigenvalues) @ self.Vinv
 
@@ -180,19 +216,6 @@ class SpectralDecomposition:
     def nonkernel_projector(self) -> np.ndarray:
         sel = self.nonkernel.astype(complex)
         return (self.V * sel) @ self.Vinv
-
-    def sector_margin(self) -> float:
-        """max over non-kernel eigenvalues of (angle to real axis) - omega.
-
-        Negative means every eigenvalue lies strictly inside the double
-        sector of half-angle omega.
-        """
-        lam = self.eigenvalues[self.nonkernel]
-        if lam.size == 0:
-            return -self.omega
-        ang = np.abs(np.angle(lam))
-        ang = np.minimum(ang, np.pi - ang)
-        return float(np.max(ang) - self.omega)
 
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(self.eigenvalues), initial=0.0))
@@ -257,12 +280,10 @@ def decompose(T: OperatorMatrix | np.ndarray,
     if not hermitian:
         if cond_V > cond_cap or Vinv is None:
             raise IllConditionedEigenbasisError(
-                f"eigenvector matrix condition number {cond_V:.3e} exceeds "
-                f"{cond_cap:.1e}; fall back to resolvent-based evaluation",
-                cond_V)
+                f"calculus.decompose: cond(V) = {cond_V:.3e} > cap "
+                f"{cond_cap:.1e}", cond_V)
     if B_constants is not None:
-        kappa, sup_norm = B_constants
-        omega = float(np.arccos(np.clip(kappa / (2.0 * sup_norm), -1.0, 1.0)))
+        omega = sector_half_angle(*B_constants)
     else:
         omega = np.pi / 2
     return SpectralDecomposition(
@@ -271,42 +292,51 @@ def decompose(T: OperatorMatrix | np.ndarray,
         hermitian=hermitian, basis_tag=tag)
 
 
+def sector_half_angle(kappa: float, sup_norm: float) -> float:
+    """Half-angle omega = arccos(kappa / (2 ||B||_inf)) of the double sector
+    that holds the spectrum of T_B."""
+    return float(np.arccos(np.clip(kappa / (2.0 * sup_norm), -1.0, 1.0)))
+
+
+def sector_margin(eigenvalues: np.ndarray, omega: float) -> float:
+    """max over ``eigenvalues`` of (angle to the real axis) - omega.
+
+    Negative means every eigenvalue lies strictly inside the double sector
+    of half-angle omega; pass the non-kernel eigenvalues only.
+    """
+    if eigenvalues.size == 0:
+        return -omega
+    ang = np.abs(np.angle(eigenvalues))
+    ang = np.minimum(ang, np.pi - ang)
+    return float(np.max(ang) - omega)
+
+
+def _symbol_values(dec: SpectralDecomposition,
+                   b: FunctionDescriptor) -> np.ndarray:
+    """b at the eigenvalues, with kernel eigenvalues sent to the kernel value.
+
+    A sign-sensitive symbol at a (near-)imaginary non-kernel eigenvalue
+    raises SectorViolationError.
+    """
+    if b.sign_sensitive and dec.near_imaginary.size:
+        raise SectorViolationError(
+            f"symbol {b.name!r} undefined at (near-)imaginary eigenvalue "
+            f"{dec.near_imaginary[0]!r}")
+    vals = np.asarray(b(dec.eigenvalues), dtype=complex)
+    return np.where(dec.kernel_indices, complex(b.kernel_value), vals)
+
+
 def apply_function(dec: SpectralDecomposition,
                    b: FunctionDescriptor) -> OperatorMatrix:
     """b(T) = V diag(b(lambda)) V^{-1}, kernel eigenvalues -> kernel value."""
-    lam = dec.eigenvalues
-    sign_sensitive = b.name in ("sgn", "chi_plus", "chi_minus") or \
-        b.name.startswith(("exp_minus_t_abs", "abs_power"))
-    if sign_sensitive:
-        bad = dec.nonkernel & (np.abs(lam.real) <= 1e-14 * np.abs(lam))
-        if np.any(bad):
-            raise SectorViolationError(
-                f"symbol {b.name!r} undefined at (near-)imaginary eigenvalue "
-                f"{lam[bad][0]!r}")
-    vals = np.asarray(b(lam), dtype=complex)
-    vals = np.where(dec.kernel_indices, complex(b.kernel_value), vals)
+    vals = _symbol_values(dec, b)
     return OperatorMatrix((dec.V * vals) @ dec.Vinv, basis_tag=dec.basis_tag)
 
 
 def apply_to_vector(dec: SpectralDecomposition, b: FunctionDescriptor,
                     vec: np.ndarray) -> np.ndarray:
     """b(T) vec without forming the full matrix."""
-    lam = dec.eigenvalues
-    vals = np.asarray(b(lam), dtype=complex)
-    vals = np.where(dec.kernel_indices, complex(b.kernel_value), vals)
-    return dec.V @ (vals * (dec.Vinv @ vec))
-
-
-def resolvent_direct(T: OperatorMatrix | np.ndarray, lam0: complex) -> OperatorMatrix:
-    """(lam0 - T)^{-1} by direct dense solve; the oracle route."""
-    mat = T.entries if isinstance(T, OperatorMatrix) else np.asarray(T)
-    tag = T.basis_tag if isinstance(T, OperatorMatrix) else "full"
-    A = lam0 * np.eye(mat.shape[0]) - mat
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[-1] <= 1e-14 * sv[0]:
-        raise np.linalg.LinAlgError(
-            f"lambda = {lam0!r} is (numerically) in the spectrum")
-    return OperatorMatrix(np.linalg.solve(A, np.eye(mat.shape[0])), basis_tag=tag)
+    return dec.V @ (_symbol_values(dec, b) * (dec.Vinv @ vec))
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +360,22 @@ def default_t_grid(dec: SpectralDecomposition,
     return np.exp(u), h
 
 
+def square_function(dec: SpectralDecomposition, symbol, coeffs: np.ndarray,
+                    ts: np.ndarray, h: float) -> float:
+    """Midpoint rule sum_j h ||psi_{t_j}(T) f||^2 for int ||psi_t(T) f||^2 dt/t
+    on the log grid ``ts`` with log-spacing ``h``; no tail terms.
+
+    ``symbol`` maps t to the FunctionDescriptor of psi_t, as in
+    ``quadratic_constants``.
+    """
+    c = dec.Vinv @ coeffs
+    total = 0.0
+    for t in ts:
+        y = dec.V @ (_symbol_values(dec, symbol(t)) * c)
+        total += h * float(np.vdot(y, y).real)
+    return total
+
+
 def quadratic_norm(dec: SpectralDecomposition, coeffs: np.ndarray,
                    t_grid=None) -> float:
     """sqrt of int ||Q_t f||^2 dt/t, Q_t = tT(1 + t^2 T^2)^{-1}.
@@ -346,15 +392,10 @@ def quadratic_norm(dec: SpectralDecomposition, coeffs: np.ndarray,
     else:
         ts = np.asarray(t_grid)
         h = np.log(ts[1] / ts[0]) if len(ts) > 1 else 1.0
+    total = square_function(dec, q_t, coeffs, ts, h)
+    # tails
     c = dec.Vinv @ coeffs
     lam = dec.eigenvalues
-    total = 0.0
-    for t in ts:
-        vals = t * lam / (1.0 + (t * lam) ** 2)
-        vals = np.where(dec.kernel_indices, 0.0, vals)
-        qf = dec.V @ (vals * c)
-        total += h * float(np.vdot(qf, qf).real)
-    # tails
     lam_nk = np.where(dec.kernel_indices, 0.0, lam)
     Tf = dec.V @ (lam_nk * c)
     inv_vals = np.where(dec.kernel_indices, 0.0,
@@ -408,16 +449,3 @@ def quadratic_constants(dec: SpectralDecomposition, t_grid=None,
     ev = np.linalg.eigvalsh(0.5 * (Gr + Gr.conj().T))
     ev = np.clip(ev, 0.0, None)
     return float(np.sqrt(ev[0])), float(np.sqrt(ev[-1]))
-
-
-def lipschitz_probe(dec1: SpectralDecomposition, dec2: SpectralDecomposition,
-                    b: FunctionDescriptor, coeff_distance: float):
-    """Ratio ||b(T_2) - b(T_1)|| / ||B_2 - B_1||_inf.
-
-    Returns (ratio, degenerate_flag); the flag is set when the coefficient
-    distance vanishes, in which case the ratio is reported as 0.
-    """
-    if coeff_distance == 0:
-        return 0.0, True
-    diff = apply_function(dec2, b).entries - apply_function(dec1, b).entries
-    return float(np.linalg.norm(diff, 2) / coeff_distance), False

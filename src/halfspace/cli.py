@@ -17,13 +17,11 @@ import numpy as np
 
 from . import calculus, diagnostics, oracles
 from .assembly import PointwiseInversionError, SubspaceInvarianceError
-from .bvp import (BoundaryFrame, WellPosednessError, nontangential_max,
-                  norm_sup_t, norm_triplebar_dt, solve_dirichlet,
-                  solve_neumann, solve_neu_perp, solve_regularity,
-                  solve_transmission)
-from .grid import (CoefficientField, Field, Torus, d_op, field_to_csv,
-                   identity_coefficients, norm as field_norm,
-                   vector_block_coefficients)
+from .bvp import (SCALAR_KINDS, BoundaryFrame, WellPosednessError,
+                  nontangential_max, norm_sup_t, norm_triplebar_dt,
+                  solve_kind, solve_transmission)
+from .grid import (CoefficientField, Torus, field_to_csv, gradient_of,
+                   identity_coefficients, vector_block_coefficients)
 
 EXIT_CONFIG = 2
 EXIT_WELLPOSEDNESS = 3
@@ -227,12 +225,6 @@ def build_scalar_data(cfg: RunConfig, torus: Torus) -> np.ndarray:
     raise ConfigError(f"{cfg.path}: unknown data profile {profile!r}")
 
 
-def gradient_of(torus: Torus, scalar: np.ndarray) -> Field:
-    vals = np.zeros(torus.shape + (torus.lambda_dim,), dtype=complex)
-    vals[..., 0] = scalar
-    return d_op(Field(torus, vals))
-
-
 # ---------------------------------------------------------------------------
 # atomic output helpers
 # ---------------------------------------------------------------------------
@@ -267,6 +259,8 @@ def cmd_solve(cfg: RunConfig, out_dir: str, seed: int, quiet: bool) -> int:
     torus = build_torus(cfg)
     B = build_coefficients(cfg, torus, seed)
     kind = cfg.get("problem", "kind", required=True)
+    if kind not in SCALAR_KINDS + ("transmission",):
+        raise ConfigError(f"{cfg.path}: unknown problem kind {kind!r}")
     frame_kwargs = {}
     if cfg.has("tolerances", "invariance_tol"):
         frame_kwargs["invariance_tol"] = cfg.get_float(
@@ -282,20 +276,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str, seed: int, quiet: bool) -> int:
             g, frame=frame)
     else:
         frame = BoundaryFrame(B, **frame_kwargs)
-        if kind == "neumann":
-            sol, report = solve_neumann(None, build_scalar_data(cfg, torus),
-                                        frame=frame)
-        elif kind == "regularity":
-            grad = gradient_of(torus, build_scalar_data(cfg, torus))
-            sol, report = solve_regularity(None, grad, frame=frame)
-        elif kind == "neu_perp":
-            sol, report = solve_neu_perp(None, build_scalar_data(cfg, torus),
-                                         frame=frame)
-        elif kind == "dirichlet":
-            sol, report = solve_dirichlet(None, build_scalar_data(cfg, torus),
-                                          frame=frame)
-        else:
-            raise ConfigError(f"{cfg.path}: unknown problem kind {kind!r}")
+        sol, report = solve_kind(kind, frame, build_scalar_data(cfg, torus))
 
     t_samples = sol.default_t_samples()
     trace_norm = frame.phys_norm(sol.coords)
@@ -392,29 +373,11 @@ def cmd_oracle(cfg: RunConfig, out_dir: str, seed: int, quiet: bool) -> int:
         else diagnostics.mode_data(torus, 1)
     t_list = [0.05, 0.2, 1.0]
     rows = []
-    worst = 0.0
-    for kind in ("neumann", "regularity", "neu_perp", "dirichlet"):
-        if kind == "regularity":
-            sol, _ = solve_regularity(None, gradient_of(torus, scalar),
-                                      frame=frame)
-        elif kind == "neumann":
-            sol, _ = solve_neumann(None, scalar, frame=frame)
-        elif kind == "neu_perp":
-            sol, _ = solve_neu_perp(None, scalar, frame=frame)
-        else:
-            sol, _ = solve_dirichlet(None, scalar, frame=frame)
-        oracle = oracles.constant_solver(A, torus, kind, scalar)
-        ref = oracle.trace()
-        dev = field_norm(sol.trace_field() - ref) / max(field_norm(ref),
-                                                        1e-300)
-        rows.append([kind, 0.0, float(dev)])
-        worst = max(worst, float(dev))
-        for t in t_list:
-            ref_t = oracle.at_t(t)
-            dev_t = field_norm(sol.at_t(t) - ref_t) / max(field_norm(ref_t),
-                                                          1e-300)
-            rows.append([kind, float(t), float(dev_t)])
-            worst = max(worst, float(dev_t))
+    for kind in SCALAR_KINDS:
+        sol, _ = solve_kind(kind, frame, scalar)
+        rows += [[kind, t, float(dev)] for t, dev in
+                 oracles.constant_deviations(sol, A, kind, scalar, t_list)]
+    worst = max(row[2] for row in rows)
     os.makedirs(out_dir, exist_ok=True)
     atomic_csv(os.path.join(out_dir, "oracle.csv"),
                ["kind", "t", "relative_deviation"], rows)

@@ -18,8 +18,9 @@ import numpy as np
 from . import algebra, calculus
 from .assembly import (OperatorMatrix, assemble_NB, assemble_TB, hat_h1_basis,
                        adjoint_in_duality, hodge_split)
-from .bvp import BoundaryFrame
-from .calculus import quadratic_constants, quadratic_norm
+from .bvp import BoundaryFrame, reflection_conditions
+from .calculus import (psi_exp, quadratic_constants, quadratic_norm,
+                       square_function)
 from .grid import (CoefficientField, Field, Torus,
                    inner_product, norm as field_norm,
                    vector_block_coefficients)
@@ -355,10 +356,12 @@ def block_campaign(B: CoefficientField, tol: float = 1e-9,
 
 
 def _solution_operators(frame: BoundaryFrame) -> dict:
+    """2 (boundary operator)^{-1} per kind, inverted as the solves invert."""
+    eye = np.eye(frame.dec.dim)
     out = {}
     for kind in ("neumann", "regularity", "neu_perp"):
-        op, _ = frame.boundary_operator(kind)
-        out[kind] = 2.0 * np.linalg.pinv(op, rcond=1e-10)
+        op, label = frame.boundary_operator(kind)
+        out[kind] = 2.0 * frame.invert(op, eye, label)[0]
     return out
 
 
@@ -445,16 +448,10 @@ def skew_scan(k_list=(0.0, 1.0, 2.0, 4.0, 8.0), n_points=(128, 256),
             Enorm = float(np.linalg.norm(frame.E, 2))
             row = {"k": float(k), "N": N, "E_norm": Enorm,
                    "hermitian": frame.dec.hermitian}
-            eye = np.eye(frame.dec.dim)
-            worst = 0.0
-            for label, op in (("I-EN_A", eye - frame.E @ frame.NA),
-                              ("I+EN_A", eye + frame.E @ frame.NA),
-                              ("I-EN", eye - frame.E @ frame.N),
-                              ("I+EN", eye + frame.E @ frame.N)):
-                sv = np.linalg.svd(op, compute_uv=False)
-                cond = float(sv[0] / max(sv[-1], 1e-300))
+            by_label = reflection_conditions(frame)
+            for label, cond in by_label.items():
                 row[f"cond.{label}"] = cond
-                worst = max(worst, cond)
+            worst = max(by_label.values())
             row["cond.max"] = worst
             conds[(N, float(k))] = (Enorm, worst)
             result.rows.append(row)
@@ -486,20 +483,12 @@ def psi_comparability(B: CoefficientField, seed: int = 0,
     dec = frame.dec
     rng = np.random.default_rng(seed)
     ts, h = calculus.default_t_grid(dec)
-    lam = dec.eigenvalues
-    abs_lam = lam * np.where(lam.real > 0, 1, -1)
     ratios = []
     for i in range(num_fields):
         coords = frame.Pnk @ (rng.standard_normal(dec.dim)
                               + 1j * rng.standard_normal(dec.dim))
         base = quadratic_norm(dec, coords)
-        total = 0.0
-        for t in ts:
-            vals = np.where(dec.kernel_indices, 0.0,
-                            t * lam * np.exp(-t * abs_lam))
-            y = dec.V @ (vals * (dec.Vinv @ coords))
-            total += h * float(np.vdot(y, y).real)
-        psi = float(np.sqrt(total))
+        psi = float(np.sqrt(square_function(dec, psi_exp, coords, ts, h)))
         ratio = max(base / psi, psi / base)
         ratios.append(ratio)
         result.rows.append({"index": i, "q_t_norm": float(base),

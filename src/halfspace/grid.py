@@ -30,13 +30,13 @@ __all__ = [
     "fourier_inverse",
     "d_op",
     "d_star_op",
+    "gradient_of",
     "underline_d",
     "underline_d_star_B",
     "inner_product",
     "norm",
     "apply_coeff",
     "identity_coefficients",
-    "constant_coefficients",
     "vector_block_coefficients",
     "field_from_function",
     "field_to_csv",
@@ -198,6 +198,13 @@ def d_star_op(f: Field) -> Field:
     return Field(f.torus, out)
 
 
+def gradient_of(torus: Torus, scalar: np.ndarray) -> Field:
+    """Tangential gradient d(psi) of a scalar potential, as a vector Field."""
+    vals = np.zeros(torus.shape + (torus.lambda_dim,), dtype=complex)
+    vals[..., 0] = scalar
+    return d_op(Field(torus, vals))
+
+
 def underline_d(f: Field) -> Field:
     """The rotated nilpotent derivative i*m(d f)."""
     df = d_op(f)
@@ -295,16 +302,6 @@ def identity_coefficients(torus: Torus) -> CoefficientField:
     maps = np.broadcast_to(np.eye(d, dtype=complex),
                            torus.shape + (d, d)).copy()
     return CoefficientField(torus, maps, _skip_check=True)
-
-
-def constant_coefficients(torus: Torus, lam_map: np.ndarray) -> CoefficientField:
-    """Spatially constant coefficients from one Lambda-endomorphism."""
-    lam_map = np.asarray(lam_map, dtype=complex)
-    d = torus.lambda_dim
-    if lam_map.shape != (d, d):
-        raise ValueError(f"expected a {d}x{d} map")
-    maps = np.broadcast_to(lam_map, torus.shape + (d, d)).copy()
-    return CoefficientField(torus, maps)
 
 
 def vector_block_coefficients(torus: Torus, A: np.ndarray) -> CoefficientField:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import algebra
-from .grid import Field, Torus
+from .grid import Field, Torus, norm as field_norm
 
 __all__ = [
     "SymbolMatrix",
@@ -32,6 +32,7 @@ __all__ = [
     "reflection_2x2",
     "constant_solver",
     "ConstantSolution",
+    "constant_deviations",
     "cauchy_extension_line",
     "poisson_factor",
     "brute_resolvent",
@@ -257,6 +258,26 @@ def constant_solver(A_const: np.ndarray, torus: Torus, kind: str,
         cols = _mode_basis_columns(n, xi)
         mode_data[kidx] = (M, fh, cols)
     return ConstantSolution(torus, mode_data, scalar=(kind == "dirichlet"))
+
+
+def constant_deviations(sol, A_const: np.ndarray, kind: str,
+                        data: np.ndarray, t_list) -> list:
+    """Relative deviations of a grid solution from ``constant_solver``.
+
+    ``sol`` is a grid solution (``frame.torus``, ``trace_field()``,
+    ``at_t(t)``).  Returns (t, deviation) pairs: t = 0 for the trace, then
+    one per height in ``t_list``, each relative to the reference at that
+    height.
+    """
+    oracle = constant_solver(A_const, sol.frame.torus, kind, data)
+    ref = oracle.trace()
+    out = [(0.0, field_norm(sol.trace_field() - ref)
+            / max(field_norm(ref), 1e-300))]
+    for t in t_list:
+        ref_t = oracle.at_t(float(t))
+        out.append((float(t), field_norm(sol.at_t(float(t)) - ref_t)
+                    / max(field_norm(ref_t), 1e-300)))
+    return out
 
 
 # ---------------------------------------------------------------------------

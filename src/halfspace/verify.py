@@ -13,12 +13,13 @@ import numpy as np
 
 from . import algebra, diagnostics, oracles
 from .assembly import assemble_TB, hat_h1_basis, restrict
-from .bvp import (BoundaryFrame, nontangential_max, norm_sup_t,
-                  norm_triplebar_dt, solve_dirichlet, solve_neumann,
+from .bvp import (SCALAR_KINDS, BoundaryFrame, nontangential_max,
+                  norm_sup_t, norm_triplebar_dt, solve_dirichlet, solve_kind,
                   solve_neu_perp, solve_regularity)
-from .calculus import quadratic_constants, quadratic_norm
+from .calculus import (quadratic_constants, quadratic_norm,
+                       sector_half_angle, sector_margin)
 from .grid import (Field, Torus, identity_coefficients,
-                   norm as field_norm, vector_block_coefficients)
+                   vector_block_coefficients)
 
 __all__ = ["run_all"]
 
@@ -91,25 +92,10 @@ def check_symbol_oracle(points: int = 256, tol: float = 1e-9, seed: int = 1,
         B = vector_block_coefficients(torus, A)
         frame = BoundaryFrame(B)
         t_list = np.exp(np.linspace(np.log(0.05), np.log(2.0), num_t))
-        for kind in ("neumann", "regularity", "neu_perp", "dirichlet"):
-            if kind == "regularity":
-                from .cli import gradient_of
-                sol, _ = solve_regularity(None, gradient_of(torus, scalar),
-                                          frame=frame)
-            elif kind == "neumann":
-                sol, _ = solve_neumann(None, scalar, frame=frame)
-            elif kind == "neu_perp":
-                sol, _ = solve_neu_perp(None, scalar, frame=frame)
-            else:
-                sol, _ = solve_dirichlet(None, scalar, frame=frame)
-            oracle = oracles.constant_solver(A, torus, kind, scalar)
-            ref = oracle.trace()
-            dev = field_norm(sol.trace_field() - ref) / max(field_norm(ref),
-                                                            1e-300)
-            for t in t_list:
-                ref_t = oracle.at_t(float(t))
-                dev = max(dev, field_norm(sol.at_t(float(t)) - ref_t)
-                          / max(field_norm(ref_t), 1e-300))
+        for kind in SCALAR_KINDS:
+            sol, _ = solve_kind(kind, frame, scalar)
+            dev = max(d for _, d in oracles.constant_deviations(
+                sol, A, kind, scalar, t_list))
             out.append(_entry(f"symbol_oracle.{label}.{kind}", dev, tol))
     return out
 
@@ -179,11 +165,8 @@ def check_sector(points: int = 128, tol_const: float = 1e-8,
         T = restrict(assemble_TB(B), hat_h1_basis(torus), 1e-8)
         lam = np.linalg.eigvals(T.entries)
         nonkernel = np.abs(lam) > 1e-10 * np.max(np.abs(lam))
-        omega = float(np.arccos(np.clip(B.kappa / (2.0 * B.sup_norm),
-                                        -1.0, 1.0)))
-        ang = np.abs(np.angle(lam[nonkernel]))
-        ang = np.minimum(ang, np.pi - ang)
-        margin = float(np.max(ang) - omega)
+        margin = sector_margin(lam[nonkernel],
+                               sector_half_angle(B.kappa, B.sup_norm))
         out.append(_entry(f"sector.{label}", max(margin, 0.0), tol))
     return out
 

@@ -75,7 +75,7 @@ def test_hat_h1_basis_invariance_under_TB():
     B = _smooth_A(torus)
     basis = hat_h1_basis(torus)
     T = restrict(assemble_TB(B), basis, 1e-8)
-    assert restrict.last_defect <= 1e-10
+    assert T.invariance_defect <= 1e-10
     assert T.entries.shape == (basis.columns.shape[1],) * 2
 
 

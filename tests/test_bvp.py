@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
-from halfspace.bvp import (BoundaryFrame, SolutionField, WellPosednessError,
-                           dirichlet_values,
+from halfspace.bvp import (SCALAR_KINDS, BoundaryFrame, SolutionField,
+                           WellPosednessError, dirichlet_values,
                            nontangential_max, norm_sup_t, norm_triplebar_dt,
-                           solve_dirichlet, solve_neumann, solve_neu_perp,
-                           solve_regularity, solve_transmission,
-                           wellposedness_report)
+                           solve_dirichlet, solve_kind, solve_neumann,
+                           solve_neu_perp, solve_regularity,
+                           solve_transmission, wellposedness_report)
 from halfspace.diagnostics import (gaussian_data, mode_data,
+                                   random_accretive_constant,
                                    smooth_real_symmetric)
-from halfspace.grid import Field, Torus, d_op, identity_coefficients
+from halfspace.grid import (Field, Torus, d_op, identity_coefficients,
+                            vector_block_coefficients)
+from halfspace.oracles import constant_deviations
 
 
 def _torus():
@@ -170,3 +173,17 @@ def test_solution_rejects_negative_t(smooth_frame):
                            frame=smooth_frame)
     with pytest.raises(ValueError):
         sol.coords_at_t(-0.1)
+
+
+def test_n2_scalar_kinds_match_constant_oracle():
+    # n = 2 frames against the per-mode constant-coefficient oracle
+    torus = Torus(2, 2 * np.pi, 8)
+    A = random_accretive_constant(1, 2)
+    frame = BoundaryFrame(vector_block_coefficients(torus, A))
+    scalar = gaussian_data(torus)
+    for kind in SCALAR_KINDS:
+        sol, _ = solve_kind(kind, frame, scalar)
+        devs = constant_deviations(sol, A, kind, scalar, (0.05, 0.3, 1.0))
+        assert max(dev for _, dev in devs) <= 1e-9, kind
+    with pytest.raises(ValueError, match="valid kinds"):
+        solve_kind("transmission", frame, scalar)

@@ -1,10 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import halfspace
 from halfspace.cli import ConfigError, main, parse_config
 
 SOLVE_CFG = """\
@@ -149,3 +153,12 @@ def test_oracle_command(tmp_path):
     header, body = rows[0], rows[1:]
     dev_col = header.index("relative_deviation")
     assert all(float(r[dev_col]) <= 1e-9 for r in body)
+
+
+def test_library_does_not_import_cli():
+    # the library layers must not depend on the command-line shell
+    src = os.path.dirname(os.path.dirname(halfspace.__file__))
+    code = ("import sys, halfspace, halfspace.verify, halfspace.diagnostics; "
+            "sys.exit('halfspace.cli' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
