@@ -1,9 +1,8 @@
-"""Dense assembly of the boundary Dirac-type operator and its companions.
+"""Assembly of the boundary Dirac-type operator and its companions.
 
 Fields are flattened point-major (coefficient index fastest), so pointwise
-coefficient multiplication is block diagonal and Fourier multipliers are
-Kronecker products of per-axis derivative matrices with the identity on the
-exterior algebra.
+coefficient multiplication is block diagonal and Fourier multipliers act
+per mode on the exterior algebra.
 
 The central objects are
 
@@ -18,6 +17,17 @@ The central objects are
   check, and
 * the coefficient duality <f, g>_B = ((B N^+ - N^- B) f, g) with its
   operator adjoint.
+
+Every operator is a pointwise map composed with Fourier multipliers, and
+the frames use that: ``TB_operator``, ``NB_operator`` and
+``reflection_operator`` are matrix free (batched FFT derivatives from
+``grid`` and per-point Lambda-maps applied to column blocks), and
+``restrict`` compresses them by applying them to the basis columns, so a
+frame never forms a (N^n 2^(n+1))^2 matrix.  The dense full-space matrices
+(``assemble_TB``, ``assemble_NB``, ``d_matrix``, ...) remain as test
+oracles and for the duality and off-diagonal campaigns, which need the
+whole operator; the constrained degree-k bases (``hat_hk_basis``) and
+``hodge_split`` still take dense null spaces.
 
 All matrices act on plain coefficient vectors; because the grid quadrature
 weight is a scalar multiple of the identity metric, operator norms, condition
@@ -35,7 +45,8 @@ import numpy as np
 import scipy.linalg
 
 from . import algebra
-from .grid import CoefficientField, Field, Torus
+from .grid import (CoefficientField, Field, Torus, d_columns,
+                   d_star_columns)
 
 __all__ = [
     "OperatorMatrix",
@@ -55,6 +66,10 @@ __all__ = [
     "assemble_MB",
     "assemble_TB",
     "assemble_NB",
+    "FieldOperator",
+    "TB_operator",
+    "NB_operator",
+    "reflection_operator",
     "coefficient_matrix",
     "hat_h1_basis",
     "hat_hk_basis",
@@ -66,6 +81,10 @@ __all__ = [
     "matrix_to_csv",
     "matrix_from_csv",
 ]
+
+
+# entries per column chunk in ``restrict`` (2 MB of complex values)
+_RESTRICT_CHUNK = 1 << 17
 
 
 class PointwiseInversionError(np.linalg.LinAlgError):
@@ -262,27 +281,37 @@ def _pointwise_inverse(torus: Torus, maps: np.ndarray, what: str) -> np.ndarray:
     raise PointwiseInversionError(f"{what} is singular")  # pragma: no cover
 
 
-def assemble_MB(B: CoefficientField) -> OperatorMatrix:
-    """M_B = N^+ - B^{-1} N^- B, assembled pointwise over the grid."""
+def _mb_maps(B: CoefficientField, Binv: np.ndarray) -> np.ndarray:
+    """Pointwise maps of M_B = N^+ - B^{-1} N^- B, checked invertible."""
     n = B.torus.dim_n
     Npl = algebra.tangential_proj_matrix(n)
     Nmi = algebra.normal_proj_matrix(n)
-    Binv = _pointwise_inverse(B.torus, B.maps, "coefficient map B")
     maps = Npl - np.einsum("...ij,jk,...kl->...il", Binv, Nmi, B.maps)
     # M_B is invertible iff its two diagonal blocks are; check pointwise.
     _pointwise_inverse(B.torus, maps, "M_B")
-    return OperatorMatrix(pointwise_operator(B.torus, maps), basis_tag="full")
+    return maps
+
+
+def assemble_MB(B: CoefficientField) -> OperatorMatrix:
+    """M_B = N^+ - B^{-1} N^- B, assembled pointwise over the grid."""
+    Binv = _pointwise_inverse(B.torus, B.maps, "coefficient map B")
+    return OperatorMatrix(pointwise_operator(B.torus, _mb_maps(B, Binv)),
+                          basis_tag="full")
 
 
 def assemble_TB(B: CoefficientField) -> OperatorMatrix:
-    """T_B = M_B^{-1} (m d + B^{-1} m d* B) on the full discrete field space."""
+    """T_B = M_B^{-1} (m d + B^{-1} m d* B) on the full discrete field space.
+
+    Dense; the frames use ``TB_operator``.  Kept as its test oracle and for
+    the campaigns that need the full-space matrix.
+    """
     torus = B.torus
     m = m_full_matrix(torus)
     Binv = pointwise_operator(
         torus, _pointwise_inverse(torus, B.maps, "coefficient map B"))
     # Binv m d* Bm left to right, as the plain product, each dense factor
     # built just before its use and released after it: at most four
-    # full-size matrices are alive at once, at every frame build alike
+    # full-size matrices are alive at once
     K = Binv @ m
     del Binv
     K = K @ d_star_matrix(torus)
@@ -316,18 +345,8 @@ def _splitting_projections(U_maps: np.ndarray, V_maps: np.ndarray,
     return P_plus, P_minus
 
 
-def assemble_NB(B: CoefficientField, variant: str = "hat"):
-    """Perturbed complementary projections and reflection.
-
-    variant "hat": splitting H = B^{-1}N^+H + N^-H, built from the explicit
-    formulas N^+_B = mu*_B (mu + mu*_B)^{-1} and N^-_B = mu (mu + mu*_B)^{-1}
-    with mu*_B = B^{-1} mu* B.
-
-    variant "hut": splitting H = N^+H + B^{-1}N^-H, built directly from the
-    pointwise column splitting.
-
-    Returns (N_B^+, N_B^-, N_B) as OperatorMatrix.
-    """
+def _nb_maps(B: CoefficientField, variant: str):
+    """Pointwise maps (N_B^+, N_B^-) of the perturbed projections."""
     torus = B.torus
     n = torus.dim_n
     mu = algebra.mu_matrix(n)
@@ -347,9 +366,167 @@ def assemble_NB(B: CoefficientField, variant: str = "hat"):
             eye_maps, Binv, torus, "hut splitting matrix")
     else:
         raise ValueError("variant must be 'hat' or 'hut'")
-    to_op = lambda maps: OperatorMatrix(pointwise_operator(torus, maps),
+    return P_plus, P_minus
+
+
+def assemble_NB(B: CoefficientField, variant: str = "hat"):
+    """Perturbed complementary projections and reflection.
+
+    variant "hat": splitting H = B^{-1}N^+H + N^-H, built from the explicit
+    formulas N^+_B = mu*_B (mu + mu*_B)^{-1} and N^-_B = mu (mu + mu*_B)^{-1}
+    with mu*_B = B^{-1} mu* B.
+
+    variant "hut": splitting H = N^+H + B^{-1}N^-H, built directly from the
+    pointwise column splitting.
+
+    Returns (N_B^+, N_B^-, N_B) as dense OperatorMatrix; ``NB_operator``
+    applies N_B without forming it.
+    """
+    P_plus, P_minus = _nb_maps(B, variant)
+    to_op = lambda maps: OperatorMatrix(pointwise_operator(B.torus, maps),
                                         basis_tag="full")
     return to_op(P_plus), to_op(P_minus), to_op(P_plus - P_minus)
+
+
+# ---------------------------------------------------------------------------
+# matrix-free operators
+# ---------------------------------------------------------------------------
+
+class FieldOperator:
+    """Operator on the full field space known only by its action.
+
+    ``apply`` and ``adjoint`` map column blocks of shape grid_shape + (d, k)
+    (k fields side by side, the Lambda index second to last) to the same
+    shape; ``matmat``, ``@`` and ``rmatmat`` take flattened (P*d, k)
+    blocks.  No (P*d)^2 matrix is ever formed.
+    """
+
+    def __init__(self, torus: Torus, apply, adjoint):
+        self.torus = torus
+        self.apply = apply
+        self.adjoint = adjoint
+
+    @property
+    def dim(self) -> int:
+        return self.torus.num_points * self.torus.lambda_dim
+
+    def _flat(self, fn, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=complex)
+        if X.ndim != 2 or X.shape[0] != self.dim:
+            raise ValueError(f"expected a ({self.dim}, k) column block")
+        k = X.shape[1]
+        grid = self.torus.shape + (self.torus.lambda_dim, k)
+        return fn(X.reshape(grid)).reshape(self.dim, k)
+
+    def matmat(self, X: np.ndarray) -> np.ndarray:
+        return self._flat(self.apply, X)
+
+    __matmul__ = matmat
+
+    def rmatmat(self, X: np.ndarray) -> np.ndarray:
+        return self._flat(self.adjoint, X)
+
+    def norm_estimate(self) -> float:
+        """Deterministic lower bound for the 2-norm.
+
+        The largest singular value of the operator on an orthonormal block
+        Krylov basis of op^H op: a fixed pseudo-random start block, one
+        block per step, fully reorthogonalized, stopped once a step raises
+        the value by less than 1e-13 relative (at most 40 steps).  It never
+        exceeds the exact norm; when the Krylov space would fill the field
+        space the whole space is used and the value is exact.
+
+        Written with numpy alone: scipy's ``svds`` (ARPACK) runs on scipy's
+        own OpenBLAS, whose spinning threads contend with numpy's; on a
+        2-core machine it made the benchmark's ``battery`` workload 1.7x
+        slower per operation.
+        """
+        block, steps = 4, 40
+        if block * steps >= self.dim:
+            return float(np.linalg.norm(
+                self.matmat(np.eye(self.dim, dtype=complex)), 2))
+        rng = np.random.default_rng(0)
+        Q = np.linalg.qr(rng.standard_normal((self.dim, block))
+                         + 1j * rng.standard_normal((self.dim, block)))[0]
+        basis, images = [], []
+        gram = np.zeros((0, 0), dtype=complex)
+        value = 0.0
+        for _ in range(steps):
+            basis.append(Q)
+            Z = self.matmat(Q)
+            # Gram matrix of the images op Q_i: its top eigenvalue is the
+            # squared norm of op on the span, accurate to rounding
+            cross = np.hstack(images).conj().T @ Z if images else \
+                np.zeros((0, block), dtype=complex)
+            gram = np.block([[gram, cross], [cross.conj().T, Z.conj().T @ Z]])
+            images.append(Z)
+            prev, value = value, float(np.sqrt(max(
+                np.linalg.eigvalsh(gram)[-1], 0.0)))
+            if value - prev <= 1e-13 * value:
+                break
+            Y = self.rmatmat(Z)
+            for _ in range(2):
+                for V in basis:
+                    Y -= V @ (V.conj().T @ Y)
+            Q = np.linalg.qr(Y)[0]
+        return value
+
+
+def _herm(maps: np.ndarray) -> np.ndarray:
+    """Pointwise conjugate transpose of Lambda-maps."""
+    return np.conj(np.swapaxes(maps, -1, -2))
+
+
+def _pointwise_field_operator(torus: Torus,
+                              maps: np.ndarray) -> FieldOperator:
+    """Per-point Lambda-maps (grid_shape + (d, d), or one constant (d, d)
+    map) as a matrix-free operator."""
+    maps_h = _herm(maps)
+    return FieldOperator(torus, lambda X: maps @ X, lambda X: maps_h @ X)
+
+
+def TB_operator(B: CoefficientField) -> FieldOperator:
+    """T_B = M_B^{-1} (m d + B^{-1} m d* B), matrix free.
+
+    Batched FFT derivatives along the grid axes composed with the constant
+    map m and the pointwise maps B, B^{-1} and M_B^{-1}; the adjoint
+    applies the conjugate-transposed maps and d* = d^H in reverse order.
+    """
+    torus = B.torus
+    Bm = B.maps
+    Binv = _pointwise_inverse(torus, Bm, "coefficient map B")
+    MBinv = _pointwise_inverse(torus, _mb_maps(B, Binv), "M_B")
+    m = algebra.m_matrix(torus.dim_n)
+    # T_B = C1 d + C2 d* B with the pointwise maps C1 = M_B^{-1} m and
+    # C2 = M_B^{-1} B^{-1} m
+    C1 = MBinv @ m
+    C2 = MBinv @ Binv @ m
+    Bh, C1h, C2h = _herm(Bm), _herm(C1), _herm(C2)
+
+    def apply(X):
+        out = C1 @ d_columns(torus, X)
+        out += C2 @ d_star_columns(torus, Bm @ X)
+        return out
+
+    def adjoint(Y):
+        out = d_star_columns(torus, C1h @ Y)
+        out += Bh @ d_columns(torus, C2h @ Y)
+        return out
+
+    return FieldOperator(torus, apply, adjoint)
+
+
+def NB_operator(B: CoefficientField) -> FieldOperator:
+    """The perturbed reflection N_B = N_B^+ - N_B^- ("hat" splitting) as a
+    pointwise operator."""
+    P_plus, P_minus = _nb_maps(B, "hat")
+    return _pointwise_field_operator(B.torus, P_plus - P_minus)
+
+
+def reflection_operator(torus: Torus) -> FieldOperator:
+    """The boundary reflection N as a constant pointwise operator."""
+    return _pointwise_field_operator(
+        torus, algebra.reflection_matrix(torus.dim_n))
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +538,15 @@ def _plane_wave_columns(torus: Torus, mode_vectors) -> np.ndarray:
     P = torus.num_points
     d = torus.lambda_dim
     coords = torus.coordinates()
-    cols = np.zeros((P * d, len(mode_vectors)), dtype=complex)
-    for c, (kvec, v) in enumerate(mode_vectors):
-        phase = np.zeros(torus.shape, dtype=complex)
-        phase[...] = 1.0
-        for j in range(torus.dim_n):
-            phase = phase * np.exp(2j * np.pi * kvec[j] * coords[j] / torus.length)
-        vshaped = np.asarray(v).reshape((1,) * torus.dim_n + (d,))
-        block = phase[..., None] * vshaped
-        cols[:, c] = block.reshape(-1) / np.sqrt(P)
-    return cols
+    kvecs = np.array([kvec for kvec, _ in mode_vectors], dtype=float)
+    vecs = np.array([v for _, v in mode_vectors], dtype=float).T
+    phase = np.ones(torus.shape + (len(mode_vectors),), dtype=complex)
+    for j in range(torus.dim_n):
+        phase = phase * np.exp(2j * np.pi * kvecs[:, j]
+                               * coords[j][..., None] / torus.length)
+    block = phase[..., None, :] * vecs
+    block /= np.sqrt(P)
+    return block.reshape(P * d, len(mode_vectors))
 
 
 def hat_h1_basis(torus: Torus) -> SubspaceBasis:
@@ -443,25 +619,39 @@ def hat_hk_basis(B: CoefficientField, k: int,
     return SubspaceBasis(cols, label=f"hat_hk(k={k})")
 
 
-def restrict(op: OperatorMatrix, basis: SubspaceBasis,
+def restrict(op: OperatorMatrix | FieldOperator, basis: SubspaceBasis,
              invariance_tol: float | None = None) -> OperatorMatrix:
     """Compress an operator to a subspace: columns* . op . columns.
 
-    If ``invariance_tol`` is given, also measures the invariance defect
-    ||(I - P) op P|| relative to ||op|| (two exact 2-norms), attaches it to
-    the returned matrix as ``invariance_defect`` and raises a
-    SubspaceInvarianceError if it exceeds the tolerance.
+    ``op`` is a dense OperatorMatrix or a matrix-free FieldOperator.  If
+    ``invariance_tol`` is given, also measures the invariance defect
+    ||(I - P) op P||_2 / ||op||_2, attaches it to the returned matrix as
+    ``invariance_defect`` and raises a SubspaceInvarianceError if it
+    exceeds the tolerance.  The leak norm is exact.  ||op||_2 is exact for
+    a dense operator and the ``norm_estimate`` lower bound for a
+    matrix-free one, so that defect is never below the exact value.
     """
     if basis.ambient_dim != op.dim:
         raise ValueError("basis ambient dimension does not match operator")
     U = basis.columns
-    opU = op.entries @ U
-    compressed = U.conj().T @ opU
+    k = basis.dim
+    compressed = np.empty((k, k), dtype=complex)
+    leak = None if invariance_tol is None else np.empty(U.shape, dtype=complex)
+    # a bounded number of columns at a time, so that the working arrays
+    # stay small next to the basis itself
+    step = max(1, _RESTRICT_CHUNK // basis.ambient_dim)
+    for a in range(0, k, step):
+        b = min(a + step, k)
+        Z = op @ U[:, a:b]
+        C = (Z.conj().T @ U).conj().T  # U^H Z without a conjugate copy of U
+        compressed[:, a:b] = C
+        if leak is not None:
+            leak[:, a:b] = Z - U @ C
     defect = None
-    if invariance_tol is not None:
-        leak = opU - U @ compressed
-        scale = max(np.linalg.norm(op.entries, 2), 1e-300)
-        defect = float(np.linalg.norm(leak, 2) / scale)
+    if leak is not None:
+        norm = (np.linalg.norm(op.entries, 2)
+                if isinstance(op, OperatorMatrix) else op.norm_estimate())
+        defect = float(np.linalg.norm(leak, 2) / max(norm, 1e-300))
         if defect > invariance_tol:
             raise SubspaceInvarianceError(
                 f"operator does not preserve subspace {basis.label!r}: "

@@ -33,9 +33,9 @@ import numpy as np
 import scipy.linalg
 
 from . import algebra, calculus
-from .assembly import (OperatorMatrix, assemble_NB, assemble_TB,
-                       hat_h1_basis, hat_hk_basis,
-                       reflection_full_matrix, restrict, derivative_matrix)
+from .assembly import (NB_operator, TB_operator, derivative_matrix,
+                       hat_h1_basis, hat_hk_basis, reflection_operator,
+                       restrict)
 from .calculus import (apply_to_vector, decompose, exp_minus_t_abs,
                        psi_abs_exp, semigroup_dt, sgn, square_function)
 from .grid import (CoefficientField, Field, Torus, gradient_of,
@@ -46,10 +46,10 @@ SCALAR_KINDS = ("neumann", "regularity", "neu_perp", "dirichlet")
 
 __all__ = [
     "WellPosednessError",
-    "BoundaryData",
     "SolutionField",
     "SolveReport",
     "BoundaryFrame",
+    "BoundaryInverse",
     "solve_neumann",
     "solve_regularity",
     "solve_neu_perp",
@@ -74,31 +74,6 @@ class WellPosednessError(RuntimeError):
     def __init__(self, message: str, condition_number: float):
         super().__init__(message)
         self.condition_number = condition_number
-
-
-@dataclass(frozen=True)
-class BoundaryData:
-    """Boundary datum for one of the five problem kinds.
-
-    kind 'neumann', 'neu_perp', 'dirichlet': ``scalar`` is the grid array of
-    phi (resp. u).  kind 'regularity': ``gradient`` is a tangential,
-    curl-free vector Field.  kind 'transmission': ``g`` is a degree-k Field
-    together with the jump weights alpha_plus != alpha_minus.
-    """
-
-    kind: str
-    scalar: np.ndarray | None = None
-    gradient: Field | None = None
-    g: Field | None = None
-    alpha_plus: complex = 1.0
-    alpha_minus: complex = 0.0
-    degree: int = 1
-
-    def __post_init__(self):
-        if self.kind not in SCALAR_KINDS + ("transmission",):
-            raise ValueError(f"unknown problem kind {self.kind!r}")
-        if self.kind == "transmission" and self.alpha_plus == self.alpha_minus:
-            raise ValueError("transmission requires alpha_plus != alpha_minus")
 
 
 @dataclass
@@ -142,11 +117,54 @@ class SolveReport:
         return "\n".join(lines) + "\n"
 
 
+class BoundaryInverse:
+    """Minimum-norm inverse of a boundary operator through an SVD cutoff.
+
+    Kernel directions of T invisible to the boundary datum make the solve
+    operators structurally rank deficient by at most dim ker T; any null
+    space beyond that, or an effective condition number past the cap, is a
+    well-posedness failure, raised at construction.
+    """
+
+    def __init__(self, op: np.ndarray, label: str, kernel_dim: int):
+        try:
+            U, s, Vh = np.linalg.svd(op)
+        except np.linalg.LinAlgError:
+            # the default divide-and-conquer driver can fail to converge on
+            # large non-normal matrices; the QR-based driver is slower but
+            # unconditionally convergent
+            U, s, Vh = scipy.linalg.svd(op, lapack_driver="gesvd")
+        cutoff = 1e-12 * s[0]
+        keep = s > cutoff
+        null_dim = int(op.shape[0] - np.sum(keep))
+        cond = float(s[0] / s[keep][-1]) if np.any(keep) else np.inf
+        if null_dim > kernel_dim:
+            raise WellPosednessError(
+                f"boundary operator {label!r} has {null_dim} null directions "
+                f"(at most {kernel_dim} kernel ambiguities expected)",
+                np.inf)
+        if not np.isfinite(cond) or cond >= COND_CAP:
+            raise WellPosednessError(
+                f"boundary operator {label!r} is numerically singular "
+                f"(condition number {cond:.3e} >= {COND_CAP:.0e})", cond)
+        self.label = label
+        self.cond = cond
+        self.null_dim = null_dim
+        self._V = Vh.conj().T[:, keep]
+        self._Uh = U[:, keep].conj().T
+        self._s = s[keep]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Apply the inverse to a vector or to right-hand-side columns."""
+        return self._V @ (((self._Uh @ rhs).T / self._s).T)
+
+
 class BoundaryFrame:
     """Assembled boundary machinery for one coefficient field and subspace.
 
     Builds (once) the restricted Dirac operator, its spectral decomposition,
-    the Cauchy reflection E, and the two boundary reflections.  All solves
+    the Cauchy reflection E, and the two boundary reflections, and factors
+    each boundary operator the first time a solve needs it.  All solves
     and campaigns for the same coefficients share a frame.
     """
 
@@ -163,16 +181,17 @@ class BoundaryFrame:
             self.basis = hat_h1_basis(self.torus)
         else:
             self.basis = hat_hk_basis(B, degree)
-        T_full = assemble_TB(B)
-        self.T = restrict(T_full, self.basis, invariance_tol=invariance_tol)
+        # T, N and N_A are applied to the basis columns matrix free; the
+        # defect scale ||T_B||_2 is a lower-bound estimate, so the
+        # recorded defect is never below the exact one
+        self.T = restrict(TB_operator(B), self.basis,
+                          invariance_tol=invariance_tol)
         self.invariance_defect = self.T.invariance_defect
         self.dec = decompose(self.T, (B.kappa, B.sup_norm),
                              kernel_tol=kernel_tol)
         self.E = calculus.apply_function(self.dec, sgn()).entries
-        self.N = restrict(OperatorMatrix(reflection_full_matrix(self.torus)),
-                          self.basis).entries
-        _, _, NB_hat = assemble_NB(B, "hat")
-        self.NA = restrict(NB_hat, self.basis).entries
+        self.N = restrict(reflection_operator(self.torus), self.basis).entries
+        self.NA = restrict(NB_operator(B), self.basis).entries
         self.Pnk = self.dec.nonkernel_projector()
         self.PK = self.dec.kernel_projector()
         self.kernel_dim = int(np.sum(self.dec.kernel_indices))
@@ -181,6 +200,7 @@ class BoundaryFrame:
         # Hardy class, so that (E - N) f = 2 N^- f holds on the whole
         # bounded-solution class E^+ H + ker T.
         self.E_solve = self.E + self.PK
+        self._inverses = {}
 
     # -- operators ---------------------------------------------------------
 
@@ -196,38 +216,20 @@ class BoundaryFrame:
             return lam * eye - self.E_solve @ self.NA, "lambda - E N_B"
         raise ValueError(f"unknown kind {kind!r}")
 
-    def invert(self, op: np.ndarray, rhs: np.ndarray, label: str):
-        """Minimum-norm solve through an SVD cutoff.
+    def factor(self, kind: str) -> BoundaryInverse:
+        """The inverse of the boundary operator of ``kind``, factored once
+        per frame and shared by the kinds with the same operator
+        (neu_perp and dirichlet both invert E - N)."""
+        op, label = self.boundary_operator(kind)
+        if label not in self._inverses:
+            self._inverses[label] = BoundaryInverse(op, label, self.kernel_dim)
+        return self._inverses[label]
 
-        Kernel directions of T invisible to the boundary datum make the
-        solve operators structurally rank deficient by at most dim ker T;
-        any null space beyond that, or an effective condition number past
-        the cap, is a well-posedness failure.  ``rhs`` is a vector or a
-        matrix of right-hand-side columns.
-        """
-        try:
-            U, s, Vh = np.linalg.svd(op)
-        except np.linalg.LinAlgError:
-            # the default divide-and-conquer driver can fail to converge on
-            # large non-normal matrices; the QR-based driver is slower but
-            # unconditionally convergent
-            U, s, Vh = scipy.linalg.svd(op, lapack_driver="gesvd")
-        cutoff = 1e-12 * s[0]
-        keep = s > cutoff
-        null_dim = int(op.shape[0] - np.sum(keep))
-        cond = float(s[0] / s[keep][-1]) if np.any(keep) else np.inf
-        if null_dim > self.kernel_dim:
-            raise WellPosednessError(
-                f"boundary operator {label!r} has {null_dim} null directions "
-                f"(at most {self.kernel_dim} kernel ambiguities expected)",
-                np.inf)
-        if not np.isfinite(cond) or cond >= COND_CAP:
-            raise WellPosednessError(
-                f"boundary operator {label!r} is numerically singular "
-                f"(condition number {cond:.3e} >= {COND_CAP:.0e})", cond)
-        x = Vh.conj().T[:, keep] @ (((U[:, keep].conj().T @ rhs).T
-                                     / s[keep]).T)
-        return x, cond, null_dim
+    def invert(self, op: np.ndarray, rhs: np.ndarray, label: str):
+        """Minimum-norm solve of an arbitrary boundary operator, factored
+        afresh on every call (see ``BoundaryInverse``)."""
+        inv = BoundaryInverse(op, label, self.kernel_dim)
+        return inv.solve(rhs), inv.cond, inv.null_dim
 
     # -- field/coordinate plumbing ----------------------------------------
 
@@ -307,8 +309,9 @@ def _e0_field(torus: Torus, scalar: np.ndarray) -> Field:
 def _finish_solve(frame: BoundaryFrame, kind: str, formula: str,
                   rhs_field: Field, compare, mean_loss: float = 0.0) -> tuple:
     rhs_coords, data_loss = frame.to_coords(rhs_field)
-    op, label = frame.boundary_operator(kind)
-    sol_coords, cond, null_dim = frame.invert(op, 2.0 * rhs_coords, label)
+    inv = frame.factor(kind)
+    sol_coords = inv.solve(2.0 * rhs_coords)
+    label, cond, null_dim = inv.label, inv.cond, inv.null_dim
     sol = SolutionField(frame, sol_coords)
     g_eff = frame.to_field(rhs_coords)
     resid = compare(sol.trace_field(), g_eff)

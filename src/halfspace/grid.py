@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +31,8 @@ __all__ = [
     "fourier_inverse",
     "d_op",
     "d_star_op",
+    "d_columns",
+    "d_star_columns",
     "gradient_of",
     "underline_d",
     "underline_d_star_B",
@@ -169,33 +172,52 @@ def fourier_inverse(f: Field) -> Field:
     return Field(f.torus, np.fft.ifftn(f.values, axes=axes))
 
 
-def _partial(f: Field, axis: int) -> np.ndarray:
-    """Spectral partial derivative along the given grid axis; raw array."""
-    axes = tuple(range(f.torus.dim_n))
-    spec = np.fft.fftn(f.values, axes=axes)
-    xi = f.torus.wavenumbers()[axis]
-    spec = spec * (1j * xi)[..., None]
-    return np.fft.ifftn(spec, axes=axes)
+@lru_cache(maxsize=None)
+def _derivative_symbol(torus: Torus, kind: str) -> np.ndarray:
+    """Per-mode symbol sum_j i xi_j M_j of d (M_j = e_j ^) or of d*
+    (M_j = -e_j _|), shape grid_shape + (2^(n+1), 2^(n+1))."""
+    n = torus.dim_n
+    if kind == "d":
+        maps = [algebra.left_wedge_matrix(n, 1 << j) for j in range(1, n + 1)]
+    else:
+        maps = [-algebra.left_hook_matrix(n, 1 << j) for j in range(1, n + 1)]
+    symbol = sum((1j * xi)[..., None, None] * M
+                 for xi, M in zip(torus.wavenumbers(), maps))
+    symbol.flags.writeable = False
+    return symbol
+
+
+def _fourier_multiplier(torus: Torus, cols: np.ndarray,
+                        kind: str) -> np.ndarray:
+    """d or d* applied to column blocks: one FFT pair over the grid axes.
+
+    ``cols`` has shape grid_shape + (2^(n+1), k): k fields side by side,
+    the Lambda index second to last.
+    """
+    axes = tuple(range(torus.dim_n))
+    spec = np.fft.fftn(cols, axes=axes)
+    return np.fft.ifftn(_derivative_symbol(torus, kind) @ spec, axes=axes)
+
+
+def d_columns(torus: Torus, cols: np.ndarray) -> np.ndarray:
+    """Exterior derivative of column blocks (see ``_fourier_multiplier``)."""
+    return _fourier_multiplier(torus, cols, "d")
+
+
+def d_star_columns(torus: Torus, cols: np.ndarray) -> np.ndarray:
+    """Interior derivative of column blocks (see ``_fourier_multiplier``)."""
+    return _fourier_multiplier(torus, cols, "d_star")
 
 
 def d_op(f: Field) -> Field:
     """Exterior derivative d f = sum_j e_j ^ (d/dx_j f), j = 1..n."""
-    n = f.torus.dim_n
-    out = np.zeros_like(f.values)
-    for j in range(1, n + 1):
-        W = algebra.left_wedge_matrix(n, 1 << j)
-        out = out + _partial(f, j - 1) @ W.T
-    return Field(f.torus, out)
+    return Field(f.torus, d_columns(f.torus, f.values[..., None])[..., 0])
 
 
 def d_star_op(f: Field) -> Field:
     """Interior derivative d* f = -sum_j e_j _| (d/dx_j f), j = 1..n."""
-    n = f.torus.dim_n
-    out = np.zeros_like(f.values)
-    for j in range(1, n + 1):
-        H = algebra.left_hook_matrix(n, 1 << j)
-        out = out - _partial(f, j - 1) @ H.T
-    return Field(f.torus, out)
+    return Field(f.torus,
+                 d_star_columns(f.torus, f.values[..., None])[..., 0])
 
 
 def gradient_of(torus: Torus, scalar: np.ndarray) -> Field:

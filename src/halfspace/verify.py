@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import algebra, diagnostics, oracles
-from .assembly import assemble_TB, hat_h1_basis, restrict
+from .assembly import TB_operator, hat_h1_basis, restrict
 from .bvp import (SCALAR_KINDS, BoundaryFrame, nontangential_max,
                   norm_sup_t, norm_triplebar_dt, solve_dirichlet, solve_kind,
                   solve_neu_perp, solve_regularity)
@@ -162,7 +162,7 @@ def check_sector(points: int = 128, tol_const: float = 1e-8,
     for label, B, tol in families:
         # only eigenvalue locations matter here, so bypass the eigenbasis
         # (whose conditioning can degrade long before the spectrum does)
-        T = restrict(assemble_TB(B), hat_h1_basis(torus), 1e-8)
+        T = restrict(TB_operator(B), hat_h1_basis(torus), 1e-8)
         lam = np.linalg.eigvals(T.entries)
         nonkernel = np.abs(lam) > 1e-10 * np.max(np.abs(lam))
         margin = sector_margin(lam[nonkernel],

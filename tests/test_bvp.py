@@ -1,5 +1,7 @@
 """Tests for the boundary value problem solves and solution norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -187,3 +189,72 @@ def test_n2_scalar_kinds_match_constant_oracle():
         assert max(dev for _, dev in devs) <= 1e-9, kind
     with pytest.raises(ValueError, match="valid kinds"):
         solve_kind("transmission", frame, scalar)
+
+
+@pytest.fixture(scope="module")
+def n2_frame():
+    """n = 2, N = 16 constant-coefficient frame (full dim 2048, m = 513),
+    built under tracemalloc; returns (frame, A, traced peak in bytes)."""
+    torus = Torus(2, 2 * np.pi, 16)
+    A = random_accretive_constant(1, 2)
+    B = vector_block_coefficients(torus, A)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        frame = BoundaryFrame(B)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return frame, A, peak
+
+
+def test_n2_N16_scalar_kinds_match_constant_oracle(n2_frame):
+    frame, A, _ = n2_frame
+    scalar = gaussian_data(frame.torus)
+    for kind in SCALAR_KINDS:
+        sol, _ = solve_kind(kind, frame, scalar)
+        devs = constant_deviations(sol, A, kind, scalar, (0.05, 0.3, 1.0))
+        assert max(dev for _, dev in devs) <= 1e-9, kind
+
+
+def test_n2_N16_frame_build_never_holds_a_full_space_matrix(n2_frame):
+    # one dense complex (N^n 2^(n+1))^2 matrix is 2048^2 * 16 B = 64 MiB; the
+    # whole traced peak of the build stays below it, so no single block
+    # that large was ever allocated
+    frame, _, peak = n2_frame
+    full_dim = frame.torus.num_points * frame.torus.lambda_dim
+    assert full_dim == 2048
+    assert peak < full_dim ** 2 * 16
+
+
+def test_boundary_factorization_cached_per_kind(monkeypatch):
+    torus = Torus(1, 2 * np.pi, 32)
+    B = smooth_real_symmetric(torus, seed=3)
+    frame = BoundaryFrame(B)
+    fresh = BoundaryFrame(B)
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    first, _ = solve_neumann(None, gaussian_data(torus), frame=frame)
+    assert len(calls) == 1
+    phi = mode_data(torus, 3)
+    second, report = solve_neumann(None, phi, frame=frame)
+    assert len(calls) == 1
+    # neu_perp and dirichlet share the operator E - N
+    solve_neu_perp(None, phi, frame=frame)
+    solve_dirichlet(None, phi, frame=frame)
+    assert len(calls) == 2
+    ref, ref_report = solve_neumann(None, phi, frame=fresh)
+    assert len(calls) == 3
+    assert np.linalg.norm(second.coords - ref.coords) <= 1e-12 * np.linalg.norm(
+        ref.coords)
+    assert report.condition_numbers == ref_report.condition_numbers
