@@ -46,7 +46,7 @@ import scipy.linalg
 
 from . import algebra
 from .grid import (CoefficientField, Field, Torus, d_columns,
-                   d_star_columns)
+                   d_star_columns, partial_columns)
 
 __all__ = [
     "OperatorMatrix",
@@ -176,8 +176,7 @@ class SubspaceBasis:
 @lru_cache(maxsize=None)
 def _axis_derivative(N: int, L: float) -> np.ndarray:
     """Dense 1-D spectral derivative matrix on N periodic samples."""
-    xi = 2.0 * np.pi * np.fft.fftfreq(N, d=1.0 / N) / L
-    D = np.fft.ifft(1j * xi[:, None] * np.fft.fft(np.eye(N), axis=0), axis=0)
+    D = partial_columns(Torus(1, L, N), np.eye(N), 0)
     D.flags.writeable = False
     return D
 

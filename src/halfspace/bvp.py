@@ -33,13 +33,12 @@ import numpy as np
 import scipy.linalg
 
 from . import algebra, calculus
-from .assembly import (NB_operator, TB_operator, derivative_matrix,
-                       hat_h1_basis, hat_hk_basis, reflection_operator,
-                       restrict)
+from .assembly import (NB_operator, TB_operator, hat_h1_basis, hat_hk_basis,
+                       reflection_operator, restrict)
 from .calculus import (apply_to_vector, decompose, exp_minus_t_abs,
                        psi_abs_exp, semigroup_dt, sgn, square_function)
 from .grid import (CoefficientField, Field, Torus, gradient_of,
-                   vector_block_coefficients)
+                   partial_columns, vector_block_coefficients)
 
 COND_CAP = 1e10
 SCALAR_KINDS = ("neumann", "regularity", "neu_perp", "dirichlet")
@@ -59,7 +58,6 @@ __all__ = [
     "solve_kind",
     "norm_sup_t",
     "norm_triplebar_dt",
-    "norm_triplebar_gradx",
     "nontangential_max",
     "reflection_conditions",
     "wellposedness_report",
@@ -243,6 +241,12 @@ class BoundaryFrame:
     def to_field(self, coords: np.ndarray) -> Field:
         return Field.from_flat(self.torus, self.basis.from_coords(coords))
 
+    def field_values(self, coords: np.ndarray) -> np.ndarray:
+        """Grid values of the fields whose coordinates are the columns of
+        ``coords``, lifted by one product: shape grid_shape + (2^(n+1), k)."""
+        return self.basis.from_coords(coords).reshape(
+            self.torus.shape + (self.torus.lambda_dim, coords.shape[1]))
+
     def phys_norm(self, coords: np.ndarray) -> float:
         return float(np.sqrt(self.torus.weight) * np.linalg.norm(coords))
 
@@ -256,11 +260,24 @@ class SolutionField:
     side: int = +1  # +1 upper half space, -1 lower
 
     def coords_at_t(self, t: float) -> np.ndarray:
-        if t < 0:
+        return self.coords_at_ts([t])[:, 0]
+
+    def coords_at_ts(self, ts) -> np.ndarray:
+        """F_t for every t of ``ts`` as the columns of one m x len(ts) block,
+        from one ``apply_to_vector`` call; t = 0 gives the trace itself."""
+        ts = np.asarray(ts, dtype=float)
+        if np.any(ts < 0):
             raise ValueError("t measures distance to the boundary; t >= 0")
-        if t == 0:
-            return self.coords
-        return apply_to_vector(self.frame.dec, exp_minus_t_abs(t), self.coords)
+        out = apply_to_vector(self.frame.dec,
+                              [exp_minus_t_abs(t) for t in ts], self.coords)
+        out[:, ts == 0] = self.coords[:, None]
+        return out
+
+    def norms_at_ts(self, ts) -> np.ndarray:
+        """Grid L2 norms ||F_t|| at every t of ``ts``, from one block
+        product."""
+        return np.sqrt(self.frame.torus.weight) * np.linalg.norm(
+            self.coords_at_ts(ts), axis=0)
 
     def at_t(self, t: float) -> Field:
         return self.frame.to_field(self.coords_at_t(t))
@@ -430,39 +447,45 @@ def dirichlet_values(sol: SolutionField, t: float) -> np.ndarray:
 
 def dirichlet_second_order_residual(sol: SolutionField, t_samples) -> float:
     """max over sampled t of ||div_{t,x} A grad_{t,x} U|| relative to the
-    size of its constituent terms."""
+    size of its constituent terms.
+
+    U_t, dU/dt and d^2U/dt^2 at every sample come from two block products,
+    x-derivatives from FFTs.
+    """
     frame = sol.frame
     torus = frame.torus
     n = torus.dim_n
-    A = frame.B.vector_block()
-    Dx = [derivative_matrix(torus, j) for j in range(n)]
-    worst = 0.0
-    dec = frame.dec
-    for t in t_samples:
-        U = sol.at_t(t).component(1).reshape(-1)
-        Ut = frame.to_field(apply_to_vector(
-            dec, semigroup_dt(t, 1), sol.coords)).component(1).reshape(-1)
-        Utt = frame.to_field(apply_to_vector(
-            dec, semigroup_dt(t, 2), sol.coords)).component(1).reshape(-1)
-        gradU = [D @ U for D in Dx]
-        gradUt = [D @ Ut for D in Dx]
-        Aflat = A.reshape(-1, n + 1, n + 1)
-        # g = A (dU/dt, grad_x U); residual = d/dt g_0 + div_x g_par
-        dt_g0 = Aflat[:, 0, 0] * Utt
+    ts = np.asarray(t_samples, dtype=float)
+    T = len(ts)
+    if T == 0:
+        return 0.0
+    A = frame.B.vector_block()[..., None]
+    dts = apply_to_vector(frame.dec, [semigroup_dt(t, k) for k in (1, 2)
+                                      for t in ts], sol.coords)
+    vals = frame.field_values(np.hstack([sol.coords_at_ts(ts), dts]))
+    U, Ut, Utt = np.split(vals[..., 1, :], 3, axis=-1)
+    gradU = [partial_columns(torus, U, j) for j in range(n)]
+    gradUt = [partial_columns(torus, Ut, j) for j in range(n)]
+
+    def col_norms(x):
+        return np.linalg.norm(x.reshape(-1, T), axis=0)
+
+    # g = A (dU/dt, grad_x U); residual = d/dt g_0 + div_x g_par
+    dt_g0 = A[..., 0, 0, :] * Utt
+    for j in range(n):
+        dt_g0 = dt_g0 + A[..., 0, j + 1, :] * gradUt[j]
+    div_gpar = np.zeros_like(U)
+    scale_terms = [col_norms(dt_g0)]
+    for i in range(n):
+        g_i = A[..., i + 1, 0, :] * Ut
         for j in range(n):
-            dt_g0 = dt_g0 + Aflat[:, 0, j + 1] * gradUt[j]
-        div_gpar = np.zeros_like(U)
-        scale_terms = [np.linalg.norm(dt_g0)]
-        for i in range(n):
-            g_i = Aflat[:, i + 1, 0] * Ut
-            for j in range(n):
-                g_i = g_i + Aflat[:, i + 1, j + 1] * gradU[j]
-            div_gpar = div_gpar + Dx[i] @ g_i
-            scale_terms.append(np.linalg.norm(Dx[i] @ g_i))
-        resid = np.linalg.norm(dt_g0 + div_gpar)
-        scale = max(max(scale_terms), 1e-300)
-        worst = max(worst, float(resid / scale))
-    return worst
+            g_i = g_i + A[..., i + 1, j + 1, :] * gradU[j]
+        dg_i = partial_columns(torus, g_i, i)
+        div_gpar = div_gpar + dg_i
+        scale_terms.append(col_norms(dg_i))
+    resid = col_norms(dt_g0 + div_gpar)
+    scale = np.maximum(np.max(scale_terms, axis=0), 1e-300)
+    return float(np.max(resid / scale, initial=0.0))
 
 
 def _check_gradient(data: Field, tol: float = 1e-10) -> None:
@@ -579,7 +602,7 @@ def norm_sup_t(sol: SolutionField, t_samples=None) -> float:
         t_samples = sol.default_t_samples()
     if len(t_samples) == 0:
         raise ValueError("empty sample grid")
-    return max(sol.frame.phys_norm(sol.coords_at_t(t)) for t in t_samples)
+    return float(np.max(sol.norms_at_ts(t_samples)))
 
 
 def norm_triplebar_dt(sol: SolutionField, points_per_decade: int = 40) -> float:
@@ -594,21 +617,20 @@ def norm_triplebar_dt(sol: SolutionField, points_per_decade: int = 40) -> float:
     return float(np.sqrt(sol.frame.torus.weight * total))
 
 
-def norm_triplebar_gradx(sol: SolutionField,
-                         points_per_decade: int = 40) -> float:
-    """Triple-bar norm of t grad_x U_t for the scalar Dirichlet reading."""
-    frame = sol.frame
-    torus = frame.torus
-    dec = frame.dec
-    Dx = [derivative_matrix(torus, j) for j in range(torus.dim_n)]
-    ts, h = calculus.default_t_grid(dec, points_per_decade=points_per_decade)
-    total = 0.0
-    for t in ts:
-        U = sol.at_t(t).component(1).reshape(-1)
-        for D in Dx:
-            g = D @ U
-            total += h * (t ** 2) * float(np.vdot(g, g).real)
-    return float(np.sqrt(torus.weight * total))
+def _periodic_box_mean(a: np.ndarray, win: int, axis: int) -> np.ndarray:
+    """Mean of ``a`` over the ``win`` periodic neighbours
+    i - (win - 1 - win // 2) .. i + win // 2 along ``axis``, the window of
+    sum_s roll(a, s) over s = -(win // 2) .. win - 1 - win // 2, as a
+    difference of one cumulative sum over the periodically extended axis."""
+    if win == 1:
+        return a
+    a0 = np.moveaxis(a, axis, 0)
+    N = a0.shape[0]
+    lo, hi = win - 1 - win // 2, win // 2
+    ext = a0[np.arange(-lo, N + hi) % N]
+    csum = np.concatenate([np.zeros((1,) + a0.shape[1:]),
+                           np.cumsum(ext, axis=0)])
+    return np.moveaxis((csum[win:win + N] - csum[:N]) / win, 0, axis)
 
 
 def nontangential_max(sol: SolutionField, c0: float = 0.5, c1: float = 1.0,
@@ -617,33 +639,26 @@ def nontangential_max(sol: SolutionField, c0: float = 0.5, c1: float = 1.0,
 
     Whitney boxes: |s - t| < c0 t in height, |y - x| < c1 t per axis
     (periodic distance); the box average always includes the nearest lattice
-    sample.
+    sample.  The fields at all heights come from one block product.
     """
     frame = sol.frame
     torus = frame.torus
     if t_samples is None:
         t_samples = sol.default_t_samples()
-    t_samples = np.asarray(sorted(t_samples))
-    P_shape = torus.shape
-    sq = np.zeros((len(t_samples),) + P_shape)
-    for i, t in enumerate(t_samples):
-        vals = sol.at_t(t).values
-        sq[i] = np.sum(np.abs(vals) ** 2, axis=-1)
+    t_samples = np.asarray(sorted(t_samples), dtype=float)
+    vals = frame.field_values(sol.coords_at_ts(t_samples))
+    sq = np.moveaxis(np.sum(np.abs(vals) ** 2, axis=-2), -1, 0)
     dx = torus.length / torus.points_per_axis
-    best = np.zeros(P_shape)
+    best = np.zeros(torus.shape)
     for i, t in enumerate(t_samples):
         in_s = np.abs(t_samples - t) < c0 * t
         if not np.any(in_s):
-            in_s = np.zeros_like(in_s)
             in_s[i] = True
-        layer = sq[in_s].mean(axis=0)
+        avg = sq[in_s].mean(axis=0)
         half_w = max(int(np.floor(c1 * t / dx)), 0)
         win = min(2 * half_w + 1, torus.points_per_axis)
-        avg = layer
         for ax in range(torus.dim_n):
-            kernel_idx = (np.arange(win) - win // 2)
-            rolled = sum(np.roll(avg, shift, axis=ax) for shift in kernel_idx)
-            avg = rolled / win
+            avg = _periodic_box_mean(avg, win, ax)
         best = np.maximum(best, avg)
     nt = np.sqrt(best)
     return float(np.sqrt(torus.weight * np.sum(nt ** 2)))

@@ -14,11 +14,20 @@ spectral projections vanish there, the semigroup and resolvent-type
 symbols are one.  Symbols built on the holomorphic sgn are undefined on the
 imaginary axis and say so through ``sign_sensitive``.
 
+A whole grid of heights is evaluated in eigen-coordinates as one block
+product: with c = V^{-1} f computed once and S the m x T matrix of symbol
+values S_ij = b_j(lambda_i), the columns b_j(T) f are V (S o c)
+(``apply_to_vector`` with a sequence of symbols).
+
 Square-function norms int ||psi_t(T) f||^2 dt/t are summed by one midpoint
-rule over a log-spaced grid (40 points per decade); each caller adds its
-own analytic tail corrections from the spectral extremes.  For psi_t = q_t
-and self-adjoint injective T the exact value is ||f||^2 / 2, from the
-closed integral int_0^inf (s/(1+s^2))^2 ds/s = 1/2.
+rule over a log-spaced grid (40 points per decade), one block product for
+the whole grid; each caller adds its own analytic tail corrections from the
+spectral extremes.  For psi_t = q_t and self-adjoint injective T the exact
+value is ||f||^2 / 2, from the closed integral
+int_0^inf (s/(1+s^2))^2 ds/s = 1/2.  The Gram matrix of the quadratic
+estimate, G = sum_j h Q_j^* Q_j with Q_j = V diag(s_j) V^{-1}, is formed in
+its Hadamard form G = V^{-*} [(V^* V) o W] V^{-1}, W = h conj(S) S^T: one
+m x T x m product instead of two m^3 products per height.
 """
 
 from __future__ import annotations
@@ -244,8 +253,7 @@ def decompose(T: OperatorMatrix | np.ndarray,
     else:
         mat = np.asarray(T, dtype=complex)
         tag = basis_tag or "full"
-    scale = max(np.linalg.norm(mat, 2), 1e-300)
-    hermitian = np.linalg.norm(mat - mat.conj().T, 2) <= 1e-10 * scale
+    hermitian = _is_hermitian(mat)
     if hermitian:
         lam, V = np.linalg.eigh(0.5 * (mat + mat.conj().T))
         lam = lam.astype(complex)
@@ -253,35 +261,32 @@ def decompose(T: OperatorMatrix | np.ndarray,
         cond_V = 1.0
     else:
         lam, V = np.linalg.eig(mat)
-        sv = np.linalg.svd(V, compute_uv=False)
-        cond_V = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-        # The conditioning verdict waits until after kernel polishing below:
-        # a near-degenerate zero cluster can make eig's raw basis look
-        # arbitrarily ill conditioned even when the polished basis is fine.
-        Vinv = np.linalg.inv(V) if np.isfinite(cond_V) else None
     max_abs = np.max(np.abs(lam), initial=0.0)
     kernel = np.abs(lam) <= kernel_tol * max_abs if max_abs > 0 else np.ones(
         lam.shape, dtype=bool)
-    if not hermitian and np.any(kernel):
-        # Polish the kernel: eig's eigenvectors for the (near-degenerate)
-        # zero cluster are only accurate to the cluster's residual, which
-        # would leave a t-independent defect in every semigroup evaluation.
-        # Exact null vectors from the SVD replace them.
-        k = int(np.sum(kernel))
-        _, s_all, vh = np.linalg.svd(mat)
-        if s_all[-k] <= kernel_tol * s_all[0]:
-            V = V.copy()
-            V[:, kernel] = vh[-k:].conj().T
-            lam = lam.copy()
-            lam[kernel] = 0.0
-            sv = np.linalg.svd(V, compute_uv=False)
-            cond_V = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-            Vinv = np.linalg.inv(V) if np.isfinite(cond_V) else None
     if not hermitian:
-        if cond_V > cond_cap or Vinv is None:
+        if np.any(kernel):
+            # Polish the kernel: eig's eigenvectors for the (near-degenerate)
+            # zero cluster are only accurate to the cluster's residual, which
+            # would leave a t-independent defect in every semigroup
+            # evaluation.  Exact null vectors from the SVD replace them.
+            k = int(np.sum(kernel))
+            _, s_all, vh = np.linalg.svd(mat)
+            if s_all[-k] <= kernel_tol * s_all[0]:
+                V = V.copy()
+                V[:, kernel] = vh[-k:].conj().T
+                lam = lam.copy()
+                lam[kernel] = 0.0
+        # The conditioning verdict is taken on the polished basis: a
+        # near-degenerate zero cluster can make eig's raw basis look
+        # arbitrarily ill conditioned even when the polished basis is fine.
+        sv = np.linalg.svd(V, compute_uv=False)
+        cond_V = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+        if not cond_V <= cond_cap:
             raise IllConditionedEigenbasisError(
                 f"calculus.decompose: cond(V) = {cond_V:.3e} > cap "
                 f"{cond_cap:.1e}", cond_V)
+        Vinv = np.linalg.inv(V)
     if B_constants is not None:
         omega = sector_half_angle(*B_constants)
     else:
@@ -290,6 +295,23 @@ def decompose(T: OperatorMatrix | np.ndarray,
         eigenvalues=lam, V=V, Vinv=Vinv, cond_V=cond_V,
         kernel_indices=kernel, omega=omega, kernel_tol=kernel_tol,
         hermitian=hermitian, basis_tag=tag)
+
+
+def _is_hermitian(mat: np.ndarray) -> bool:
+    """||mat - mat^*||_2 <= 1e-10 ||mat||_2, decided from Frobenius norms
+    through ||X||_F / sqrt(m) <= ||X||_2 <= ||X||_F wherever that bracket
+    settles it; the two exact 2-norms are taken only when it does not."""
+    rtol = 1e-10
+    defect = mat - mat.conj().T
+    root_m = np.sqrt(mat.shape[0])
+    d_fro = np.linalg.norm(defect)
+    s_fro = np.linalg.norm(mat)
+    if d_fro <= rtol * max(s_fro / root_m, 1e-300):
+        return True
+    if d_fro / root_m > rtol * max(s_fro, 1e-300):
+        return False
+    scale = max(np.linalg.norm(mat, 2), 1e-300)
+    return bool(np.linalg.norm(defect, 2) <= rtol * scale)
 
 
 def sector_half_angle(kappa: float, sup_norm: float) -> float:
@@ -311,32 +333,44 @@ def sector_margin(eigenvalues: np.ndarray, omega: float) -> float:
     return float(np.max(ang) - omega)
 
 
-def _symbol_values(dec: SpectralDecomposition,
-                   b: FunctionDescriptor) -> np.ndarray:
-    """b at the eigenvalues, with kernel eigenvalues sent to the kernel value.
+def _symbol_values(dec: SpectralDecomposition, symbols) -> np.ndarray:
+    """The m x len(symbols) block S_ij = b_j(lambda_i), kernel eigenvalues
+    sent to each symbol's kernel value.
 
     A sign-sensitive symbol at a (near-)imaginary non-kernel eigenvalue
     raises SectorViolationError.
     """
-    if b.sign_sensitive and dec.near_imaginary.size:
-        raise SectorViolationError(
-            f"symbol {b.name!r} undefined at (near-)imaginary eigenvalue "
-            f"{dec.near_imaginary[0]!r}")
-    vals = np.asarray(b(dec.eigenvalues), dtype=complex)
-    return np.where(dec.kernel_indices, complex(b.kernel_value), vals)
+    lam = dec.eigenvalues
+    vals = np.empty((lam.size, len(symbols)), dtype=complex)
+    for j, b in enumerate(symbols):
+        if b.sign_sensitive and dec.near_imaginary.size:
+            raise SectorViolationError(
+                f"symbol {b.name!r} undefined at (near-)imaginary eigenvalue "
+                f"{dec.near_imaginary[0]!r}")
+        vals[:, j] = b(lam)
+    kernel_values = np.array([b.kernel_value for b in symbols], dtype=complex)
+    return np.where(dec.kernel_indices[:, None], kernel_values, vals)
 
 
 def apply_function(dec: SpectralDecomposition,
                    b: FunctionDescriptor) -> OperatorMatrix:
     """b(T) = V diag(b(lambda)) V^{-1}, kernel eigenvalues -> kernel value."""
-    vals = _symbol_values(dec, b)
+    vals = _symbol_values(dec, [b])[:, 0]
     return OperatorMatrix((dec.V * vals) @ dec.Vinv, basis_tag=dec.basis_tag)
 
 
-def apply_to_vector(dec: SpectralDecomposition, b: FunctionDescriptor,
+def apply_to_vector(dec: SpectralDecomposition, b,
                     vec: np.ndarray) -> np.ndarray:
-    """b(T) vec without forming the full matrix."""
-    return dec.V @ (_symbol_values(dec, b) * (dec.Vinv @ vec))
+    """b(T) vec without forming the full matrix.
+
+    ``b`` may also be a sequence of symbols b_1 .. b_T: the result is then
+    the m x T block whose column j is b_j(T) vec, formed as one product
+    V (S o c) with c = V^{-1} vec and S_ij = b_j(lambda_i).
+    """
+    c = dec.Vinv @ vec
+    if isinstance(b, FunctionDescriptor):
+        return dec.V @ (_symbol_values(dec, [b])[:, 0] * c)
+    return dec.V @ (_symbol_values(dec, b) * c[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +402,8 @@ def square_function(dec: SpectralDecomposition, symbol, coeffs: np.ndarray,
     ``symbol`` maps t to the FunctionDescriptor of psi_t, as in
     ``quadratic_constants``.
     """
-    c = dec.Vinv @ coeffs
-    total = 0.0
-    for t in ts:
-        y = dec.V @ (_symbol_values(dec, symbol(t)) * c)
-        total += h * float(np.vdot(y, y).real)
-    return total
+    Y = apply_to_vector(dec, [symbol(t) for t in ts], coeffs)
+    return h * float(np.vdot(Y, Y).real)
 
 
 def quadratic_norm(dec: SpectralDecomposition, coeffs: np.ndarray,
@@ -413,7 +443,7 @@ def quadratic_constants(dec: SpectralDecomposition, t_grid=None,
     c_low ||f|| <= (int ||Q_t f||^2 dt/t)^{1/2} <= c_high ||f||
     over the non-kernel subspace, via the extreme eigenvalues of the Gram
     matrix G = sum_j w_j Q_{t_j}^* Q_{t_j} (plus analytic tails for the
-    default symbol).
+    default symbol), formed in its Hadamard form (module docstring).
 
     ``symbol``: optional map t -> FunctionDescriptor replacing q_t.
     """
@@ -424,23 +454,22 @@ def quadratic_constants(dec: SpectralDecomposition, t_grid=None,
     else:
         ts = np.asarray(t_grid)
         h = np.log(ts[1] / ts[0]) if len(ts) > 1 else 1.0
-    dim = dec.dim
-    G = np.zeros((dim, dim), dtype=complex)
     use_default = symbol is None
-    for t in ts:
-        desc = q_t(t) if use_default else symbol(t)
-        Q = apply_function(dec, desc).entries
-        G += h * (Q.conj().T @ Q)
     if use_default:
-        Tm = dec.matrix()
-        nk = dec.nonkernel_projector()
-        Tnk = Tm @ nk
+        symbol = q_t
+    # G = sum_j h Q_j^* Q_j with Q_j = V diag(s_j) V^{-1} is
+    # V^{-*} [(V^* V) o W] V^{-1}, W_ik = h sum_j conj(s_j(lam_i)) s_j(lam_k)
+    S = _symbol_values(dec, [symbol(t) for t in ts])
+    W = h * (S.conj() @ S.T)
+    if use_default:
+        # tails: T restricted to the non-kernel part and its inverse there
+        lam_nk = np.where(dec.kernel_indices, 0.0, dec.eigenvalues)
         lam = np.where(dec.kernel_indices, 1.0, dec.eigenvalues)
         inv_vals = np.where(dec.kernel_indices, 0.0, 1.0 / lam)
-        Tinv = (dec.V * inv_vals) @ dec.Vinv
         t_lo, t_hi = ts[0] * np.exp(-h / 2), ts[-1] * np.exp(h / 2)
-        G += (t_lo ** 2 / 2.0) * (Tnk.conj().T @ Tnk)
-        G += (1.0 / (2.0 * t_hi ** 2)) * (Tinv.conj().T @ Tinv)
+        W += (t_lo ** 2 / 2.0) * np.outer(lam_nk.conj(), lam_nk)
+        W += (1.0 / (2.0 * t_hi ** 2)) * np.outer(inv_vals.conj(), inv_vals)
+    G = dec.Vinv.conj().T @ (((dec.V.conj().T @ dec.V) * W) @ dec.Vinv)
     # orthonormal basis of the non-kernel subspace
     Pnk = dec.nonkernel_projector()
     u, s, _ = np.linalg.svd(Pnk)

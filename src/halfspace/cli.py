@@ -293,8 +293,8 @@ def cmd_solve(cfg: RunConfig, out_dir: str, seed: int, quiet: bool) -> int:
     os.replace(tmp_trace, os.path.join(out_dir, "trace.csv"))
     atomic_csv(os.path.join(out_dir, "samples.csv"),
                ["t", "norm_Ft", "hardy_defect"],
-               [[float(t), frame.phys_norm(sol.coords_at_t(t)),
-                 report.hardy_defect] for t in t_samples])
+               [[float(t), float(norm), report.hardy_defect]
+                for t, norm in zip(t_samples, sol.norms_at_ts(t_samples))])
     atomic_csv(os.path.join(out_dir, "norms.csv"), ["name", "value"],
                [[k, float(v)] for k, v in report.norms.items()])
     if not quiet:

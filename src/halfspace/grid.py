@@ -33,6 +33,7 @@ __all__ = [
     "d_star_op",
     "d_columns",
     "d_star_columns",
+    "partial_columns",
     "gradient_of",
     "underline_d",
     "underline_d_star_B",
@@ -207,6 +208,13 @@ def d_columns(torus: Torus, cols: np.ndarray) -> np.ndarray:
 def d_star_columns(torus: Torus, cols: np.ndarray) -> np.ndarray:
     """Interior derivative of column blocks (see ``_fourier_multiplier``)."""
     return _fourier_multiplier(torus, cols, "d_star")
+
+
+def partial_columns(torus: Torus, cols: np.ndarray, axis: int) -> np.ndarray:
+    """d/dx_axis of scalar grid functions as column blocks: one FFT pair
+    along ``axis``; ``cols`` has shape grid_shape + (k,)."""
+    xi = torus.wavenumbers()[axis][..., None]
+    return np.fft.ifft(1j * xi * np.fft.fft(cols, axis=axis), axis=axis)
 
 
 def d_op(f: Field) -> Field:

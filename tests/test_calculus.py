@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from halfspace.calculus import (IllConditionedEigenbasisError,
-                                SectorViolationError, abs_power,
-                                apply_function, apply_to_vector, chi_minus,
+                                SectorViolationError, _is_hermitian,
+                                abs_power, apply_function, apply_to_vector,
+                                chi_minus,
                                 chi_plus, decompose, default_t_grid,
                                 exp_minus_t_abs, p_t, q_t, quadratic_constants,
                                 quadratic_norm, resolvent, sgn)
@@ -154,3 +155,25 @@ def test_default_t_grid_spans_spectrum():
     assert ts[-1] > 1.0 / dec.min_nonkernel()
     assert h > 0
     assert np.allclose(np.diff(np.log(ts)), h)
+
+
+def test_hermitian_verdict_matches_exact_two_norms():
+    # the Frobenius bracket must reproduce the exact 2-norm rule
+    # ||T - T^*||_2 <= 1e-10 ||T||_2, also where it cannot decide alone
+    rng = np.random.default_rng(12)
+    decided = set()
+    for dim in (6, 48):
+        X = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        H = X + X.conj().T
+        spread = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        u = rng.normal(size=dim)
+        for D in (spread, np.outer(u, u) * 1j):
+            D = D / np.linalg.norm(D - D.conj().T, 2)
+            for eps in np.logspace(-12, -8, 41):
+                mat = H + eps * np.linalg.norm(H, 2) * D
+                exact = (np.linalg.norm(mat - mat.conj().T, 2)
+                         <= 1e-10 * np.linalg.norm(mat, 2))
+                assert _is_hermitian(mat) == exact, (dim, eps)
+                decided.add(bool(exact))
+    assert decided == {True, False}
+    assert _is_hermitian(np.zeros((3, 3)))

@@ -8,6 +8,7 @@ from halfspace.grid import (Field, Torus, apply_coeff,
                             field_from_function, field_to_csv,
                             fourier_forward, fourier_inverse,
                             identity_coefficients, inner_product, norm,
+                            partial_columns,
                             underline_d, underline_d_star_B,
                             vector_block_coefficients)
 
@@ -62,6 +63,19 @@ def test_derivative_of_plane_wave():
     # d of a scalar is its tangential gradient along e_1 (mask 2)
     assert np.allclose(df.component(2), 3j * np.exp(3j * x), atol=1e-12)
     assert np.allclose(df.component(1), 0.0)
+
+
+def test_partial_columns_of_plane_waves():
+    torus = Torus(2, 2 * np.pi, 16)
+    x, y = torus.coordinates()
+    cols = np.stack([np.exp(1j * (2 * x - 3 * y)), np.cos(x) * np.sin(4 * y)],
+                    axis=-1)
+    dx = partial_columns(torus, cols, 0)
+    dy = partial_columns(torus, cols, 1)
+    assert np.allclose(dx[..., 0], 2j * cols[..., 0], atol=1e-12)
+    assert np.allclose(dy[..., 0], -3j * cols[..., 0], atol=1e-12)
+    assert np.allclose(dx[..., 1], -np.sin(x) * np.sin(4 * y), atol=1e-12)
+    assert np.allclose(dy[..., 1], 4 * np.cos(x) * np.cos(4 * y), atol=1e-12)
 
 
 def test_underline_operators_nilpotent():

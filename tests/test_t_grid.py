@@ -1,0 +1,256 @@
+"""Block evaluation over t-grids against the per-height reference routes.
+
+Each reference below is the one-height-at-a-time loop the block products
+replaced: one symbol, one matrix-vector product and one lifted field per t,
+dense derivative matrices, roll sums for the box filter and one Gram term
+per t.  Block and loop do the same arithmetic in another order, so they
+agree to rounding.
+"""
+
+import numpy as np
+import pytest
+
+from halfspace import bvp, calculus
+from halfspace.assembly import derivative_matrix
+from halfspace.bvp import (BoundaryFrame, SolutionField,
+                           dirichlet_second_order_residual, nontangential_max,
+                           norm_sup_t, norm_triplebar_dt, solve_neumann)
+from halfspace.calculus import (apply_function, apply_to_vector,
+                                default_t_grid, exp_minus_t_abs, psi_abs_exp,
+                                q_t, quadratic_constants, semigroup_dt,
+                                square_function)
+from halfspace.diagnostics import (gaussian_data, random_accretive_constant,
+                                   smooth_real_symmetric)
+from halfspace.grid import Torus, vector_block_coefficients
+
+RTOL = 1e-13
+
+
+# ---------------------------------------------------------------------------
+# per-height reference routes
+# ---------------------------------------------------------------------------
+
+def _roll_box_mean(a, win, axis):
+    kernel_idx = np.arange(win) - win // 2
+    return sum(np.roll(a, shift, axis=axis) for shift in kernel_idx) / win
+
+
+def _nontangential_loop(sol, t_samples, c0=0.5, c1=1.0):
+    torus = sol.frame.torus
+    t_samples = np.asarray(sorted(t_samples))
+    sq = np.array([np.sum(np.abs(sol.at_t(t).values) ** 2, axis=-1)
+                   for t in t_samples])
+    dx = torus.length / torus.points_per_axis
+    best = np.zeros(torus.shape)
+    wins = set()
+    for i, t in enumerate(t_samples):
+        in_s = np.abs(t_samples - t) < c0 * t
+        if not np.any(in_s):
+            in_s[i] = True
+        avg = sq[in_s].mean(axis=0)
+        half_w = max(int(np.floor(c1 * t / dx)), 0)
+        win = min(2 * half_w + 1, torus.points_per_axis)
+        wins.add(win)
+        for ax in range(torus.dim_n):
+            avg = _roll_box_mean(avg, win, ax)
+        best = np.maximum(best, avg)
+    return float(np.sqrt(torus.weight * np.sum(best))), wins
+
+
+def _square_function_loop(dec, symbol, coeffs, ts, h):
+    total = 0.0
+    for t in ts:
+        y = apply_to_vector(dec, symbol(t), coeffs)
+        total += h * float(np.vdot(y, y).real)
+    return total
+
+
+def _gram_loop(dec, ts, h, symbol):
+    G = np.zeros((dec.dim, dec.dim), dtype=complex)
+    for t in ts:
+        Q = apply_function(dec, symbol(t)).entries
+        G += h * (Q.conj().T @ Q)
+    return G
+
+
+def _dirichlet_residual_loop(sol, t_samples):
+    frame = sol.frame
+    torus = frame.torus
+    n = torus.dim_n
+    A = frame.B.vector_block().reshape(-1, n + 1, n + 1)
+    Dx = [derivative_matrix(torus, j) for j in range(n)]
+    worst = 0.0
+    for t in t_samples:
+        U = sol.at_t(t).component(1).reshape(-1)
+        Ut, Utt = (frame.to_field(apply_to_vector(
+            frame.dec, semigroup_dt(t, k), sol.coords)).component(1)
+            .reshape(-1) for k in (1, 2))
+        dt_g0 = A[:, 0, 0] * Utt + sum(A[:, 0, j + 1] * (Dx[j] @ Ut)
+                                      for j in range(n))
+        terms = [dt_g0]
+        for i in range(n):
+            g_i = A[:, i + 1, 0] * Ut + sum(A[:, i + 1, j + 1] * (Dx[j] @ U)
+                                           for j in range(n))
+            terms.append(Dx[i] @ g_i)
+        resid = np.linalg.norm(sum(terms))
+        worst = max(worst, resid / max(np.linalg.norm(x) for x in terms))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# frames
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def frame_n1():
+    """Variable, non-Hermitian n = 1 frame (cond(V) about 360)."""
+    torus = Torus(1, 2 * np.pi, 32)
+    return BoundaryFrame(smooth_real_symmetric(torus, seed=3))
+
+
+@pytest.fixture(scope="module")
+def frame_n2():
+    torus = Torus(2, 2 * np.pi, 8)
+    return BoundaryFrame(vector_block_coefficients(
+        torus, random_accretive_constant(1, 2)))
+
+
+def _solution(frame):
+    sol, _ = solve_neumann(None, gaussian_data(frame.torus), frame=frame)
+    return sol
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("N", [8, 16])
+@pytest.mark.parametrize("n", [1, 2])
+def test_box_mean_matches_roll_sum(n, N):
+    rng = np.random.default_rng(N + n)
+    a = rng.uniform(0.0, 2.0, (N,) * n)
+    for win in (1, 2, 3, 5, N - 1, N):
+        for axis in range(n):
+            got = bvp._periodic_box_mean(a, win, axis)
+            ref = _roll_box_mean(a, win, axis)
+            assert np.allclose(got, ref, rtol=RTOL, atol=0.0), (win, axis)
+
+
+@pytest.mark.parametrize("name", ["frame_n1", "frame_n2"])
+def test_nontangential_max_matches_roll_sum_loop(name, request):
+    frame = request.getfixturevalue(name)
+    sol = _solution(frame)
+    ts = sol.default_t_samples()
+    ref, wins = _nontangential_loop(sol, ts)
+    # the default samples reach windows as wide as the (even) grid
+    assert frame.torus.points_per_axis in wins and 1 in wins
+    assert _rel(nontangential_max(sol, t_samples=ts), ref) <= RTOL
+
+
+@pytest.mark.parametrize("name", ["frame_n1", "frame_n2"])
+def test_norms_match_per_height_loops(name, request):
+    frame = request.getfixturevalue(name)
+    sol = _solution(frame)
+    ts = sol.default_t_samples()
+    ref_sup = max(frame.phys_norm(apply_to_vector(
+        frame.dec, exp_minus_t_abs(t), sol.coords)) for t in ts)
+    assert _rel(norm_sup_t(sol, ts), ref_sup) <= RTOL
+    grid, h = default_t_grid(frame.dec)
+    for symbol in (q_t, psi_abs_exp):
+        ref = _square_function_loop(frame.dec, symbol, sol.coords, grid, h)
+        got = square_function(frame.dec, symbol, sol.coords, grid, h)
+        assert _rel(got, ref) <= RTOL
+
+
+def test_block_apply_to_vector_matches_per_symbol(frame_n1):
+    dec = frame_n1.dec
+    v = _solution(frame_n1).coords
+    symbols = [exp_minus_t_abs(0.3), semigroup_dt(0.7, 2), q_t(1.5),
+               calculus.sgn()]
+    block = apply_to_vector(dec, symbols, v)
+    assert block.shape == (dec.dim, len(symbols))
+    for j, b in enumerate(symbols):
+        col = apply_to_vector(dec, b, v)
+        assert np.linalg.norm(block[:, j] - col) <= RTOL * np.linalg.norm(col)
+    assert apply_to_vector(dec, [], v).shape == (dec.dim, 0)
+
+
+@pytest.mark.parametrize("name", ["frame_n1", "frame_n2"])
+def test_quadratic_constants_match_gram_loop(name, request):
+    dec = request.getfixturevalue(name).dec
+    assert not dec.hermitian
+    ts, h = default_t_grid(dec)
+    U = np.linalg.svd(dec.nonkernel_projector())[0][:, :int(
+        np.sum(dec.nonkernel))]
+    for symbol in (None, psi_abs_exp):
+        G = _gram_loop(dec, ts, h, symbol or q_t)
+        if symbol is None:
+            lam = np.where(dec.kernel_indices, 1.0, dec.eigenvalues)
+            nk = dec.nonkernel.astype(complex)
+            Tnk = (dec.V * (lam * nk)) @ dec.Vinv
+            Tinv = (dec.V * (nk / lam)) @ dec.Vinv
+            t_lo, t_hi = ts[0] * np.exp(-h / 2), ts[-1] * np.exp(h / 2)
+            G += (t_lo ** 2 / 2.0) * (Tnk.conj().T @ Tnk)
+            G += (1.0 / (2.0 * t_hi ** 2)) * (Tinv.conj().T @ Tinv)
+        Gr = U.conj().T @ G @ U
+        ev = np.sqrt(np.clip(np.linalg.eigvalsh(0.5 * (Gr + Gr.conj().T)),
+                             0.0, None))
+        got = quadratic_constants(dec, symbol=symbol)
+        assert _rel(got[0], ev[0]) <= 1e-12
+        assert _rel(got[1], ev[-1]) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["frame_n1", "frame_n2"])
+def test_dirichlet_residual_matches_dense_derivative_loop(name, request):
+    # random coordinates are no Hardy field, so the residual is O(1) and
+    # the two routes can be compared to rounding
+    frame = request.getfixturevalue(name)
+    rng = np.random.default_rng(5)
+    sol = SolutionField(frame, frame.Pnk @ (rng.standard_normal(frame.dec.dim)
+                                            + 0j))
+    ts = np.exp(np.linspace(np.log(0.05), np.log(2.0), 6))
+    ref = _dirichlet_residual_loop(sol, ts)
+    assert ref > 1e-3
+    assert _rel(dirichlet_second_order_residual(sol, ts), ref) <= 1e-12
+
+
+def test_block_path_rejects_negative_t(frame_n1):
+    sol = _solution(frame_n1)
+    ts = np.array([0.5, -0.1, 1.0])
+    with pytest.raises(ValueError):
+        sol.coords_at_ts(ts)
+    with pytest.raises(ValueError):
+        norm_sup_t(sol, ts)
+    with pytest.raises(ValueError):
+        nontangential_max(sol, t_samples=ts)
+    with pytest.raises(ValueError):
+        dirichlet_second_order_residual(sol, ts)
+    # t = 0 is the trace itself
+    block = sol.coords_at_ts([0.0, 0.5])
+    assert np.array_equal(block[:, 0], sol.coords)
+
+
+def test_norms_call_apply_to_vector_once_per_block(frame_n1, monkeypatch):
+    sol = _solution(frame_n1)
+    calls = []
+    real = calculus.apply_to_vector
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(calculus, "apply_to_vector", counting)
+    monkeypatch.setattr(bvp, "apply_to_vector", counting)
+    ts = sol.default_t_samples()
+    assert len(ts) >= 50
+    assert len(default_t_grid(frame_n1.dec)[0]) >= 200
+    for norm in (lambda: norm_sup_t(sol, ts), lambda: norm_triplebar_dt(sol),
+                 lambda: nontangential_max(sol, t_samples=ts)):
+        calls.clear()
+        norm()
+        # norm_triplebar_dt adds one call for its small-t tail
+        assert 1 <= len(calls) <= 2
