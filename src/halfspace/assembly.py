@@ -21,13 +21,21 @@ The central objects are
 Every operator is a pointwise map composed with Fourier multipliers, and
 the frames use that: ``TB_operator``, ``NB_operator`` and
 ``reflection_operator`` are matrix free (batched FFT derivatives from
-``grid`` and per-point Lambda-maps applied to column blocks), and
-``restrict`` compresses them by applying them to the basis columns, so a
-frame never forms a (N^n 2^(n+1))^2 matrix.  The dense full-space matrices
-(``assemble_TB``, ``assemble_NB``, ``d_matrix``, ...) remain as test
-oracles and for the duality and off-diagonal campaigns, which need the
-whole operator; the constrained degree-k bases (``hat_hk_basis``) and
-``hodge_split`` still take dense null spaces.
+``grid`` and per-point Lambda-maps applied to column blocks).  The
+curl-free basis ``hat_h1_basis`` is an implicit ``PlaneWaveBasis``: a
+d x r orthonormal frame per Fourier mode, so every product with its column
+matrix U is a unitary FFT over the grid axes plus a per-mode gather (U^H)
+or scatter (U).  ``restrict`` applies an operator to grid columns made a
+chunk at a time and compresses the images in Fourier space, where the
+invariance leak is the part of each mode outside its frame; a constant
+pointwise map (the reflection N) is compressed exactly, mode by mode.  A
+frame therefore never forms a (N^n 2^(n+1))^2 matrix, nor the dense
+N^n 2^(n+1) x m basis.  The dense full-space matrices (``assemble_TB``,
+``assemble_NB``, ``d_matrix``, ...) and ``PlaneWaveBasis.columns`` remain
+as test oracles and for the duality and off-diagonal campaigns, which need
+the whole operator; the constrained degree-k bases (``hat_hk_basis``,
+a dense ``SubspaceBasis``) and ``hodge_split`` still take dense null
+spaces.
 
 All matrices act on plain coefficient vectors; because the grid quadrature
 weight is a scalar multiple of the identity metric, operator norms, condition
@@ -51,6 +59,7 @@ from .grid import (CoefficientField, Field, Torus, d_columns,
 __all__ = [
     "OperatorMatrix",
     "SubspaceBasis",
+    "PlaneWaveBasis",
     "PointwiseInversionError",
     "SubspaceInvarianceError",
     "derivative_matrix",
@@ -133,9 +142,16 @@ class OperatorMatrix:
         return self.entries @ other
 
 
+def _as_columns(x: np.ndarray):
+    """(x as a column block, whether x was a single vector)."""
+    x = np.asarray(x, dtype=complex)
+    return (x[:, None], True) if x.ndim == 1 else (x, False)
+
+
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal columns spanning a subspace of the flattened field space."""
+    """Orthonormal columns spanning a subspace of the flattened field space,
+    held as a dense matrix."""
 
     columns: np.ndarray
     label: str = "custom"
@@ -159,14 +175,151 @@ class SubspaceBasis:
         return self.columns.shape[1]
 
     def to_coords(self, vec: np.ndarray) -> np.ndarray:
-        """Coordinates of the orthogonal projection of ``vec``."""
-        return self.columns.conj().T @ vec
+        """Coordinates of the orthogonal projection of ``vec`` (a vector or
+        a column block)."""
+        # U^H vec without a conjugate copy of U
+        return (np.asarray(vec).conj().T @ self.columns).conj().T
 
     def from_coords(self, coords: np.ndarray) -> np.ndarray:
         return self.columns @ coords
 
-    def projector(self) -> np.ndarray:
-        return self.columns @ self.columns.conj().T
+    def column_block(self, a: int, b: int) -> np.ndarray:
+        """Columns a..b-1 as a (ambient_dim, b - a) block."""
+        return self.columns[:, a:b]
+
+    def split(self, Z: np.ndarray):
+        """(U^H Z, Z - U U^H Z) for a (ambient_dim, k) block Z."""
+        C = self.to_coords(Z)
+        return C, Z - self.columns @ C
+
+
+class PlaneWaveBasis:
+    """Orthonormal plane waves e^{i xi.x} v / sqrt(P), held implicitly.
+
+    Fourier mode p (flat FFT order over the grid axes) carries the frame
+    ``frames[p]``, a d x r matrix whose columns marked in ``present[p]`` are
+    orthonormal Lambda vectors; the others are zero padding.  Coordinates
+    run mode by mode and, inside a mode, frame column by frame column.
+    Plane waves of different modes are orthogonal by discrete Fourier
+    orthogonality, so orthonormality is certified per mode, on the frames.
+
+    A product with the column matrix U is a unitary FFT over the grid axes
+    plus a per-mode gather (U^H) or scatter (U); ``columns`` forms U itself
+    and is meant for tests and oracles only.
+    """
+
+    def __init__(self, torus: Torus, frames: np.ndarray, present: np.ndarray,
+                 label: str = "custom"):
+        frames = np.array(frames, dtype=complex)
+        present = np.array(present, dtype=bool)
+        P, d = torus.num_points, torus.lambda_dim
+        if (frames.ndim != 3 or frames.shape[:2] != (P, d)
+                or present.shape != (P, frames.shape[2])):
+            raise ValueError("expected (num_points, lambda_dim, r) frames and "
+                             "a (num_points, r) mask")
+        r = frames.shape[2]
+        frames_h = np.ascontiguousarray(np.conj(np.swapaxes(frames, 1, 2)))
+        # per mode, F^H F must be the identity on the present columns and
+        # zero on the padding
+        gram = frames_h @ frames
+        gram[:, np.arange(r), np.arange(r)] -= present
+        defect = float(np.max(np.linalg.norm(gram, axis=(1, 2)), initial=0.0))
+        if defect > 1e-12 * r:
+            raise ValueError(
+                f"mode frames not orthonormal (worst defect {defect:.2e})")
+        frames.flags.writeable = False
+        present.flags.writeable = False
+        self.torus = torus
+        self.frames = frames
+        self.present = present
+        self.label = label
+        self.gram_defect = defect
+        self._frames_h = frames_h
+        self._axes = tuple(range(torus.dim_n))
+        self._dim = int(np.sum(present))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.torus.num_points * self.torus.lambda_dim
+
+    @property
+    def dim(self) -> int:
+        return self._dim
+
+    def _spectrum(self, X: np.ndarray) -> np.ndarray:
+        """Unitary FFT of a (P*d, k) block, as (P, d, k) mode slices."""
+        t, k = self.torus, X.shape[1]
+        spec = np.fft.fftn(X.reshape(t.shape + (t.lambda_dim, k)),
+                           axes=self._axes, norm="ortho")
+        return spec.reshape(t.num_points, t.lambda_dim, k)
+
+    def _field(self, spec: np.ndarray) -> np.ndarray:
+        """Inverse of ``_spectrum``: (P, d, k) mode slices to (P*d, k)."""
+        t, k = self.torus, spec.shape[2]
+        vals = np.fft.ifftn(spec.reshape(t.shape + (t.lambda_dim, k)),
+                            axes=self._axes, norm="ortho")
+        return vals.reshape(self.ambient_dim, k)
+
+    def _gather(self, spec: np.ndarray) -> np.ndarray:
+        """Frame coordinates F_p^H spec_p of every mode, in basis order."""
+        return (self._frames_h @ spec)[self.present]
+
+    def _scatter(self, coords: np.ndarray) -> np.ndarray:
+        """Mode slices F_p c_p of (m, k) coordinates."""
+        padded = np.zeros(self.present.shape + (coords.shape[1],),
+                          dtype=complex)
+        padded[self.present] = coords
+        return self.frames @ padded
+
+    def to_coords(self, vec: np.ndarray) -> np.ndarray:
+        """U^H vec for a vector or a (P*d, k) column block."""
+        X, single = _as_columns(vec)
+        C = self._gather(self._spectrum(X))
+        return C[:, 0] if single else C
+
+    def from_coords(self, coords: np.ndarray) -> np.ndarray:
+        """U coords for a coordinate vector or an (m, k) block."""
+        C, single = _as_columns(coords)
+        X = self._field(self._scatter(C))
+        return X[:, 0] if single else X
+
+    def column_block(self, a: int, b: int) -> np.ndarray:
+        """Columns a..b-1 of U as a (P*d, b - a) block."""
+        unit = np.zeros((self.dim, b - a), dtype=complex)
+        unit[np.arange(a, b), np.arange(b - a)] = 1.0
+        return self.from_coords(unit)
+
+    @property
+    def columns(self) -> np.ndarray:
+        """The dense (P*d, m) column matrix U, formed on every access."""
+        return self.column_block(0, self.dim)
+
+    def split(self, Z: np.ndarray):
+        """(U^H Z, leak) for a (P*d, k) block Z.  The leak is Z - U U^H Z in
+        unitary Fourier coefficients, the part of each mode outside its
+        frame: it has the singular values of Z - U U^H Z."""
+        spec = self._spectrum(np.asarray(Z, dtype=complex))
+        C = self._gather(spec)
+        spec -= self._scatter(C)
+        return C, spec.reshape(self.ambient_dim, -1)
+
+    def restrict_constant_map(self, R: np.ndarray):
+        """U^H R U for the constant Lambda-map R applied at every point,
+        exactly per mode: block p is F_p^H R F_p.  Returns it with the exact
+        2-norm of the leak (I - F_p F_p^H) R F_p, which is block diagonal
+        too, so its norm is the largest per-mode one."""
+        RF = R @ self.frames
+        blocks = self._frames_h @ RF
+        leak_norm = float(np.max(np.linalg.norm(
+            RF - self.frames @ blocks, ord=2, axis=(1, 2)), initial=0.0))
+        index = np.full(self.present.shape, -1)
+        index[self.present] = np.arange(self.dim)
+        both = self.present[:, :, None] & self.present[:, None, :]
+        rows = np.broadcast_to(index[:, :, None], both.shape)[both]
+        cols = np.broadcast_to(index[:, None, :], both.shape)[both]
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out[rows, cols] = blocks[both]
+        return out, leak_norm
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +550,16 @@ class FieldOperator:
     ``apply`` and ``adjoint`` map column blocks of shape grid_shape + (d, k)
     (k fields side by side, the Lambda index second to last) to the same
     shape; ``matmat``, ``@`` and ``rmatmat`` take flattened (P*d, k)
-    blocks.  No (P*d)^2 matrix is ever formed.
+    blocks.  No (P*d)^2 matrix is ever formed.  ``constant_map`` is the
+    (d, d) Lambda-map when the operator applies one map at every point.
     """
 
-    def __init__(self, torus: Torus, apply, adjoint):
+    def __init__(self, torus: Torus, apply, adjoint,
+                 constant_map: np.ndarray | None = None):
         self.torus = torus
         self.apply = apply
         self.adjoint = adjoint
+        self.constant_map = constant_map
 
     @property
     def dim(self) -> int:
@@ -481,7 +637,8 @@ def _pointwise_field_operator(torus: Torus,
     """Per-point Lambda-maps (grid_shape + (d, d), or one constant (d, d)
     map) as a matrix-free operator."""
     maps_h = _herm(maps)
-    return FieldOperator(torus, lambda X: maps @ X, lambda X: maps_h @ X)
+    return FieldOperator(torus, lambda X: maps @ X, lambda X: maps_h @ X,
+                         constant_map=maps if maps.ndim == 2 else None)
 
 
 def TB_operator(B: CoefficientField) -> FieldOperator:
@@ -532,60 +689,38 @@ def reflection_operator(torus: Torus) -> FieldOperator:
 # constrained subspaces
 # ---------------------------------------------------------------------------
 
-def _plane_wave_columns(torus: Torus, mode_vectors) -> np.ndarray:
-    """Orthonormal columns e^{i xi.x} v / sqrt(P) for (mode, multivector) pairs."""
-    P = torus.num_points
-    d = torus.lambda_dim
-    coords = torus.coordinates()
-    kvecs = np.array([kvec for kvec, _ in mode_vectors], dtype=float)
-    vecs = np.array([v for _, v in mode_vectors], dtype=float).T
-    phase = np.ones(torus.shape + (len(mode_vectors),), dtype=complex)
-    for j in range(torus.dim_n):
-        phase = phase * np.exp(2j * np.pi * kvecs[:, j]
-                               * coords[j][..., None] / torus.length)
-    block = phase[..., None, :] * vecs
-    block /= np.sqrt(P)
-    return block.reshape(P * d, len(mode_vectors))
+def hat_h1_basis(torus: Torus) -> PlaneWaveBasis:
+    """Orthonormal basis of the curl-free vector fields, as plane waves.
 
-
-def hat_h1_basis(torus: Torus) -> SubspaceBasis:
-    """Orthonormal basis of the curl-free vector fields.
-
-    Per Fourier mode xi != 0 this is span{e_0, xi/|xi|} inside the vector
+    Per Fourier mode xi != 0 the frame is {e_0, xi/|xi|} inside the vector
     component; for n = 1 that is every vector field.  The zero mode keeps
     all constant vectors (they form the discrete kernel of the Dirac
-    operator and are handled by the kernel policy downstream).
+    operator and are handled by the kernel policy downstream), so at n = 2
+    its frame is {e_0, e_1, e_2}.
     """
     n = torus.dim_n
     d = torus.lambda_dim
-    N = torus.points_per_axis
-    ks = np.fft.fftfreq(N, d=1.0 / N).astype(int)
-    mode_vectors = []
-    e0 = np.zeros(d)
-    e0[1] = 1.0
+    P = torus.num_points
+    r = n + 1  # e_0 and the tangential vectors at the zero mode
+    frames = np.zeros((P, d, r))
+    present = np.zeros((P, r), dtype=bool)
+    present[:, :2] = True
+    frames[:, 1, 0] = 1.0  # e_0
     if n == 1:
-        for k in ks:
-            v1 = np.zeros(d)
-            v1[2] = 1.0
-            mode_vectors.append(((k,), e0))
-            mode_vectors.append(((k,), v1))
+        frames[:, 2, 1] = 1.0  # e_1
     else:
-        for k1 in ks:
-            for k2 in ks:
-                mode_vectors.append(((k1, k2), e0))
-                if k1 == 0 and k2 == 0:
-                    for mask in (2, 4):
-                        v = np.zeros(d)
-                        v[mask] = 1.0
-                        mode_vectors.append(((k1, k2), v))
-                else:
-                    norm_k = np.hypot(k1, k2)
-                    v = np.zeros(d)
-                    v[2] = k1 / norm_k
-                    v[4] = k2 / norm_k
-                    mode_vectors.append(((k1, k2), v))
-    cols = _plane_wave_columns(torus, mode_vectors)
-    return SubspaceBasis(cols, label="hat_h1")
+        N = torus.points_per_axis
+        ks = np.fft.fftfreq(N, d=1.0 / N).astype(int)
+        k1, k2 = (k.reshape(-1) for k in np.meshgrid(ks, ks, indexing="ij"))
+        norm_k = np.hypot(k1, k2)
+        norm_k[0] = 1.0
+        frames[:, 2, 1] = k1 / norm_k
+        frames[:, 4, 1] = k2 / norm_k
+        # the zero mode: e_1 and e_2
+        frames[0, 2, 1] = 1.0
+        frames[0, 4, 2] = 1.0
+        present[0, 2] = True
+    return PlaneWaveBasis(torus, frames, present, label="hat_h1")
 
 
 def hat_hk_basis(B: CoefficientField, k: int,
@@ -618,39 +753,54 @@ def hat_hk_basis(B: CoefficientField, k: int,
     return SubspaceBasis(cols, label=f"hat_hk(k={k})")
 
 
-def restrict(op: OperatorMatrix | FieldOperator, basis: SubspaceBasis,
+def restrict(op: OperatorMatrix | FieldOperator,
+             basis: SubspaceBasis | PlaneWaveBasis,
              invariance_tol: float | None = None) -> OperatorMatrix:
-    """Compress an operator to a subspace: columns* . op . columns.
+    """Compress an operator to a subspace: U^H . op . U.
 
-    ``op`` is a dense OperatorMatrix or a matrix-free FieldOperator.  If
-    ``invariance_tol`` is given, also measures the invariance defect
-    ||(I - P) op P||_2 / ||op||_2, attaches it to the returned matrix as
-    ``invariance_defect`` and raises a SubspaceInvarianceError if it
-    exceeds the tolerance.  The leak norm is exact.  ||op||_2 is exact for
-    a dense operator and the ``norm_estimate`` lower bound for a
-    matrix-free one, so that defect is never below the exact value.
+    ``op`` is a dense OperatorMatrix or a matrix-free FieldOperator; it is
+    applied to the basis columns a chunk at a time, and each chunk of
+    images is compressed by ``basis.split`` (for a ``PlaneWaveBasis``, in
+    Fourier space).  A constant pointwise map on a ``PlaneWaveBasis`` is
+    compressed exactly, per mode.  If ``invariance_tol`` is given, also
+    measures the invariance defect ||(I - P) op P||_2 / ||op||_2, attaches it
+    to the returned matrix as ``invariance_defect`` and raises a
+    SubspaceInvarianceError if it exceeds the tolerance.  The leak norm is
+    exact.  ||op||_2 is exact for a dense operator and the
+    ``norm_estimate`` lower bound for a matrix-free one, so that defect is
+    never below the exact value.
     """
     if basis.ambient_dim != op.dim:
         raise ValueError("basis ambient dimension does not match operator")
-    U = basis.columns
-    k = basis.dim
-    compressed = np.empty((k, k), dtype=complex)
-    leak = None if invariance_tol is None else np.empty(U.shape, dtype=complex)
-    # a bounded number of columns at a time, so that the working arrays
-    # stay small next to the basis itself
-    step = max(1, _RESTRICT_CHUNK // basis.ambient_dim)
-    for a in range(0, k, step):
-        b = min(a + step, k)
-        Z = op @ U[:, a:b]
-        C = (Z.conj().T @ U).conj().T  # U^H Z without a conjugate copy of U
-        compressed[:, a:b] = C
+    R = getattr(op, "constant_map", None)
+    if R is not None and isinstance(basis, PlaneWaveBasis):
+        compressed, leak_norm = basis.restrict_constant_map(R)
+    else:
+        k = basis.dim
+        compressed = np.empty((k, k), dtype=complex)
+        leak = (None if invariance_tol is None
+                else np.empty((basis.ambient_dim, k), dtype=complex))
+        # a bounded number of columns at a time, so that the working
+        # arrays stay small
+        step = max(1, _RESTRICT_CHUNK // basis.ambient_dim)
+        for a in range(0, k, step):
+            b = min(a + step, k)
+            Z = op @ basis.column_block(a, b)
+            if leak is None:
+                compressed[:, a:b] = basis.to_coords(Z)
+            else:
+                compressed[:, a:b], leak[:, a:b] = basis.split(Z)
         if leak is not None:
-            leak[:, a:b] = Z - U @ C
+            # rows that are exactly zero carry no norm: the plane-wave leak
+            # is zero in every Lambda component an operator never reaches
+            rows = leak[np.any(leak, axis=1)]
+            del leak
+            leak_norm = np.linalg.norm(rows, 2) if rows.size else 0.0
     defect = None
-    if leak is not None:
+    if invariance_tol is not None:
         norm = (np.linalg.norm(op.entries, 2)
                 if isinstance(op, OperatorMatrix) else op.norm_estimate())
-        defect = float(np.linalg.norm(leak, 2) / max(norm, 1e-300))
+        defect = float(leak_norm / max(norm, 1e-300))
         if defect > invariance_tol:
             raise SubspaceInvarianceError(
                 f"operator does not preserve subspace {basis.label!r}: "

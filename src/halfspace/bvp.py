@@ -5,7 +5,10 @@ the degree-k analogue for transmission problems).  On its orthonormal basis
 we assemble the Dirac-type operator, take its spectral decomposition, and
 form the generalized Cauchy reflection E = sgn(T) together with the two
 boundary reflections N (unperturbed) and N_A (coefficient-twisted).  The
-solve formulas are
+curl-free basis is an implicit plane-wave basis (``assembly.PlaneWaveBasis``),
+so projecting a boundary datum onto it, lifting coordinates back to grid
+fields and measuring the projection loss are FFTs plus per-mode frame
+products.  The solve formulas are
 
     Neumann:     f = 2 (E - N_A)^{-1} (a00^{-1} phi e_0)
     regularity:  f = 2 (E + N)^{-1}  (grad psi)
@@ -17,6 +20,9 @@ solve formulas are
 and the interior extension is always the semigroup F_t = e^{-t|T|} f applied
 through the spectral decomposition.  Time derivatives are always computed
 from the generator (-|T| on the Hardy part), never by finite differences.
+A ``SolutionField`` forms its eigen-coordinates V^{-1} f once; every later
+evaluation, one height or a whole t-grid as one t-family block, is then the
+single product V (S o c).
 
 Constant grid modes form the discrete kernel of T (the torus stand-in for
 the absence of L2 constants on R^n); boundary data is projected onto the
@@ -28,6 +34,7 @@ declared ill posed at this discretization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -157,6 +164,17 @@ class BoundaryInverse:
         return self._V @ (((self._Uh @ rhs).T / self._s).T)
 
 
+_BOUNDARY_LABELS = {"neumann": "E - N_A", "regularity": "E + N",
+                    "neu_perp": "E - N", "dirichlet": "E - N",
+                    "transmission": "lambda - E N_B"}
+
+
+def _boundary_label(kind: str) -> str:
+    if kind not in _BOUNDARY_LABELS:
+        raise ValueError(f"unknown kind {kind!r}")
+    return _BOUNDARY_LABELS[kind]
+
+
 class BoundaryFrame:
     """Assembled boundary machinery for one coefficient field and subspace.
 
@@ -203,23 +221,23 @@ class BoundaryFrame:
     # -- operators ---------------------------------------------------------
 
     def boundary_operator(self, kind: str, lam: complex | None = None):
-        eye = np.eye(self.dec.dim)
+        label = _boundary_label(kind)
         if kind == "neumann":
-            return self.E_solve - self.NA, "E - N_A"
+            return self.E_solve - self.NA, label
         if kind == "regularity":
-            return self.E_solve + self.N, "E + N"
+            return self.E_solve + self.N, label
         if kind in ("neu_perp", "dirichlet"):
-            return self.E_solve - self.N, "E - N"
-        if kind == "transmission":
-            return lam * eye - self.E_solve @ self.NA, "lambda - E N_B"
-        raise ValueError(f"unknown kind {kind!r}")
+            return self.E_solve - self.N, label
+        return lam * np.eye(self.dec.dim) - self.E_solve @ self.NA, label
 
     def factor(self, kind: str) -> BoundaryInverse:
         """The inverse of the boundary operator of ``kind``, factored once
         per frame and shared by the kinds with the same operator
-        (neu_perp and dirichlet both invert E - N)."""
-        op, label = self.boundary_operator(kind)
+        (neu_perp and dirichlet both invert E - N).  The operator is formed
+        only when its factorization is not cached yet."""
+        label = _boundary_label(kind)
         if label not in self._inverses:
+            op, _ = self.boundary_operator(kind)
             self._inverses[label] = BoundaryInverse(op, label, self.kernel_dim)
         return self._inverses[label]
 
@@ -232,11 +250,13 @@ class BoundaryFrame:
     # -- field/coordinate plumbing ----------------------------------------
 
     def to_coords(self, f: Field):
+        """Basis coordinates of ``f`` and the relative norm of the part of
+        ``f`` outside the subspace (for the plane-wave basis, measured on
+        the Fourier coefficients outside each mode's frame)."""
         vec = f.flatten()
-        coords = self.basis.to_coords(vec)
-        loss = np.linalg.norm(vec - self.basis.from_coords(coords))
+        coords, leak = self.basis.split(vec[:, None])
         scale = max(np.linalg.norm(vec), 1e-300)
-        return coords, float(loss / scale)
+        return coords[:, 0], float(np.linalg.norm(leak) / scale)
 
     def to_field(self, coords: np.ndarray) -> Field:
         return Field.from_flat(self.torus, self.basis.from_coords(coords))
@@ -251,13 +271,26 @@ class BoundaryFrame:
         return float(np.sqrt(self.torus.weight) * np.linalg.norm(coords))
 
 
-@dataclass
+def _check_heights(ts: np.ndarray) -> None:
+    if np.any(ts < 0):
+        raise ValueError("t measures distance to the boundary; t >= 0")
+
+
+@dataclass(frozen=True)
 class SolutionField:
-    """Boundary trace plus semigroup evaluator for one half space."""
+    """Boundary trace plus semigroup evaluator for one half space.
+
+    Frozen, so that the cached ``eig_coords`` always belong to ``coords``.
+    """
 
     frame: BoundaryFrame
     coords: np.ndarray  # trace in the restricted basis
     side: int = +1  # +1 upper half space, -1 lower
+
+    @cached_property
+    def eig_coords(self) -> np.ndarray:
+        """The trace's eigen-coordinates V^{-1} coords, formed once."""
+        return self.frame.dec.coordinates(self.coords)
 
     def coords_at_t(self, t: float) -> np.ndarray:
         return self.coords_at_ts([t])[:, 0]
@@ -266,10 +299,9 @@ class SolutionField:
         """F_t for every t of ``ts`` as the columns of one m x len(ts) block,
         from one ``apply_to_vector`` call; t = 0 gives the trace itself."""
         ts = np.asarray(ts, dtype=float)
-        if np.any(ts < 0):
-            raise ValueError("t measures distance to the boundary; t >= 0")
-        out = apply_to_vector(self.frame.dec,
-                              [exp_minus_t_abs(t) for t in ts], self.coords)
+        _check_heights(ts)
+        out = apply_to_vector(self.frame.dec, exp_minus_t_abs(ts),
+                              eig_coords=self.eig_coords)
         out[:, ts == 0] = self.coords[:, None]
         return out
 
@@ -287,13 +319,15 @@ class SolutionField:
 
     def dt_coords_at_t(self, t: float) -> np.ndarray:
         """Exact d/dt F_t = -|T| F_t through the semigroup generator."""
-        return apply_to_vector(self.frame.dec, semigroup_dt(t, 1), self.coords)
+        _check_heights(np.asarray(t, dtype=float))
+        return apply_to_vector(self.frame.dec, semigroup_dt(t, 1),
+                               eig_coords=self.eig_coords)
 
     def hardy_defect(self) -> float:
         """Relative size of the Hardy component for the wrong half space
         (the kernel belongs to both, so it never counts as a defect)."""
         E, Pnk = self.frame.E, self.frame.Pnk
-        resid = 0.5 * ((Pnk - self.side * E) @ self.coords)
+        resid = 0.5 * (Pnk @ self.coords - self.side * (E @ self.coords))
         scale = max(np.linalg.norm(self.coords), 1e-300)
         return float(np.linalg.norm(resid) / scale)
 
@@ -456,12 +490,13 @@ def dirichlet_second_order_residual(sol: SolutionField, t_samples) -> float:
     torus = frame.torus
     n = torus.dim_n
     ts = np.asarray(t_samples, dtype=float)
+    _check_heights(ts)
     T = len(ts)
     if T == 0:
         return 0.0
     A = frame.B.vector_block()[..., None]
-    dts = apply_to_vector(frame.dec, [semigroup_dt(t, k) for k in (1, 2)
-                                      for t in ts], sol.coords)
+    dts = apply_to_vector(frame.dec, [semigroup_dt(ts, k) for k in (1, 2)],
+                          eig_coords=sol.eig_coords)
     vals = frame.field_values(np.hstack([sol.coords_at_ts(ts), dts]))
     U, Ut, Utt = np.split(vals[..., 1, :], 3, axis=-1)
     gradU = [partial_columns(torus, U, j) for j in range(n)]
@@ -611,7 +646,8 @@ def norm_triplebar_dt(sol: SolutionField, points_per_decade: int = 40) -> float:
     ts, h = calculus.default_t_grid(dec, points_per_decade=points_per_decade)
     total = square_function(dec, psi_abs_exp, sol.coords, ts, h)
     # small-t tail: integrand ~ (t |lam|)^2
-    Tf = apply_to_vector(dec, calculus.abs_power(1.0), sol.coords)
+    Tf = apply_to_vector(dec, calculus.abs_power(1.0),
+                         eig_coords=sol.eig_coords)
     t_lo = ts[0] * np.exp(-h / 2)
     total += (t_lo ** 2 / 2.0) * float(np.vdot(Tf, Tf).real)
     return float(np.sqrt(sol.frame.torus.weight * total))

@@ -17,7 +17,13 @@ imaginary axis and say so through ``sign_sensitive``.
 A whole grid of heights is evaluated in eigen-coordinates as one block
 product: with c = V^{-1} f computed once and S the m x T matrix of symbol
 values S_ij = b_j(lambda_i), the columns b_j(T) f are V (S o c)
-(``apply_to_vector`` with a sequence of symbols).
+(``apply_to_vector`` with a t-family or a sequence of symbols).  The
+t-families (``exp_minus_t_abs``, ``semigroup_dt``, ``psi_abs_exp``,
+``psi_exp``, ``q_t``, ``p_t``) take a whole array of heights and evaluate S
+as one outer-product block, with one sign-sensitivity check and one kernel
+substitution per block.  A caller that applies many blocks to the same f
+(``bvp.SolutionField``) keeps c = ``dec.coordinates(f)`` and passes it as
+``eig_coords``, so each block costs the one product V (S o c).
 
 Square-function norms int ||psi_t(T) f||^2 dt/t are summed by one midpoint
 rule over a log-spaced grid (40 points per decade), one block product for
@@ -114,18 +120,31 @@ def resolvent(lam0: complex) -> FunctionDescriptor:
         kernel_value=1.0 / lam0)
 
 
-def q_t(t: float) -> FunctionDescriptor:
-    return FunctionDescriptor(
-        f"q_t(t={t!r})",
-        lambda z: t * z / (1.0 + (t * z) ** 2),
-        kernel_value=0.0)
+def _t_family(name: str, t, fn, kernel_value: complex,
+              sign_sensitive: bool, params: str = "") -> FunctionDescriptor:
+    """The symbol z -> fn(z, t) at one height t, or, for a 1-D array of
+    heights, the family whose value at an array z is the block
+    fn(z[..., None], t) = [b_{t_j}(z_i)], one column per height."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim == 0:
+        return FunctionDescriptor(f"{name}(t={t!r}{params})",
+                                  lambda z: fn(z, t), kernel_value,
+                                  sign_sensitive)
+    if ts.ndim != 1:
+        raise ValueError("heights must be a scalar or a 1-D array")
+    return FunctionDescriptor(f"{name}(t=<{ts.size} heights>{params})",
+                              lambda z: fn(z[..., None], ts), kernel_value,
+                              sign_sensitive)
 
 
-def p_t(t: float) -> FunctionDescriptor:
-    return FunctionDescriptor(
-        f"p_t(t={t!r})",
-        lambda z: 1.0 / (1.0 + (t * z) ** 2),
-        kernel_value=1.0)
+def q_t(t) -> FunctionDescriptor:
+    return _t_family("q_t", t, lambda z, t: t * z / (1.0 + (t * z) ** 2),
+                     kernel_value=0.0, sign_sensitive=False)
+
+
+def p_t(t) -> FunctionDescriptor:
+    return _t_family("p_t", t, lambda z, t: 1.0 / (1.0 + (t * z) ** 2),
+                     kernel_value=1.0, sign_sensitive=False)
 
 
 def chi_plus() -> FunctionDescriptor:
@@ -145,11 +164,10 @@ def sgn() -> FunctionDescriptor:
                               sign_sensitive=True)
 
 
-def exp_minus_t_abs(t: float) -> FunctionDescriptor:
-    return FunctionDescriptor(
-        f"exp_minus_t_abs(t={t!r})",
-        lambda z: np.exp(-t * _holo_abs(z)),
-        kernel_value=1.0, sign_sensitive=True)
+def exp_minus_t_abs(t) -> FunctionDescriptor:
+    return _t_family("exp_minus_t_abs", t,
+                     lambda z, t: np.exp(-t * _holo_abs(z)),
+                     kernel_value=1.0, sign_sensitive=True)
 
 
 def abs_power(s: float) -> FunctionDescriptor:
@@ -159,31 +177,30 @@ def abs_power(s: float) -> FunctionDescriptor:
         kernel_value=0.0, sign_sensitive=True)
 
 
-def semigroup_dt(t: float, order: int) -> FunctionDescriptor:
+def semigroup_dt(t, order: int) -> FunctionDescriptor:
     """(d/dt)^order e^{-t|z|} = (-|z|)^order e^{-t|z|}, order >= 1."""
-    def fn(z):
+    def fn(z, t):
         a = _holo_abs(z)
         return (-a) ** order * np.exp(-t * a)
-    return FunctionDescriptor(f"semigroup_dt(t={t!r}, order={order!r})", fn,
-                              kernel_value=0.0, sign_sensitive=True)
+    return _t_family("semigroup_dt", t, fn, kernel_value=0.0,
+                     sign_sensitive=True, params=f", order={order!r}")
 
 
-def psi_abs_exp(t: float) -> FunctionDescriptor:
+def psi_abs_exp(t) -> FunctionDescriptor:
     """t|z| e^{-t|z|}, the symbol of -t d/dt e^{-t|T|}."""
-    def fn(z):
-        a = _holo_abs(z)
-        return t * a * np.exp(-t * a)
-    return FunctionDescriptor(f"psi_abs_exp(t={t!r})", fn, kernel_value=0.0,
-                              sign_sensitive=True)
+    def fn(z, t):
+        ta = t * _holo_abs(z)
+        return ta * np.exp(-ta)
+    return _t_family("psi_abs_exp", t, fn, kernel_value=0.0,
+                     sign_sensitive=True)
 
 
-def psi_exp(t: float) -> FunctionDescriptor:
+def psi_exp(t) -> FunctionDescriptor:
     """psi(tz) with psi(z) = z e^{-|z|}, an alternative quadratic-estimate
     symbol."""
-    return FunctionDescriptor(
-        f"psi_exp(t={t!r})",
-        lambda z: t * z * np.exp(-t * _holo_abs(z)),
-        kernel_value=0.0, sign_sensitive=True)
+    return _t_family("psi_exp", t,
+                     lambda z, t: t * z * np.exp(-t * _holo_abs(z)),
+                     kernel_value=0.0, sign_sensitive=True)
 
 
 @dataclass(frozen=True)
@@ -214,6 +231,10 @@ class SpectralDecomposition:
         where symbols built on sgn are undefined."""
         lam = self.eigenvalues
         return lam[self.nonkernel & (np.abs(lam.real) <= 1e-14 * np.abs(lam))]
+
+    def coordinates(self, vec: np.ndarray) -> np.ndarray:
+        """Eigen-coordinates V^{-1} vec."""
+        return self.Vinv @ vec
 
     def matrix(self) -> np.ndarray:
         return (self.V * self.eigenvalues) @ self.Vinv
@@ -333,44 +354,59 @@ def sector_margin(eigenvalues: np.ndarray, omega: float) -> float:
     return float(np.max(ang) - omega)
 
 
-def _symbol_values(dec: SpectralDecomposition, symbols) -> np.ndarray:
-    """The m x len(symbols) block S_ij = b_j(lambda_i), kernel eigenvalues
-    sent to each symbol's kernel value.
+def _symbol_values(dec: SpectralDecomposition, b) -> np.ndarray:
+    """b(lambda) with kernel eigenvalues sent to b's kernel value: shape (m,)
+    for one symbol, the m x T block S_ij = b_{t_j}(lambda_i) for a t-family,
+    and the blocks of a sequence of symbols side by side.
 
     A sign-sensitive symbol at a (near-)imaginary non-kernel eigenvalue
-    raises SectorViolationError.
+    raises SectorViolationError; the check is made once per symbol or
+    family.
     """
-    lam = dec.eigenvalues
-    vals = np.empty((lam.size, len(symbols)), dtype=complex)
-    for j, b in enumerate(symbols):
-        if b.sign_sensitive and dec.near_imaginary.size:
-            raise SectorViolationError(
-                f"symbol {b.name!r} undefined at (near-)imaginary eigenvalue "
-                f"{dec.near_imaginary[0]!r}")
-        vals[:, j] = b(lam)
-    kernel_values = np.array([b.kernel_value for b in symbols], dtype=complex)
-    return np.where(dec.kernel_indices[:, None], kernel_values, vals)
+    if not isinstance(b, FunctionDescriptor):
+        blocks = [_symbol_values(dec, s) for s in b]
+        return (np.column_stack(blocks) if blocks
+                else np.empty((dec.dim, 0), dtype=complex))
+    if b.sign_sensitive and dec.near_imaginary.size:
+        raise SectorViolationError(
+            f"symbol {b.name!r} undefined at (near-)imaginary eigenvalue "
+            f"{dec.near_imaginary[0]!r}")
+    vals = b(dec.eigenvalues)
+    kernel = dec.kernel_indices.reshape((-1,) + (1,) * (vals.ndim - 1))
+    return np.where(kernel, complex(b.kernel_value), vals)
 
 
 def apply_function(dec: SpectralDecomposition,
                    b: FunctionDescriptor) -> OperatorMatrix:
     """b(T) = V diag(b(lambda)) V^{-1}, kernel eigenvalues -> kernel value."""
-    vals = _symbol_values(dec, [b])[:, 0]
+    vals = _symbol_values(dec, b)
     return OperatorMatrix((dec.V * vals) @ dec.Vinv, basis_tag=dec.basis_tag)
 
 
-def apply_to_vector(dec: SpectralDecomposition, b,
-                    vec: np.ndarray) -> np.ndarray:
+def apply_to_vector(dec: SpectralDecomposition, b, vec: np.ndarray | None = None,
+                    *, eig_coords: np.ndarray | None = None) -> np.ndarray:
     """b(T) vec without forming the full matrix.
 
-    ``b`` may also be a sequence of symbols b_1 .. b_T: the result is then
-    the m x T block whose column j is b_j(T) vec, formed as one product
-    V (S o c) with c = V^{-1} vec and S_ij = b_j(lambda_i).
+    ``b`` may also be a t-family or a sequence of symbols b_1 .. b_T: the
+    result is then the m x T block whose column j is b_j(T) vec, formed as
+    one product V (S o c) with c = V^{-1} vec and S_ij = b_j(lambda_i).
+    ``eig_coords`` passes c when the caller already holds it, in place of
+    ``vec``.
     """
-    c = dec.Vinv @ vec
-    if isinstance(b, FunctionDescriptor):
-        return dec.V @ (_symbol_values(dec, [b])[:, 0] * c)
-    return dec.V @ (_symbol_values(dec, b) * c[:, None])
+    c = dec.coordinates(vec) if eig_coords is None else eig_coords
+    S = _symbol_values(dec, b)
+    return dec.V @ _flush_subnormals(S * c if S.ndim == 1 else S * c[:, None])
+
+
+def _flush_subnormals(X: np.ndarray) -> np.ndarray:
+    """Set the real and imaginary parts of X below the smallest normal
+    double to zero, in place.  A semigroup block reaches e^{-t|lambda|}
+    below 1e-308 at its largest heights, and subnormal operands make the
+    BLAS product that follows several times slower; the product changes by
+    less than that smallest normal number."""
+    parts = X.view(float)
+    parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +435,10 @@ def square_function(dec: SpectralDecomposition, symbol, coeffs: np.ndarray,
     """Midpoint rule sum_j h ||psi_{t_j}(T) f||^2 for int ||psi_t(T) f||^2 dt/t
     on the log grid ``ts`` with log-spacing ``h``; no tail terms.
 
-    ``symbol`` maps t to the FunctionDescriptor of psi_t, as in
-    ``quadratic_constants``.
+    ``symbol`` maps the array of heights to the t-family of psi_t (any
+    t-family of this module), as in ``quadratic_constants``.
     """
-    Y = apply_to_vector(dec, [symbol(t) for t in ts], coeffs)
+    Y = apply_to_vector(dec, symbol(np.asarray(ts, dtype=float)), coeffs)
     return h * float(np.vdot(Y, Y).real)
 
 
@@ -424,7 +460,7 @@ def quadratic_norm(dec: SpectralDecomposition, coeffs: np.ndarray,
         h = np.log(ts[1] / ts[0]) if len(ts) > 1 else 1.0
     total = square_function(dec, q_t, coeffs, ts, h)
     # tails
-    c = dec.Vinv @ coeffs
+    c = dec.coordinates(coeffs)
     lam = dec.eigenvalues
     lam_nk = np.where(dec.kernel_indices, 0.0, lam)
     Tf = dec.V @ (lam_nk * c)
@@ -445,7 +481,8 @@ def quadratic_constants(dec: SpectralDecomposition, t_grid=None,
     matrix G = sum_j w_j Q_{t_j}^* Q_{t_j} (plus analytic tails for the
     default symbol), formed in its Hadamard form (module docstring).
 
-    ``symbol``: optional map t -> FunctionDescriptor replacing q_t.
+    ``symbol``: optional map from the array of heights to a t-family,
+    replacing q_t.
     """
     if not np.any(dec.nonkernel):
         raise ValueError("empty non-kernel spectrum")
@@ -459,7 +496,7 @@ def quadratic_constants(dec: SpectralDecomposition, t_grid=None,
         symbol = q_t
     # G = sum_j h Q_j^* Q_j with Q_j = V diag(s_j) V^{-1} is
     # V^{-*} [(V^* V) o W] V^{-1}, W_ik = h sum_j conj(s_j(lam_i)) s_j(lam_k)
-    S = _symbol_values(dec, [symbol(t) for t in ts])
+    S = _symbol_values(dec, symbol(np.asarray(ts, dtype=float)))
     W = h * (S.conj() @ S.T)
     if use_default:
         # tails: T restricted to the non-kernel part and its inverse there

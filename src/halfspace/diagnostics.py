@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import algebra, calculus
-from .assembly import (OperatorMatrix, assemble_NB, assemble_TB, hat_h1_basis,
+from .assembly import (OperatorMatrix, assemble_NB, assemble_TB,
                        adjoint_in_duality, hodge_split)
 from .bvp import BoundaryFrame, reflection_conditions
 from .calculus import (psi_exp, quadratic_constants, quadratic_norm,
@@ -535,7 +535,6 @@ def duality_campaign(B: CoefficientField, tol: float = 1e-9) -> CampaignResult:
     torus = B.torus
     result = CampaignResult(
         "duality", {"n": torus.dim_n, "N": torus.points_per_axis}, None)
-    basis = hat_h1_basis(torus)
     Bstar = B.adjoint()
 
     T = assemble_TB(B)

@@ -1,6 +1,8 @@
 """Tests for operator assembly (dense and matrix free), subspace restriction,
 and duality."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -106,8 +108,8 @@ def test_hat_NB_equals_reflection_for_block():
     B = block_coefficients(torus, seed=1)
     _, _, NB = assemble_NB(B, variant="hat")
     N = reflection_full_matrix(torus)
-    basis = hat_h1_basis(torus)
-    P = basis.projector()
+    U = hat_h1_basis(torus).columns
+    P = U @ U.conj().T
     defect = np.linalg.norm(P @ (NB.entries - N) @ P, 2)
     assert defect <= 1e-9
 
@@ -277,3 +279,184 @@ def test_kernel_only_subspace_accepted(name):
     assert basis.dim == 1
     T = restrict(TB_operator(B), basis, 1e-8)
     assert T.invariance_defect <= 1e-12
+
+
+# -- the implicit plane-wave basis ---------------------------------------------
+
+@lru_cache(maxsize=None)
+def _dense_plane_waves(torus):
+    """The hat-H1 columns e^{i xi.x} v / sqrt(P) from their formula, one
+    mode at a time in FFT order: e_0 and xi/|xi| (every vector at xi = 0)."""
+    n, d, N = torus.dim_n, torus.lambda_dim, torus.points_per_axis
+    ks = np.fft.fftfreq(N, d=1.0 / N)
+    x = torus.coordinates()
+    cols = []
+    for kidx in np.ndindex(*torus.shape):
+        k = np.array([ks[i] for i in kidx])
+        phase = np.exp(2j * np.pi * sum(kj * xj for kj, xj in zip(k, x))
+                       / torus.length) / np.sqrt(torus.num_points)
+        vecs = [np.eye(d)[1]]
+        if n == 1 or not np.any(k):
+            vecs += [np.eye(d)[1 << (j + 1)] for j in range(n)]
+        else:
+            vecs.append(sum(k[j] * np.eye(d)[1 << (j + 1)] for j in range(n))
+                        / np.linalg.norm(k))
+        cols += [(phase[..., None] * v).reshape(-1) for v in vecs]
+    return np.array(cols).T
+
+
+PLANE_WAVE_SIZES = ((1, 64), (2, 8), (2, 16))
+
+
+@pytest.mark.parametrize("n,N", PLANE_WAVE_SIZES)
+def test_plane_wave_products_match_dense_columns(n, N):
+    torus = Torus(n, 2 * np.pi, N)
+    basis = hat_h1_basis(torus)
+    U = _dense_plane_waves(torus)
+    assert U.shape == (basis.ambient_dim, basis.dim)
+    assert _rel(basis.columns, U) <= 1e-14
+    rng = np.random.default_rng(n + N)
+    X = rng.normal(size=(basis.ambient_dim, 3)) \
+        + 1j * rng.normal(size=(basis.ambient_dim, 3))
+    C = rng.normal(size=(basis.dim, 3)) + 1j * rng.normal(size=(basis.dim, 3))
+    assert _rel(basis.to_coords(X), U.conj().T @ X) <= 1e-14
+    assert _rel(basis.to_coords(X[:, 0]), U.conj().T @ X[:, 0]) <= 1e-14
+    assert _rel(basis.from_coords(C), U @ C) <= 1e-14
+    assert _rel(basis.from_coords(C[:, 0]), U @ C[:, 0]) <= 1e-14
+    coords, leak = basis.split(X)
+    dense_leak = X - U @ (U.conj().T @ X)
+    assert _rel(coords, U.conj().T @ X) <= 1e-14
+    assert _rel(np.linalg.svd(leak, compute_uv=False),
+                np.linalg.svd(dense_leak, compute_uv=False)) <= 1e-14
+
+
+@pytest.mark.parametrize("n,N", PLANE_WAVE_SIZES[:2])
+def test_frame_lifts_match_dense_columns(n, N):
+    from halfspace.bvp import BoundaryFrame
+    torus = Torus(n, 2 * np.pi, N)
+    frame = BoundaryFrame(vector_block_coefficients(
+        torus, random_accretive_constant(1, n)))
+    U = _dense_plane_waves(torus)
+    f = _rand_field(torus, 7)
+    coords, loss = frame.to_coords(f)
+    vec = f.flatten()
+    ref = U.conj().T @ vec
+    assert _rel(coords, ref) <= 1e-14
+    dense_loss = np.linalg.norm(vec - U @ ref) / np.linalg.norm(vec)
+    assert abs(loss - dense_loss) <= 1e-14 * dense_loss
+    assert _rel(frame.to_field(ref).flatten(), U @ ref) <= 1e-14
+    C = np.stack([ref, 2j * ref], axis=1)
+    assert _rel(frame.field_values(C).reshape(-1, 2), U @ C) <= 1e-14
+
+
+@lru_cache(maxsize=None)
+def _dense_basis(torus):
+    return assembly.SubspaceBasis(_dense_plane_waves(torus), "dense")
+
+
+def _restriction_cases():
+    return [(1, 64, f) for f in FAMILIES] + [
+        (2, N, f) for N in (8, 16) for f in FAMILIES[:4]]
+
+
+@pytest.mark.parametrize("n,N,name", _restriction_cases())
+def test_plane_wave_restrict_matches_dense_basis(n, N, name):
+    torus = Torus(n, 2 * np.pi, N)
+    B = _family(torus, name)
+    basis = hat_h1_basis(torus)
+    dense = _dense_basis(torus)
+    # the frames measure the invariance defect of T only
+    got = restrict(TB_operator(B), basis, 1e-8)
+    ref = restrict(TB_operator(B), dense, 1e-8)
+    assert _rel(got.entries, ref.entries) <= 1e-13
+    # both leaks are rounding
+    assert got.invariance_defect <= 1e-12
+    assert ref.invariance_defect <= 1e-12
+    for label, op in (("N", reflection_operator(torus)),
+                      ("N_A", NB_operator(B))):
+        got = restrict(op, basis).entries
+        ref = restrict(op, dense).entries
+        assert _rel(got, ref) <= 1e-13, label
+
+
+def _mode_blocks(basis, M):
+    """Per-mode diagonal blocks of an m x m matrix in the plane-wave
+    coordinates, and the largest entry outside them."""
+    index = np.full(basis.present.shape, -1)
+    index[basis.present] = np.arange(basis.dim)
+    blocks, inside = [], np.zeros(M.shape, dtype=bool)
+    for p in range(basis.present.shape[0]):
+        idx = index[p][basis.present[p]]
+        blocks.append(M[np.ix_(idx, idx)])
+        inside[np.ix_(idx, idx)] = True
+    return blocks, float(np.max(np.abs(M[~inside]), initial=0.0))
+
+
+@pytest.mark.parametrize("n,N", [(1, 64), (2, 8)])
+def test_constant_coefficient_restrictions_are_per_mode_symbols(n, N):
+    from halfspace.oracles import (_mode_basis_columns,
+                                   perturbed_reflection_2x2, reflection_2x2,
+                                   symbol_matrix)
+    torus = Torus(n, 2 * np.pi, N)
+    A = random_accretive_constant(1, n)
+    B = vector_block_coefficients(torus, A)
+    basis = hat_h1_basis(torus)
+    T = restrict(TB_operator(B), basis).entries
+    Nr = restrict(reflection_operator(torus), basis).entries
+    NA = restrict(NB_operator(B), basis).entries
+    T_blocks, T_off = _mode_blocks(basis, T)
+    N_blocks, N_off = _mode_blocks(basis, Nr)
+    NA_blocks, NA_off = _mode_blocks(basis, NA)
+    scale = np.max(np.abs(T))
+    assert T_off <= 1e-13 * scale
+    assert N_off == 0.0
+    assert NA_off <= 1e-13
+    ks = np.fft.fftfreq(N, d=1.0 / N)
+    for p, kidx in enumerate(np.ndindex(*torus.shape)):
+        if p == 0:
+            # the constants span the kernel; N is -1 on e_0, +1 on e_j
+            assert np.max(np.abs(T_blocks[0])) <= 1e-13 * scale
+            assert np.array_equal(N_blocks[0], np.diag([-1.0] + [1.0] * n))
+            continue
+        xi = 2 * np.pi * np.array([ks[i] for i in kidx]) / torus.length
+        # change of frame to the oracle's (e_0, xi_hat) columns
+        G = basis.frames[p][:, basis.present[p]].conj().T @ \
+            _mode_basis_columns(n, xi)
+        ref = symbol_matrix(A, xi).entries
+        got = G.conj().T @ T_blocks[p] @ G
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref), p
+        assert np.allclose(G.conj().T @ N_blocks[p] @ G, reflection_2x2(),
+                           rtol=0.0, atol=1e-15)
+        assert np.allclose(G.conj().T @ NA_blocks[p] @ G,
+                           perturbed_reflection_2x2(A, n, xi),
+                           rtol=0.0, atol=1e-13)
+
+
+def test_plane_wave_basis_n2_N32_is_small_and_certified_per_mode():
+    import tracemalloc
+    torus = Torus(2, 2 * np.pi, 32)
+    # one dense basis would be 8192 x 2049 complex entries, 268 MB
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        basis = hat_h1_basis(torus)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert basis.dim == 2 * torus.num_points + 1
+    assert basis.gram_defect <= 1e-15
+    # a frame whose columns are not orthonormal in one mode is refused
+    bad = basis.frames.copy()
+    bad[5, :, 1] = bad[5, :, 0]
+    with pytest.raises(ValueError, match="not orthonormal"):
+        assembly.PlaneWaveBasis(torus, bad, basis.present)
+    # and so is padding that is not zero
+    bad = basis.frames.copy()
+    bad[7, 0, 2] = 1.0
+    with pytest.raises(ValueError, match="not orthonormal"):
+        assembly.PlaneWaveBasis(torus, bad, basis.present)

@@ -177,6 +177,15 @@ def test_solution_rejects_negative_t(smooth_frame):
         sol.coords_at_t(-0.1)
 
 
+def test_dt_coords_rejects_negative_t(smooth_frame):
+    # a negative height would select the growing branch e^{+|t||T|}
+    sol, _ = solve_neumann(None, gaussian_data(smooth_frame.torus),
+                           frame=smooth_frame)
+    with pytest.raises(ValueError, match="t >= 0"):
+        sol.dt_coords_at_t(-0.1)
+    assert np.all(np.isfinite(sol.dt_coords_at_t(0.0)))
+
+
 def test_n2_scalar_kinds_match_constant_oracle():
     # n = 2 frames against the per-mode constant-coefficient oracle
     torus = Torus(2, 2 * np.pi, 8)
@@ -243,16 +252,25 @@ def test_boundary_factorization_cached_per_kind(monkeypatch):
         calls.append(1)
         return real_svd(*args, **kwargs)
 
+    formed = []
+    real_operator = frame.boundary_operator
+
+    def counting_operator(*args, **kwargs):
+        formed.append(1)
+        return real_operator(*args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(frame, "boundary_operator", counting_operator)
     first, _ = solve_neumann(None, gaussian_data(torus), frame=frame)
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(formed) == 1
     phi = mode_data(torus, 3)
     second, report = solve_neumann(None, phi, frame=frame)
-    assert len(calls) == 1
+    # a cached factorization neither refactors nor forms the m x m operator
+    assert len(calls) == 1 and len(formed) == 1
     # neu_perp and dirichlet share the operator E - N
     solve_neu_perp(None, phi, frame=frame)
     solve_dirichlet(None, phi, frame=frame)
-    assert len(calls) == 2
+    assert len(calls) == 2 and len(formed) == 2
     ref, ref_report = solve_neumann(None, phi, frame=fresh)
     assert len(calls) == 3
     assert np.linalg.norm(second.coords - ref.coords) <= 1e-12 * np.linalg.norm(

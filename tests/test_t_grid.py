@@ -16,8 +16,9 @@ from halfspace.bvp import (BoundaryFrame, SolutionField,
                            dirichlet_second_order_residual, nontangential_max,
                            norm_sup_t, norm_triplebar_dt, solve_neumann)
 from halfspace.calculus import (apply_function, apply_to_vector,
-                                default_t_grid, exp_minus_t_abs, psi_abs_exp,
-                                q_t, quadratic_constants, semigroup_dt,
+                                default_t_grid, exp_minus_t_abs, p_t,
+                                psi_abs_exp, psi_exp, q_t,
+                                quadratic_constants, semigroup_dt,
                                 square_function)
 from halfspace.diagnostics import (gaussian_data, random_accretive_constant,
                                    smooth_real_symmetric)
@@ -254,3 +255,65 @@ def test_norms_call_apply_to_vector_once_per_block(frame_n1, monkeypatch):
         norm()
         # norm_triplebar_dt adds one call for its small-t tail
         assert 1 <= len(calls) <= 2
+
+
+T_FAMILIES = {
+    "exp_minus_t_abs": exp_minus_t_abs, "psi_abs_exp": psi_abs_exp,
+    "psi_exp": psi_exp, "q_t": q_t, "p_t": p_t,
+    "semigroup_dt_1": lambda t: semigroup_dt(t, 1),
+    "semigroup_dt_2": lambda t: semigroup_dt(t, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(T_FAMILIES))
+def test_t_family_block_matches_per_height_closures(name, frame_n1):
+    family = T_FAMILIES[name]
+    dec = frame_n1.dec
+    ts, _ = default_t_grid(dec)
+    block = family(ts)
+    assert block.kernel_value == family(ts[0]).kernel_value
+    assert block.sign_sensitive == family(ts[0]).sign_sensitive
+    lam = dec.eigenvalues
+    ref = np.column_stack([family(t)(lam) for t in ts])
+    got = block(lam)
+    assert got.shape == (dec.dim, len(ts))
+    assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref)
+    # the kernel substitution and sign check happen once for the block
+    ref_vals = calculus._symbol_values(dec, [family(t) for t in ts])
+    got_vals = calculus._symbol_values(dec, block)
+    assert np.linalg.norm(got_vals - ref_vals) <= \
+        1e-15 * np.linalg.norm(ref_vals)
+
+
+def test_t_family_sign_check_once_per_block():
+    # a skew-Hermitian T has its whole spectrum on the imaginary axis
+    dec = calculus.decompose(np.diag([3j, -2j, 0.7j, 0.0]))
+    with pytest.raises(calculus.SectorViolationError):
+        calculus._symbol_values(dec, exp_minus_t_abs(np.array([0.1, 1.0])))
+    # q_t is holomorphic across the axis and is evaluated
+    assert calculus._symbol_values(dec, q_t(np.array([0.1, 1.0]))).shape == \
+        (4, 2)
+
+
+def test_at_t_loop_forms_eigen_coordinates_once(frame_n1, monkeypatch):
+    coords = _solution(frame_n1).coords
+    sol = SolutionField(frame_n1, coords)
+    calls = []
+    real = calculus.SpectralDecomposition.coordinates
+
+    def counting(self, vec):
+        calls.append(1)
+        return real(self, vec)
+
+    monkeypatch.setattr(calculus.SpectralDecomposition, "coordinates",
+                        counting)
+    ts = np.exp(np.linspace(np.log(0.01), np.log(10.0), 60))
+    fields = [sol.at_t(t) for t in ts]
+    sol.dt_coords_at_t(0.5)
+    sol.coords_at_ts(ts)
+    assert len(calls) == 1
+    for t, field in zip(ts[::7], fields[::7]):
+        ref = frame_n1.to_field(apply_to_vector(frame_n1.dec,
+                                                exp_minus_t_abs(t), coords))
+        assert np.linalg.norm(field.values - ref.values) <= \
+            RTOL * np.linalg.norm(ref.values)
