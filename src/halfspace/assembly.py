@@ -27,11 +27,15 @@ d x r orthonormal frame per Fourier mode, so every product with its column
 matrix U is a unitary FFT over the grid axes plus a per-mode gather (U^H)
 or scatter (U).  ``restrict`` applies an operator to grid columns made a
 chunk at a time and compresses the images in Fourier space, where the
-invariance leak is the part of each mode outside its frame; a constant
-pointwise map (the reflection N) is compressed exactly, mode by mode.  A
-frame therefore never forms a (N^n 2^(n+1))^2 matrix, nor the dense
-N^n 2^(n+1) x m basis.  The dense full-space matrices (``assemble_TB``,
-``assemble_NB``, ``d_matrix``, ...) and ``PlaneWaveBasis.columns`` remain
+invariance leak is the part of each mode outside its frame.  An operator
+that is a Fourier multiplier carries its per-mode symbols sigma_p
+(``FieldOperator.mode_symbols``): the reflection N, and T_B and N_B when
+all of B's grid maps are equal (constant coefficients).  Such an operator
+is compressed exactly, mode by mode, to the blocks F_p^H sigma_p F_p, with
+the exact leak and the exact norm max_p ||sigma_p||_2.  A frame therefore
+never forms a (N^n 2^(n+1))^2 matrix, nor the dense N^n 2^(n+1) x m basis.
+The dense full-space matrices (``assemble_TB``, ``assemble_NB``,
+``d_matrix``, ...) and ``PlaneWaveBasis.columns`` remain
 as test oracles and for the duality and off-diagonal campaigns, which need
 the whole operator; the constrained degree-k bases (``hat_hk_basis``,
 a dense ``SubspaceBasis``) and ``hodge_split`` still take dense null
@@ -53,8 +57,8 @@ import numpy as np
 import scipy.linalg
 
 from . import algebra
-from .grid import (CoefficientField, Field, Torus, d_columns,
-                   d_star_columns, partial_columns)
+from .grid import (CoefficientField, Field, Torus, _derivative_symbol,
+                   d_columns, d_star_columns, partial_columns)
 
 __all__ = [
     "OperatorMatrix",
@@ -303,15 +307,16 @@ class PlaneWaveBasis:
         spec -= self._scatter(C)
         return C, spec.reshape(self.ambient_dim, -1)
 
-    def restrict_constant_map(self, R: np.ndarray):
-        """U^H R U for the constant Lambda-map R applied at every point,
-        exactly per mode: block p is F_p^H R F_p.  Returns it with the exact
-        2-norm of the leak (I - F_p F_p^H) R F_p, which is block diagonal
-        too, so its norm is the largest per-mode one."""
-        RF = R @ self.frames
-        blocks = self._frames_h @ RF
+    def restrict_multiplier(self, symbols: np.ndarray):
+        """U^H op U for the Fourier multiplier op with per-mode symbols
+        ``symbols`` (shape (P, d, d)), exactly per mode: block p is
+        F_p^H sigma_p F_p.  Returns it with the exact 2-norm of the leak
+        (I - F_p F_p^H) sigma_p F_p, which is block diagonal too, so its
+        norm is the largest per-mode one."""
+        SF = symbols @ self.frames
+        blocks = self._frames_h @ SF
         leak_norm = float(np.max(np.linalg.norm(
-            RF - self.frames @ blocks, ord=2, axis=(1, 2)), initial=0.0))
+            SF - self.frames @ blocks, ord=2, axis=(1, 2)), initial=0.0))
         index = np.full(self.present.shape, -1)
         index[self.present] = np.arange(self.dim)
         both = self.present[:, :, None] & self.present[:, None, :]
@@ -550,16 +555,19 @@ class FieldOperator:
     ``apply`` and ``adjoint`` map column blocks of shape grid_shape + (d, k)
     (k fields side by side, the Lambda index second to last) to the same
     shape; ``matmat``, ``@`` and ``rmatmat`` take flattened (P*d, k)
-    blocks.  No (P*d)^2 matrix is ever formed.  ``constant_map`` is the
-    (d, d) Lambda-map when the operator applies one map at every point.
+    blocks.  No (P*d)^2 matrix is ever formed.  ``mode_symbols`` is set
+    when the operator is a Fourier multiplier: shape (P, d, d) in flat FFT
+    order, it maps the plane wave e^{i xi_p.x} v to e^{i xi_p.x} sigma_p v.
+    A constant pointwise map is the multiplier whose modes all share one
+    symbol.  It is ``None`` when the operator couples modes.
     """
 
     def __init__(self, torus: Torus, apply, adjoint,
-                 constant_map: np.ndarray | None = None):
+                 mode_symbols: np.ndarray | None = None):
         self.torus = torus
         self.apply = apply
         self.adjoint = adjoint
-        self.constant_map = constant_map
+        self.mode_symbols = mode_symbols
 
     @property
     def dim(self) -> int:
@@ -580,6 +588,14 @@ class FieldOperator:
 
     def rmatmat(self, X: np.ndarray) -> np.ndarray:
         return self._flat(self.adjoint, X)
+
+    def norm(self) -> float:
+        """The 2-norm: exact, max_p ||sigma_p||_2, for a multiplier, and the
+        ``norm_estimate`` lower bound otherwise."""
+        if self.mode_symbols is None:
+            return self.norm_estimate()
+        return float(np.max(np.linalg.norm(self.mode_symbols, ord=2,
+                                           axis=(1, 2)), initial=0.0))
 
     def norm_estimate(self) -> float:
         """Deterministic lower bound for the 2-norm.
@@ -632,13 +648,25 @@ def _herm(maps: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(maps, -1, -2))
 
 
+def _common_map(maps: np.ndarray) -> np.ndarray | None:
+    """The (d, d) map of a grid of Lambda-maps that are all exactly equal,
+    else None."""
+    d = maps.shape[-1]
+    flat = maps.reshape(-1, d, d)
+    return flat[0] if np.all(flat == flat[0]) else None
+
+
 def _pointwise_field_operator(torus: Torus,
                               maps: np.ndarray) -> FieldOperator:
     """Per-point Lambda-maps (grid_shape + (d, d), or one constant (d, d)
-    map) as a matrix-free operator."""
+    map) as a matrix-free operator; a constant map is a multiplier."""
     maps_h = _herm(maps)
+    symbols = None
+    if maps.ndim == 2:
+        d = torus.lambda_dim
+        symbols = np.broadcast_to(maps, (torus.num_points, d, d))
     return FieldOperator(torus, lambda X: maps @ X, lambda X: maps_h @ X,
-                         constant_map=maps if maps.ndim == 2 else None)
+                         mode_symbols=symbols)
 
 
 def TB_operator(B: CoefficientField) -> FieldOperator:
@@ -647,6 +675,8 @@ def TB_operator(B: CoefficientField) -> FieldOperator:
     Batched FFT derivatives along the grid axes composed with the constant
     map m and the pointwise maps B, B^{-1} and M_B^{-1}; the adjoint
     applies the conjugate-transposed maps and d* = d^H in reverse order.
+    When all of B's grid maps are equal, T_B is a Fourier multiplier with
+    the symbols sigma_p = C1 D(xi_p) + C2 D*(xi_p) B.
     """
     torus = B.torus
     Bm = B.maps
@@ -669,14 +699,26 @@ def TB_operator(B: CoefficientField) -> FieldOperator:
         out += Bh @ d_columns(torus, C2h @ Y)
         return out
 
-    return FieldOperator(torus, apply, adjoint)
+    symbols = None
+    B0 = _common_map(Bm)
+    if B0 is not None:
+        P, d = torus.num_points, torus.lambda_dim
+        D = _derivative_symbol(torus, "d").reshape(P, d, d)
+        Ds = _derivative_symbol(torus, "d_star").reshape(P, d, d)
+        C1_0, C2_0 = (C.reshape(-1, d, d)[0] for C in (C1, C2))
+        symbols = C1_0 @ D + C2_0 @ (Ds @ B0)
+    return FieldOperator(torus, apply, adjoint, mode_symbols=symbols)
 
 
 def NB_operator(B: CoefficientField) -> FieldOperator:
     """The perturbed reflection N_B = N_B^+ - N_B^- ("hat" splitting) as a
-    pointwise operator."""
+    pointwise operator; a constant map, and so a multiplier, when all of
+    B's grid maps are equal."""
     P_plus, P_minus = _nb_maps(B, "hat")
-    return _pointwise_field_operator(B.torus, P_plus - P_minus)
+    maps = P_plus - P_minus
+    if _common_map(B.maps) is not None:
+        maps = maps.reshape((-1,) + maps.shape[-2:])[0]
+    return _pointwise_field_operator(B.torus, maps)
 
 
 def reflection_operator(torus: Torus) -> FieldOperator:
@@ -761,20 +803,20 @@ def restrict(op: OperatorMatrix | FieldOperator,
     ``op`` is a dense OperatorMatrix or a matrix-free FieldOperator; it is
     applied to the basis columns a chunk at a time, and each chunk of
     images is compressed by ``basis.split`` (for a ``PlaneWaveBasis``, in
-    Fourier space).  A constant pointwise map on a ``PlaneWaveBasis`` is
+    Fourier space).  A Fourier multiplier on a ``PlaneWaveBasis`` is
     compressed exactly, per mode.  If ``invariance_tol`` is given, also
     measures the invariance defect ||(I - P) op P||_2 / ||op||_2, attaches it
     to the returned matrix as ``invariance_defect`` and raises a
     SubspaceInvarianceError if it exceeds the tolerance.  The leak norm is
-    exact.  ||op||_2 is exact for a dense operator and the
-    ``norm_estimate`` lower bound for a matrix-free one, so that defect is
-    never below the exact value.
+    exact.  ||op||_2 is exact for a dense operator and for a multiplier,
+    and the ``norm_estimate`` lower bound for any other matrix-free one, so
+    that defect is never below the exact value.
     """
     if basis.ambient_dim != op.dim:
         raise ValueError("basis ambient dimension does not match operator")
-    R = getattr(op, "constant_map", None)
-    if R is not None and isinstance(basis, PlaneWaveBasis):
-        compressed, leak_norm = basis.restrict_constant_map(R)
+    symbols = getattr(op, "mode_symbols", None)
+    if symbols is not None and isinstance(basis, PlaneWaveBasis):
+        compressed, leak_norm = basis.restrict_multiplier(symbols)
     else:
         k = basis.dim
         compressed = np.empty((k, k), dtype=complex)
@@ -799,7 +841,7 @@ def restrict(op: OperatorMatrix | FieldOperator,
     defect = None
     if invariance_tol is not None:
         norm = (np.linalg.norm(op.entries, 2)
-                if isinstance(op, OperatorMatrix) else op.norm_estimate())
+                if isinstance(op, OperatorMatrix) else op.norm())
         defect = float(leak_norm / max(norm, 1e-300))
         if defect > invariance_tol:
             raise SubspaceInvarianceError(

@@ -18,7 +18,10 @@ products.  The solve formulas are
                   lambda = (a+ + a-)/(a+ - a-)
 
 and the interior extension is always the semigroup F_t = e^{-t|T|} f applied
-through the spectral decomposition.  Time derivatives are always computed
+through the spectral decomposition.  The decomposition and the boundary
+inverses factor their matrices one connected block at a time
+(``calculus.block_partition``): per Fourier mode for constant
+coefficients, and as a rule the whole matrix for variable ones.  Time derivatives are always computed
 from the generator (-|T| on the Hardy part), never by finite differences.
 A ``SolutionField`` forms its eigen-coordinates V^{-1} f once; every later
 evaluation, one height or a whole t-grid as one t-family block, is then the
@@ -129,20 +132,32 @@ class BoundaryInverse:
     operators structurally rank deficient by at most dim ker T; any null
     space beyond that, or an effective condition number past the cap, is a
     well-posedness failure, raised at construction.
+
+    The operator is factored one connected block at a time
+    (``calculus.block_partition``), one stacked SVD per block size; an
+    operator that is one block gets the plain dense SVD.  The rules are
+    global: the cutoff is 1e-12 times the largest singular value of any
+    block, ``null_dim`` counts the dropped values of all blocks, and
+    ``cond`` is the largest value over the smallest kept one.  The kept
+    factors are scattered into dense columns, in descending order of their
+    singular values.
     """
 
     def __init__(self, op: np.ndarray, label: str, kernel_dim: int):
-        try:
-            U, s, Vh = np.linalg.svd(op)
-        except np.linalg.LinAlgError:
-            # the default divide-and-conquer driver can fail to converge on
-            # large non-normal matrices; the QR-based driver is slower but
-            # unconditionally convergent
-            U, s, Vh = scipy.linalg.svd(op, lapack_driver="gesvd")
-        cutoff = 1e-12 * s[0]
-        keep = s > cutoff
-        null_dim = int(op.shape[0] - np.sum(keep))
-        cond = float(s[0] / s[keep][-1]) if np.any(keep) else np.inf
+        m = op.shape[0]
+        groups = calculus.block_partition(op)
+        factors = [_stacked_svd(calculus.gather_blocks(op, idx))
+                   for idx in groups]
+        s_all = np.concatenate([s.ravel() for _, s, _ in factors])
+        # rank of every singular value in the global descending order
+        order = np.argsort(-s_all, kind="stable")
+        rank = np.empty(m, dtype=int)
+        rank[order] = np.arange(m)
+        s_sorted = s_all[order]
+        cutoff = 1e-12 * s_sorted[0]
+        kept = int(np.sum(s_sorted > cutoff))
+        null_dim = m - kept
+        cond = float(s_sorted[0] / s_sorted[kept - 1]) if kept else np.inf
         if null_dim > kernel_dim:
             raise WellPosednessError(
                 f"boundary operator {label!r} has {null_dim} null directions "
@@ -155,13 +170,42 @@ class BoundaryInverse:
         self.label = label
         self.cond = cond
         self.null_dim = null_dim
-        self._V = Vh.conj().T[:, keep]
-        self._Uh = U[:, keep].conj().T
-        self._s = s[keep]
+        # V column-major, like Vh.conj().T[:, keep]: the layouts fix the
+        # rounding of the products in ``solve``
+        self._V = np.zeros((kept, m), dtype=complex).T
+        self._Uh = np.zeros((kept, m), dtype=complex)
+        self._s = s_sorted[:kept]
+        offset = 0
+        for idx, (U, s, Vh) in zip(groups, factors):
+            pos = rank[offset:offset + s.size].reshape(s.shape)
+            offset += s.size
+            if idx.shape[0] == 1:
+                # one block: the kept columns of its factors, by slicing
+                keep = pos[0] < kept
+                rows, cols = np.ix_(idx[0], pos[0][keep])
+                self._V[rows, cols] = Vh[0][keep].conj().T
+                self._Uh[cols.T, rows.T] = U[0][:, keep].conj().T
+                continue
+            b, j = np.nonzero(pos < kept)
+            cols = pos[b, j][:, None]
+            self._V[idx[b], cols] = Vh[b, j, :].conj()
+            self._Uh[cols, idx[b]] = U[b, :, j].conj()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Apply the inverse to a vector or to right-hand-side columns."""
         return self._V @ (((self._Uh @ rhs).T / self._s).T)
+
+
+def _stacked_svd(blocks: np.ndarray):
+    """Full SVDs of a (count, k, k) stack of blocks, as one call."""
+    try:
+        return np.linalg.svd(blocks)
+    except np.linalg.LinAlgError:
+        # the default divide-and-conquer driver can fail to converge on
+        # large non-normal matrices; the QR-based driver is slower but
+        # unconditionally convergent
+        parts = [scipy.linalg.svd(b, lapack_driver="gesvd") for b in blocks]
+        return tuple(np.stack(x) for x in zip(*parts))
 
 
 _BOUNDARY_LABELS = {"neumann": "E - N_A", "regularity": "E + N",
@@ -272,6 +316,8 @@ class BoundaryFrame:
 
 
 def _check_heights(ts: np.ndarray) -> None:
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("heights must be finite")
     if np.any(ts < 0):
         raise ValueError("t measures distance to the boundary; t >= 0")
 
@@ -681,7 +727,11 @@ def nontangential_max(sol: SolutionField, c0: float = 0.5, c1: float = 1.0,
     torus = frame.torus
     if t_samples is None:
         t_samples = sol.default_t_samples()
-    t_samples = np.asarray(sorted(t_samples), dtype=float)
+    if len(t_samples) == 0:
+        raise ValueError("empty sample grid")
+    t_samples = np.asarray(t_samples, dtype=float)
+    _check_heights(t_samples)
+    t_samples = np.sort(t_samples)
     vals = frame.field_values(sol.coords_at_ts(t_samples))
     sq = np.moveaxis(np.sum(np.abs(vals) ** 2, axis=-2), -1, 0)
     dx = torus.length / torus.points_per_axis

@@ -7,6 +7,16 @@ b(T) = V diag(b(lambda)) V^{-1}.  There is no second evaluation route: an
 eigenbasis whose condition number exceeds the cap raises
 IllConditionedEigenbasisError, naming the stage and the measured cond(V).
 
+``decompose`` factors T one connected block at a time (``block_partition``:
+the connected components of the exact nonzero pattern, grouped by size, one
+stacked LAPACK call per size).  Constant coefficients give one 2 x 2 block
+per Fourier mode (3 x 3 at the n = 2 zero mode, or smaller where a block has
+exact zeros).  Smooth variable coefficients couple every mode and give one
+block, the plain dense factorization; coefficients that vary along one axis
+only leave the modes of the other axis uncoupled.  V and V^{-1} are dense
+m x m arrays either way, and the kernel, polish and conditioning rules are
+the global ones.
+
 Eigenvalues close to zero (relative threshold ``kernel_tol``) form the
 discrete kernel, the stand-in for the missing constants of the continuum
 problem.  Each symbol declares its kernel value explicitly: sgn and the
@@ -46,6 +56,8 @@ import numpy as np
 from .assembly import OperatorMatrix
 
 __all__ = [
+    "block_partition",
+    "gather_blocks",
     "SpectralDecomposition",
     "FunctionDescriptor",
     "IllConditionedEigenbasisError",
@@ -74,6 +86,8 @@ __all__ = [
 POINTS_PER_DECADE = 40
 DEFAULT_KERNEL_TOL = 1e-10
 COND_V_CAP = 1e8
+# entries per row chunk of ``block_partition``'s label sweep (1 MB of labels)
+_PARTITION_CHUNK = 1 << 18
 
 
 class IllConditionedEigenbasisError(np.linalg.LinAlgError):
@@ -240,8 +254,8 @@ class SpectralDecomposition:
         return (self.V * self.eigenvalues) @ self.Vinv
 
     def kernel_projector(self) -> np.ndarray:
-        sel = self.kernel_indices.astype(complex)
-        return (self.V * sel) @ self.Vinv
+        K = self.kernel_indices
+        return self.V[:, K] @ self.Vinv[K]
 
     def nonkernel_projector(self) -> np.ndarray:
         sel = self.nonkernel.astype(complex)
@@ -257,16 +271,79 @@ class SpectralDecomposition:
         return float(np.min(np.abs(lam)))
 
 
+def block_partition(mat: np.ndarray) -> list:
+    """The connected blocks of the exact nonzero pattern of a square matrix
+    (mat != 0 or mat^T != 0), grouped by size: a list of (count, size) index
+    arrays, one row per block, ascending indices, sizes ascending.
+
+    Found by min-label propagation on the dense boolean pattern: every
+    index takes the smallest label among its neighbours (a bounded number
+    of rows at a time) and then the label of that label, until nothing
+    changes or one label is left.  A dense matrix settles in one sweep and
+    per-mode blocks in two.
+    """
+    pattern = np.asarray(mat) != 0
+    pattern |= pattern.T
+    m = pattern.shape[0]
+    rows = max(1, _PARTITION_CHUNK // max(m, 1))
+    label = np.arange(m, dtype=np.int32)
+    while True:
+        new = label.copy()
+        for a in range(0, m, rows):
+            np.minimum(new[a:a + rows], np.where(
+                pattern[a:a + rows], label, m).min(axis=1, initial=m),
+                out=new[a:a + rows])
+        new = new[new]
+        # labels never leave their block, so one label means one block
+        if np.array_equal(new, label) or np.all(new == new[0]):
+            label = new
+            break
+        label = new
+    # indices ordered by block size, then block, then index
+    block = np.unique(label, return_inverse=True)[1]
+    size = np.bincount(block)[block]
+    order = np.lexsort((block, size))
+    groups, start = [], 0
+    for s, n in zip(*np.unique(size, return_counts=True)):
+        groups.append(order[start:start + n].reshape(-1, s))
+        start += n
+    return groups
+
+
+def gather_blocks(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The diagonal blocks mat[b, b] for the rows b of ``idx``, stacked as
+    (count, size, size); the whole matrix as a (1, m, m) view."""
+    if idx.shape == (1, mat.shape[0]):
+        return mat[None]
+    return mat[idx[:, :, None], idx[:, None, :]]
+
+
+def _scatter_blocks(groups: list, blocks: list, m: int) -> np.ndarray:
+    """The dense m x m block-diagonal matrix with the stacked ``blocks`` of
+    each size group at the indices of ``groups``."""
+    if len(groups) == 1 and groups[0].shape == (1, m):
+        return blocks[0][0]
+    out = np.zeros((m, m), dtype=complex)
+    for idx, block in zip(groups, blocks):
+        out[idx[:, :, None], idx[:, None, :]] = block
+    return out
+
+
 def decompose(T: OperatorMatrix | np.ndarray,
               B_constants: tuple | None = None,
               kernel_tol: float = DEFAULT_KERNEL_TOL,
               cond_cap: float = COND_V_CAP,
               basis_tag: str | None = None) -> SpectralDecomposition:
-    """Full dense eigendecomposition with kernel and sector classification.
+    """Eigendecomposition with kernel and sector classification, one
+    connected block of T at a time (``block_partition``).
 
     ``B_constants`` is the pair (kappa, sup_norm) of the coefficients that
     built T; it sets the sector half-angle omega = arccos(kappa/(2 sup_norm)).
     Hermitian matrices (relative defect <= 1e-10) get a unitary eigenbasis.
+    The rules are those of the dense factorization: the kernel threshold is
+    relative to the largest |lambda|, the kernel polish compares with
+    ||T||_2, and cond(V) is the largest singular value of any block over
+    the smallest, the 2-norm condition number of the block-diagonal V.
     """
     if isinstance(T, OperatorMatrix):
         mat = T.entries
@@ -274,40 +351,44 @@ def decompose(T: OperatorMatrix | np.ndarray,
     else:
         mat = np.asarray(T, dtype=complex)
         tag = basis_tag or "full"
+    m = mat.shape[0]
+    groups = block_partition(mat)
     hermitian = _is_hermitian(mat)
-    if hermitian:
-        lam, V = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-        lam = lam.astype(complex)
-        Vinv = V.conj().T
-        cond_V = 1.0
-    else:
-        lam, V = np.linalg.eig(mat)
+    lam = np.empty(m, dtype=complex)
+    subs = [gather_blocks(mat, idx) for idx in groups]
+    vecs = []
+    for idx, sub in zip(groups, subs):
+        if hermitian:
+            lam_b, V_b = np.linalg.eigh(
+                0.5 * (sub + np.conj(np.swapaxes(sub, 1, 2))))
+        else:
+            lam_b, V_b = np.linalg.eig(sub)
+        lam[idx] = lam_b
+        vecs.append(V_b)
     max_abs = np.max(np.abs(lam), initial=0.0)
     kernel = np.abs(lam) <= kernel_tol * max_abs if max_abs > 0 else np.ones(
         lam.shape, dtype=bool)
-    if not hermitian:
+    if hermitian:
+        V = _scatter_blocks(groups, vecs, m)
+        Vinv = V.conj().T
+        cond_V = 1.0
+    else:
         if np.any(kernel):
-            # Polish the kernel: eig's eigenvectors for the (near-degenerate)
-            # zero cluster are only accurate to the cluster's residual, which
-            # would leave a t-independent defect in every semigroup
-            # evaluation.  Exact null vectors from the SVD replace them.
-            k = int(np.sum(kernel))
-            _, s_all, vh = np.linalg.svd(mat)
-            if s_all[-k] <= kernel_tol * s_all[0]:
-                V = V.copy()
-                V[:, kernel] = vh[-k:].conj().T
-                lam = lam.copy()
-                lam[kernel] = 0.0
+            _polish_kernel(groups, subs, vecs, lam, kernel, kernel_tol)
         # The conditioning verdict is taken on the polished basis: a
         # near-degenerate zero cluster can make eig's raw basis look
         # arbitrarily ill conditioned even when the polished basis is fine.
-        sv = np.linalg.svd(V, compute_uv=False)
-        cond_V = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+        sv = [np.linalg.svd(V_b, compute_uv=False) for V_b in vecs]
+        s_max = max(float(np.max(s)) for s in sv)
+        s_min = min(float(np.min(s)) for s in sv)
+        cond_V = s_max / s_min if s_min > 0 else np.inf
         if not cond_V <= cond_cap:
             raise IllConditionedEigenbasisError(
                 f"calculus.decompose: cond(V) = {cond_V:.3e} > cap "
                 f"{cond_cap:.1e}", cond_V)
-        Vinv = np.linalg.inv(V)
+        Vinv = _scatter_blocks(groups, [np.linalg.inv(V_b) for V_b in vecs],
+                               m)
+        V = _scatter_blocks(groups, vecs, m)
     if B_constants is not None:
         omega = sector_half_angle(*B_constants)
     else:
@@ -316,6 +397,34 @@ def decompose(T: OperatorMatrix | np.ndarray,
         eigenvalues=lam, V=V, Vinv=Vinv, cond_V=cond_V,
         kernel_indices=kernel, omega=omega, kernel_tol=kernel_tol,
         hermitian=hermitian, basis_tag=tag)
+
+
+def _polish_kernel(groups, subs, vecs, lam, kernel, kernel_tol) -> None:
+    """Replace eig's kernel eigenvectors by exact null vectors, in place
+    (``subs`` and ``vecs`` are the stacked blocks of T and of V).
+
+    eig's eigenvectors for the (near-degenerate) zero cluster are only
+    accurate to the cluster's residual, which would leave a t-independent
+    defect in every semigroup evaluation.  Each block with k kernel
+    eigenvalues whose k-th smallest singular value is at most
+    kernel_tol ||T||_2 gets its last k right singular vectors instead.
+    """
+    norms, nulls = [], []
+    for g, (idx, sub) in enumerate(zip(groups, subs)):
+        counts = np.sum(kernel[idx], axis=1)
+        if np.any(counts == 0):
+            norms.append(np.max(np.linalg.norm(sub[counts == 0], ord=2,
+                                               axis=(1, 2))))
+        for b in np.flatnonzero(counts):
+            _, s, vh = np.linalg.svd(sub[b])
+            norms.append(s[0])
+            nulls.append((g, b, int(counts[b]), s, vh))
+    norm_T = max(norms)
+    for g, b, k, s, vh in nulls:
+        if s[-k] <= kernel_tol * norm_T:
+            in_kernel = kernel[groups[g][b]]
+            vecs[g][b][:, in_kernel] = vh[-k:].conj().T
+            lam[groups[g][b][in_kernel]] = 0.0
 
 
 def _is_hermitian(mat: np.ndarray) -> bool:

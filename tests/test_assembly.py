@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from halfspace import assembly
-from halfspace.assembly import (NB_operator, PointwiseInversionError,
+from halfspace.assembly import (FieldOperator, NB_operator,
+                                PointwiseInversionError,
                                 SubspaceInvarianceError, TB_operator,
                                 adjoint_in_duality, assemble_MB, assemble_NB,
                                 assemble_TB, d_matrix, d_star_matrix,
@@ -430,6 +431,44 @@ def test_constant_coefficient_restrictions_are_per_mode_symbols(n, N):
         assert np.allclose(G.conj().T @ NA_blocks[p] @ G,
                            perturbed_reflection_2x2(A, n, xi),
                            rtol=0.0, atol=1e-13)
+
+
+MULTIPLIER_SIZES = ((1, 64), (2, 8), (2, 16))
+
+
+@pytest.mark.parametrize("n,N", MULTIPLIER_SIZES)
+@pytest.mark.parametrize("name", ["identity", "constant"])
+def test_multiplier_restrictions_match_chunked_route(n, N, name):
+    # constant coefficients make T, N and N_A Fourier multipliers; their
+    # exact per-mode compression equals the chunked FFT route of the same
+    # operator without its symbols
+    torus = Torus(n, 2 * np.pi, N)
+    B = _family(torus, name)
+    basis = hat_h1_basis(torus)
+    for label, op in (("T", TB_operator(B)), ("N", reflection_operator(torus)),
+                      ("N_A", NB_operator(B))):
+        assert op.mode_symbols is not None, label
+        plain = FieldOperator(torus, op.apply, op.adjoint)
+        got = restrict(op, basis, 1e-8)
+        ref = restrict(plain, basis, 1e-8)
+        assert _rel(got.entries, ref.entries) <= 1e-13, label
+        assert got.invariance_defect <= 1e-13, label
+
+
+@pytest.mark.parametrize("n,N", MULTIPLIER_SIZES[:2])
+@pytest.mark.parametrize("name", ["identity", "constant"])
+def test_multiplier_norm_is_exact(n, N, name):
+    torus = Torus(n, 2 * np.pi, N)
+    B = _family(torus, name)
+    exact = np.linalg.norm(assemble_TB(B).entries, 2)
+    assert abs(TB_operator(B).norm() - exact) <= 1e-13 * exact
+
+
+def test_variable_coefficients_are_not_multipliers():
+    torus = Torus(1, 2 * np.pi, 32)
+    B = _smooth_A(torus)
+    assert TB_operator(B).mode_symbols is None
+    assert NB_operator(B).mode_symbols is None
 
 
 def test_plane_wave_basis_n2_N32_is_small_and_certified_per_mode():

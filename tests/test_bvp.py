@@ -276,3 +276,32 @@ def test_boundary_factorization_cached_per_kind(monkeypatch):
     assert np.linalg.norm(second.coords - ref.coords) <= 1e-12 * np.linalg.norm(
         ref.coords)
     assert report.condition_numbers == ref_report.condition_numbers
+
+
+def test_constant_frame_factors_one_stacked_svd_per_block_size(monkeypatch):
+    # constant coefficients make every boundary operator block diagonal
+    # per mode: each is factored with one stacked SVD per block size
+    from halfspace.calculus import block_partition
+    torus = Torus(1, 2 * np.pi, 64)
+    frame = BoundaryFrame(vector_block_coefficients(
+        torus, random_accretive_constant(1, 1)))
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for kind in ("neumann", "regularity", "neu_perp"):
+        op, _ = frame.boundary_operator(kind)
+        sizes = [idx.shape[1] for idx in block_partition(op)]
+        assert max(sizes) <= 2, kind
+        calls.clear()
+        inv = frame.factor(kind)
+        assert len(calls) <= len(sizes), kind
+        assert all(len(shape) == 3 for shape in calls), kind
+        dense = real_svd(op, compute_uv=False)
+        keep = dense > 1e-12 * dense[0]
+        assert inv.null_dim == op.shape[0] - np.sum(keep)
+        assert abs(inv.cond - dense[0] / dense[keep][-1]) <= 1e-12 * inv.cond

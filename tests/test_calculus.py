@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from halfspace.bvp import BoundaryInverse
 from halfspace.calculus import (IllConditionedEigenbasisError,
                                 SectorViolationError, _is_hermitian,
                                 abs_power, apply_function, apply_to_vector,
-                                chi_minus,
+                                block_partition, chi_minus,
                                 chi_plus, decompose, default_t_grid,
                                 exp_minus_t_abs, p_t, q_t, quadratic_constants,
                                 quadratic_norm, resolvent, sgn)
@@ -177,3 +178,81 @@ def test_hermitian_verdict_matches_exact_two_norms():
                 decided.add(bool(exact))
     assert decided == {True, False}
     assert _is_hermitian(np.zeros((3, 3)))
+
+
+def _permuted_block_diagonal(seed=13, hermitian=False):
+    """A randomly permuted block-diagonal matrix with blocks of sizes 1 to
+    4 (several of each size), one block of which is zero, and its
+    permutation and block sizes."""
+    rng = np.random.default_rng(seed)
+    sizes = [1, 2, 3, 2, 4, 3, 1, 3, 2]
+    m = sum(sizes)
+    D = np.zeros((m, m), dtype=complex)
+    start = 0
+    for b, size in enumerate(sizes):
+        if b != 3:
+            X = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+            X = X + X.conj().T if hermitian else X + 2 * np.eye(size)
+            D[start:start + size, start:start + size] = X
+        start += size
+    perm = rng.permutation(m)
+    return D[np.ix_(perm, perm)], perm, sizes
+
+
+def test_block_partition_finds_permuted_blocks():
+    mat, perm, sizes = _permuted_block_diagonal()
+    groups = block_partition(mat)
+    found = sorted(tuple(row) for idx in groups for row in idx)
+    # the zero block of size 2 is two isolated indices
+    inv = np.argsort(perm)
+    expected, start = [], 0
+    for b, size in enumerate(sizes):
+        members = sorted(inv[start:start + size])
+        expected += ([(i,) for i in members] if b == 3
+                     else [tuple(members)])
+        start += size
+    assert found == sorted(expected)
+    assert [idx.shape[1] for idx in groups] == sorted(
+        {idx.shape[1] for idx in groups})
+    rng = np.random.default_rng(0)
+    dense = rng.normal(size=(30, 30))
+    assert [idx.shape for idx in block_partition(dense)] == [(1, 30)]
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_block_decompose_matches_dense_lapack(hermitian):
+    mat, _, _ = _permuted_block_diagonal(hermitian=hermitian)
+    dec = decompose(mat)
+    assert dec.hermitian == hermitian
+    ref = np.linalg.eigvals(mat)
+    scale = np.max(np.abs(ref))
+    # every eigenvalue of the dense route is matched by one of the blocks
+    got = list(dec.eigenvalues)
+    for lam in ref:
+        j = int(np.argmin(np.abs(np.array(got) - lam)))
+        assert abs(got.pop(j) - lam) <= 1e-12 * scale
+    assert np.linalg.norm((dec.V * dec.eigenvalues) @ dec.Vinv - mat) <= \
+        1e-12 * np.linalg.norm(mat)
+    assert np.linalg.norm(dec.V @ dec.Vinv - np.eye(mat.shape[0])) <= 1e-12
+    assert abs(dec.cond_V - np.linalg.cond(dec.V)) <= 1e-12 * dec.cond_V
+    expected_kernel = np.abs(ref) <= dec.kernel_tol * scale
+    assert np.sum(dec.kernel_indices) == np.sum(expected_kernel) == 2
+    assert np.all(dec.eigenvalues[dec.kernel_indices] == 0.0)
+    assert np.linalg.norm(mat @ dec.V[:, dec.kernel_indices]) == 0.0
+
+
+def test_block_boundary_inverse_matches_dense_svd():
+    mat, _, _ = _permuted_block_diagonal()
+    inv = BoundaryInverse(mat, "test", kernel_dim=2)
+    s = np.linalg.svd(mat, compute_uv=False)
+    keep = s > 1e-12 * s[0]
+    assert inv.null_dim == mat.shape[0] - np.sum(keep) == 2
+    assert np.linalg.norm(inv._s - s[keep]) <= 1e-12 * s[0]
+    assert abs(inv.cond - s[0] / s[keep][-1]) <= 1e-12 * inv.cond
+    rng = np.random.default_rng(14)
+    rhs = rng.normal(size=(mat.shape[0], 2)) + 1j * rng.normal(
+        size=(mat.shape[0], 2))
+    ref = np.linalg.pinv(mat, rcond=1e-12) @ rhs
+    assert np.linalg.norm(inv.solve(rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.linalg.norm(inv.solve(rhs[:, 0]) - ref[:, 0]) <= \
+        1e-12 * np.linalg.norm(ref[:, 0])

@@ -235,6 +235,27 @@ def test_block_path_rejects_negative_t(frame_n1):
     assert np.array_equal(block[:, 0], sol.coords)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_block_path_rejects_non_finite_t(frame_n1, bad):
+    sol = _solution(frame_n1)
+    ts = np.array([bad, 1.0])
+    for evaluate in (sol.coords_at_ts, sol.norms_at_ts,
+                     lambda ts: norm_sup_t(sol, ts),
+                     lambda ts: nontangential_max(sol, t_samples=ts),
+                     lambda ts: dirichlet_second_order_residual(sol, ts),
+                     lambda ts: sol.dt_coords_at_t(ts[0])):
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(ts)
+
+
+def test_norms_reject_an_empty_grid(frame_n1):
+    sol = _solution(frame_n1)
+    for norm in (norm_sup_t, lambda sol, ts: nontangential_max(
+            sol, t_samples=ts)):
+        with pytest.raises(ValueError, match="empty sample grid"):
+            norm(sol, [])
+
+
 def test_norms_call_apply_to_vector_once_per_block(frame_n1, monkeypatch):
     sol = _solution(frame_n1)
     calls = []
