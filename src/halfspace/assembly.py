@@ -34,12 +34,22 @@ all of B's grid maps are equal (constant coefficients).  Such an operator
 is compressed exactly, mode by mode, to the blocks F_p^H sigma_p F_p, with
 the exact leak and the exact norm max_p ||sigma_p||_2.  A frame therefore
 never forms a (N^n 2^(n+1))^2 matrix, nor the dense N^n 2^(n+1) x m basis.
-The dense full-space matrices (``assemble_TB``, ``assemble_NB``,
-``d_matrix``, ...) and ``PlaneWaveBasis.columns`` remain
-as test oracles and for the duality and off-diagonal campaigns, which need
-the whole operator; the constrained degree-k bases (``hat_hk_basis``,
-a dense ``SubspaceBasis``) and ``hodge_split`` still take dense null
-spaces.
+The constrained degree-k bases use the same structure.  With the pointwise
+map G = N^+ + N^- B (invertible for accretive B: its normal block is B's),
+a degree-k field f has d(f_tan) = 0 and d*((B f)_nor) = 0 exactly when
+G f lies in
+
+    W = (null d on tangential degree k) + (null d* on normal degree k),
+
+so the constrained space is G^{-1} W.  W does not depend on B and splits
+by Fourier mode: it is a ``PlaneWaveBasis`` whose frames are the per-mode
+null vectors of the symbols of d and d*.  ``hat_hk_basis`` lifts it,
+applies G^{-1} pointwise and orthonormalizes with one thin QR.
+``hodge_split`` takes null(i m d) = null d and null(B^{-1} i m d* B) =
+B^{-1} null d* from the same per-mode null spaces.  The dense full-space
+matrices (``assemble_TB``, ``assemble_NB``, ``d_matrix``, ...) remain as
+test oracles and for the duality and off-diagonal campaigns, which need
+the whole operator.
 
 All matrices act on plain coefficient vectors; because the grid quadrature
 weight is a scalar multiple of the identity metric, operator norms, condition
@@ -54,7 +64,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from . import algebra
 from .grid import (CoefficientField, Field, Torus, _derivative_symbol,
@@ -72,10 +81,6 @@ __all__ = [
     "d_star_matrix",
     "m_full_matrix",
     "reflection_full_matrix",
-    "normal_proj_full",
-    "tangential_proj_full",
-    "underline_d_matrix",
-    "underline_d_star_B_matrix",
     "assemble_MB",
     "assemble_TB",
     "assemble_NB",
@@ -87,12 +92,9 @@ __all__ = [
     "hat_h1_basis",
     "hat_hk_basis",
     "restrict",
-    "duality_pairing",
     "duality_gram",
     "adjoint_in_duality",
     "hodge_split",
-    "matrix_to_csv",
-    "matrix_from_csv",
 ]
 
 
@@ -124,7 +126,6 @@ class OperatorMatrix:
     """
 
     entries: np.ndarray
-    basis_tag: str = "full"
     invariance_defect: float | None = None
 
     def __post_init__(self):
@@ -142,7 +143,7 @@ class OperatorMatrix:
 
     def __matmul__(self, other):
         if isinstance(other, OperatorMatrix):
-            return OperatorMatrix(self.entries @ other.entries, self.basis_tag)
+            return OperatorMatrix(self.entries @ other.entries)
         return self.entries @ other
 
 
@@ -208,8 +209,8 @@ class PlaneWaveBasis:
     orthogonality, so orthonormality is certified per mode, on the frames.
 
     A product with the column matrix U is a unitary FFT over the grid axes
-    plus a per-mode gather (U^H) or scatter (U); ``columns`` forms U itself
-    and is meant for tests and oracles only.
+    plus a per-mode gather (U^H) or scatter (U); ``columns`` forms U itself,
+    for the dense bases built from it and for tests.
     """
 
     def __init__(self, torus: Torus, frames: np.ndarray, present: np.ndarray,
@@ -394,28 +395,9 @@ def reflection_full_matrix(torus: Torus) -> np.ndarray:
     return _lift(torus, algebra.reflection_matrix(torus.dim_n))
 
 
-def normal_proj_full(torus: Torus) -> np.ndarray:
-    return _lift(torus, algebra.normal_proj_matrix(torus.dim_n))
-
-
-def tangential_proj_full(torus: Torus) -> np.ndarray:
-    return _lift(torus, algebra.tangential_proj_matrix(torus.dim_n))
-
-
 def coefficient_matrix(B: CoefficientField) -> np.ndarray:
     """Dense matrix of pointwise multiplication by B."""
     return pointwise_operator(B.torus, B.maps)
-
-
-def underline_d_matrix(torus: Torus) -> np.ndarray:
-    return 1j * m_full_matrix(torus) @ d_matrix(torus)
-
-
-def underline_d_star_B_matrix(B: CoefficientField) -> np.ndarray:
-    torus = B.torus
-    Bm = coefficient_matrix(B)
-    Binv = pointwise_operator(torus, np.linalg.inv(B.maps))
-    return Binv @ (1j * m_full_matrix(torus) @ d_star_matrix(torus)) @ Bm
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +434,7 @@ def _mb_maps(B: CoefficientField, Binv: np.ndarray) -> np.ndarray:
 def assemble_MB(B: CoefficientField) -> OperatorMatrix:
     """M_B = N^+ - B^{-1} N^- B, assembled pointwise over the grid."""
     Binv = _pointwise_inverse(B.torus, B.maps, "coefficient map B")
-    return OperatorMatrix(pointwise_operator(B.torus, _mb_maps(B, Binv)),
-                          basis_tag="full")
+    return OperatorMatrix(pointwise_operator(B.torus, _mb_maps(B, Binv)))
 
 
 def assemble_TB(B: CoefficientField) -> OperatorMatrix:
@@ -476,7 +457,7 @@ def assemble_TB(B: CoefficientField) -> OperatorMatrix:
     K = m @ d_matrix(torus) + K
     del m
     T = np.linalg.solve(assemble_MB(B).entries, K)
-    return OperatorMatrix(T, basis_tag="full")
+    return OperatorMatrix(T)
 
 
 def _splitting_projections(U_maps: np.ndarray, V_maps: np.ndarray,
@@ -540,8 +521,7 @@ def assemble_NB(B: CoefficientField, variant: str = "hat"):
     applies N_B without forming it.
     """
     P_plus, P_minus = _nb_maps(B, variant)
-    to_op = lambda maps: OperatorMatrix(pointwise_operator(B.torus, maps),
-                                        basis_tag="full")
+    to_op = lambda maps: OperatorMatrix(pointwise_operator(B.torus, maps))
     return to_op(P_plus), to_op(P_minus), to_op(P_plus - P_minus)
 
 
@@ -656,6 +636,12 @@ def _common_map(maps: np.ndarray) -> np.ndarray | None:
     return flat[0] if np.all(flat == flat[0]) else None
 
 
+def _mode_symbols(torus: Torus, kind: str) -> np.ndarray:
+    """Per-mode symbols of d or d* in flat FFT order, shape (P, d, d)."""
+    d = torus.lambda_dim
+    return _derivative_symbol(torus, kind).reshape(torus.num_points, d, d)
+
+
 def _pointwise_field_operator(torus: Torus,
                               maps: np.ndarray) -> FieldOperator:
     """Per-point Lambda-maps (grid_shape + (d, d), or one constant (d, d)
@@ -702,11 +688,10 @@ def TB_operator(B: CoefficientField) -> FieldOperator:
     symbols = None
     B0 = _common_map(Bm)
     if B0 is not None:
-        P, d = torus.num_points, torus.lambda_dim
-        D = _derivative_symbol(torus, "d").reshape(P, d, d)
-        Ds = _derivative_symbol(torus, "d_star").reshape(P, d, d)
+        d = torus.lambda_dim
         C1_0, C2_0 = (C.reshape(-1, d, d)[0] for C in (C1, C2))
-        symbols = C1_0 @ D + C2_0 @ (Ds @ B0)
+        symbols = (C1_0 @ _mode_symbols(torus, "d")
+                   + C2_0 @ (_mode_symbols(torus, "d_star") @ B0))
     return FieldOperator(torus, apply, adjoint, mode_symbols=symbols)
 
 
@@ -765,34 +750,45 @@ def hat_h1_basis(torus: Torus) -> PlaneWaveBasis:
     return PlaneWaveBasis(torus, frames, present, label="hat_h1")
 
 
+def _null_plane_waves(torus: Torus, constraints: np.ndarray,
+                      embed: np.ndarray, rtol: float) -> PlaneWaveBasis:
+    """The plane waves e^{i xi_p.x} embed v with constraints[p] v = 0.
+
+    ``constraints`` is a (P, rows, c) stack of per-mode blocks acting on
+    the coordinates of the (d, c) isometry ``embed`` (rows >= c).  Mode p
+    keeps the right singular vectors of its block whose singular values are
+    at most ``rtol`` times the largest singular value of all blocks: one
+    stacked SVD of P small blocks.
+    """
+    _, s, vh = np.linalg.svd(constraints, full_matrices=False)
+    null = s <= rtol * np.max(s, initial=0.0)
+    vecs = np.conj(np.swapaxes(vh, 1, 2)) * null[:, None, :]
+    return PlaneWaveBasis(torus, embed @ vecs, null)
+
+
 def hat_hk_basis(B: CoefficientField, k: int,
                  rtol: float = 1e-10) -> SubspaceBasis:
     """Orthonormal basis of the degree-k fields with d(f_tan) = 0 and
-    d*((B f)_nor) = 0, via an SVD null space of the stacked constraints."""
+    d*((B f)_nor) = 0: G^{-1} W for G = N^+ + N^- B and the per-mode null
+    space W of d on tangential and d* on normal degree-k fields (see the
+    module docstring).  ``rtol`` is relative to the largest singular value
+    of the per-mode constraint symbols."""
     torus = B.torus
     n = torus.dim_n
     if not 0 <= k <= n + 1:
         raise ValueError(f"degree k={k} out of range")
-    d = torus.lambda_dim
-    degs = algebra.mask_degrees(n)
-    deg_cols = np.where(degs == k)[0]
-    P = torus.num_points
-    # embedding of degree-k fields into the full space
-    embed = np.zeros((P * d, P * len(deg_cols)), dtype=complex)
-    for p in range(P):
-        for j, mask in enumerate(deg_cols):
-            embed[p * d + mask, p * len(deg_cols) + j] = 1.0
-    D = d_matrix(torus)
-    Ds = d_star_matrix(torus)
-    tang = tangential_proj_full(torus)
-    norp = normal_proj_full(torus)
-    Bm = coefficient_matrix(B)
-    C = np.vstack([D @ tang @ embed, Ds @ norp @ Bm @ embed])
-    null = scipy.linalg.null_space(C, rcond=rtol)
-    if null.shape[1] == 0:
+    embed = np.eye(torus.lambda_dim)[:, algebra.mask_degrees(n) == k]
+    tan = algebra.tangential_proj_matrix(n)
+    nor = algebra.normal_proj_matrix(n)
+    constraints = np.concatenate(
+        [_mode_symbols(torus, "d") @ (tan @ embed),
+         _mode_symbols(torus, "d_star") @ (nor @ embed)], axis=1)
+    W = _null_plane_waves(torus, constraints, embed, rtol)
+    if W.dim == 0:
         raise ValueError(f"constrained degree-{k} subspace is empty")
-    cols = embed @ null
-    return SubspaceBasis(cols, label=f"hat_hk(k={k})")
+    Ginv = _pointwise_inverse(torus, tan + nor @ B.maps, "N^+ + N^- B")
+    q = np.linalg.qr(_pointwise_field_operator(torus, Ginv) @ W.columns)[0]
+    return SubspaceBasis(q, label=f"hat_hk(k={k})")
 
 
 def restrict(op: OperatorMatrix | FieldOperator,
@@ -847,8 +843,7 @@ def restrict(op: OperatorMatrix | FieldOperator,
             raise SubspaceInvarianceError(
                 f"operator does not preserve subspace {basis.label!r}: "
                 f"relative defect {defect:.3e} > {invariance_tol:.1e}", defect)
-    return OperatorMatrix(compressed, basis_tag=basis.label,
-                          invariance_defect=defect)
+    return OperatorMatrix(compressed, invariance_defect=defect)
 
 
 # ---------------------------------------------------------------------------
@@ -867,18 +862,12 @@ def duality_gram(B: CoefficientField) -> np.ndarray:
     return pointwise_operator(B.torus, maps)
 
 
-def duality_pairing(f: Field, g: Field, B: CoefficientField) -> complex:
-    """<f, g>_B with the physical grid weight included."""
-    S = duality_gram(B)
-    return complex(B.torus.weight * np.vdot(g.flatten(), S @ f.flatten()))
-
-
 def adjoint_in_duality(op: OperatorMatrix, B: CoefficientField) -> OperatorMatrix:
     """The operator T' with <T f, g>_B = <f, T' g>_B for all f, g."""
     S = duality_gram(B)
     # <Tf, g> = g^H S T f and <f, T'g> = g^H T'^H S f, so T'^H = S T S^{-1}.
     T_prime_H = S @ op.entries @ np.linalg.inv(S)
-    return OperatorMatrix(T_prime_H.conj().T, basis_tag=op.basis_tag)
+    return OperatorMatrix(T_prime_H.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -888,6 +877,10 @@ def adjoint_in_duality(op: OperatorMatrix, B: CoefficientField) -> OperatorMatri
 def hodge_split(B: CoefficientField, f: Field, rtol: float = 1e-9):
     """Split f (minus its grid mean) as f1 + f2 with f1 in null(i m d) and
     f2 in null(B^{-1} i m d* B), inside the mean-zero complement.
+
+    The null spaces come from the per-mode null spaces of the symbols of d
+    and d*: null(i m d) = null d and null(B^{-1} i m d* B) = B^{-1} null d*,
+    with ``rtol`` relative to the largest symbol singular value.
 
     Returns (f1, f2, constant_part, split_constant) where split_constant is
     (||f1|| + ||f2||) / ||f - mean||, the measured topological-splitting
@@ -900,10 +893,12 @@ def hodge_split(B: CoefficientField, f: Field, rtol: float = 1e-9):
     mean = vec.reshape(P, d).mean(axis=0)
     const_vec = np.tile(mean, P)
     v = vec - const_vec
-    D1 = underline_d_matrix(torus)
-    D2 = underline_d_star_B_matrix(B)
-    n1 = scipy.linalg.null_space(D1, rcond=rtol)
-    n2 = scipy.linalg.null_space(D2, rcond=rtol)
+    eye = np.eye(d)
+    n1 = _null_plane_waves(torus, _mode_symbols(torus, "d"), eye,
+                           rtol).columns
+    Binv = _pointwise_inverse(torus, B.maps, "coefficient map B")
+    n2 = _pointwise_field_operator(torus, Binv) @ _null_plane_waves(
+        torus, _mode_symbols(torus, "d_star"), eye, rtol).columns
     # remove constants from both null spaces (they lie in the intersection)
     const_basis = np.zeros((P * d, d), dtype=complex)
     for mask in range(d):
@@ -928,21 +923,3 @@ def hodge_split(B: CoefficientField, f: Field, rtol: float = 1e-9):
     f2 = Field.from_flat(torus, v2)
     c = ((np.linalg.norm(v1) + np.linalg.norm(v2)) / vnorm) if vnorm > 0 else 0.0
     return f1, f2, Field.from_flat(torus, const_vec), float(c)
-
-
-# ---------------------------------------------------------------------------
-# matrix interchange
-# ---------------------------------------------------------------------------
-
-def matrix_to_csv(op: OperatorMatrix, path) -> None:
-    """Row-major dump with interleaved Re/Im columns."""
-    e = op.entries
-    out = np.empty((e.shape[0], 2 * e.shape[1]))
-    out[:, 0::2] = e.real
-    out[:, 1::2] = e.imag
-    np.savetxt(path, out, delimiter=",", fmt="%.17g")
-
-
-def matrix_from_csv(path, basis_tag: str = "full") -> OperatorMatrix:
-    raw = np.loadtxt(path, delimiter=",", ndmin=2)
-    return OperatorMatrix(raw[:, 0::2] + 1j * raw[:, 1::2], basis_tag=basis_tag)

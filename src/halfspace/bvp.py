@@ -539,7 +539,7 @@ def dirichlet_second_order_residual(sol: SolutionField, t_samples) -> float:
     _check_heights(ts)
     T = len(ts)
     if T == 0:
-        return 0.0
+        raise ValueError("empty sample grid")
     A = frame.B.vector_block()[..., None]
     dts = apply_to_vector(frame.dec, [semigroup_dt(ts, k) for k in (1, 2)],
                           eig_coords=sol.eig_coords)

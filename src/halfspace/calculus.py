@@ -29,7 +29,7 @@ product: with c = V^{-1} f computed once and S the m x T matrix of symbol
 values S_ij = b_j(lambda_i), the columns b_j(T) f are V (S o c)
 (``apply_to_vector`` with a t-family or a sequence of symbols).  The
 t-families (``exp_minus_t_abs``, ``semigroup_dt``, ``psi_abs_exp``,
-``psi_exp``, ``q_t``, ``p_t``) take a whole array of heights and evaluate S
+``psi_exp``, ``q_t``) take a whole array of heights and evaluate S
 as one outer-product block, with one sign-sensitivity check and one kernel
 substitution per block.  A caller that applies many blocks to the same f
 (``bvp.SolutionField``) keeps c = ``dec.coordinates(f)`` and passes it as
@@ -68,7 +68,6 @@ __all__ = [
     "apply_function",
     "resolvent",
     "q_t",
-    "p_t",
     "chi_plus",
     "chi_minus",
     "sgn",
@@ -156,11 +155,6 @@ def q_t(t) -> FunctionDescriptor:
                      kernel_value=0.0, sign_sensitive=False)
 
 
-def p_t(t) -> FunctionDescriptor:
-    return _t_family("p_t", t, lambda z, t: 1.0 / (1.0 + (t * z) ** 2),
-                     kernel_value=1.0, sign_sensitive=False)
-
-
 def chi_plus() -> FunctionDescriptor:
     return FunctionDescriptor(
         "chi_plus", lambda z: (1.0 + _holo_sign(z)) / 2.0, kernel_value=0.0,
@@ -229,7 +223,6 @@ class SpectralDecomposition:
     omega: float
     kernel_tol: float
     hermitian: bool
-    basis_tag: str = "full"
 
     @property
     def dim(self) -> int:
@@ -332,8 +325,7 @@ def _scatter_blocks(groups: list, blocks: list, m: int) -> np.ndarray:
 def decompose(T: OperatorMatrix | np.ndarray,
               B_constants: tuple | None = None,
               kernel_tol: float = DEFAULT_KERNEL_TOL,
-              cond_cap: float = COND_V_CAP,
-              basis_tag: str | None = None) -> SpectralDecomposition:
+              cond_cap: float = COND_V_CAP) -> SpectralDecomposition:
     """Eigendecomposition with kernel and sector classification, one
     connected block of T at a time (``block_partition``).
 
@@ -345,12 +337,8 @@ def decompose(T: OperatorMatrix | np.ndarray,
     ||T||_2, and cond(V) is the largest singular value of any block over
     the smallest, the 2-norm condition number of the block-diagonal V.
     """
-    if isinstance(T, OperatorMatrix):
-        mat = T.entries
-        tag = T.basis_tag if basis_tag is None else basis_tag
-    else:
-        mat = np.asarray(T, dtype=complex)
-        tag = basis_tag or "full"
+    mat = T.entries if isinstance(T, OperatorMatrix) else np.asarray(
+        T, dtype=complex)
     m = mat.shape[0]
     groups = block_partition(mat)
     hermitian = _is_hermitian(mat)
@@ -396,7 +384,7 @@ def decompose(T: OperatorMatrix | np.ndarray,
     return SpectralDecomposition(
         eigenvalues=lam, V=V, Vinv=Vinv, cond_V=cond_V,
         kernel_indices=kernel, omega=omega, kernel_tol=kernel_tol,
-        hermitian=hermitian, basis_tag=tag)
+        hermitian=hermitian)
 
 
 def _polish_kernel(groups, subs, vecs, lam, kernel, kernel_tol) -> None:
@@ -489,7 +477,7 @@ def apply_function(dec: SpectralDecomposition,
                    b: FunctionDescriptor) -> OperatorMatrix:
     """b(T) = V diag(b(lambda)) V^{-1}, kernel eigenvalues -> kernel value."""
     vals = _symbol_values(dec, b)
-    return OperatorMatrix((dec.V * vals) @ dec.Vinv, basis_tag=dec.basis_tag)
+    return OperatorMatrix((dec.V * vals) @ dec.Vinv)
 
 
 def apply_to_vector(dec: SpectralDecomposition, b, vec: np.ndarray | None = None,

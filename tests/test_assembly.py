@@ -5,18 +5,18 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from halfspace import assembly
+from halfspace import algebra, assembly
 from halfspace.assembly import (FieldOperator, NB_operator,
                                 PointwiseInversionError,
                                 SubspaceInvarianceError, TB_operator,
                                 adjoint_in_duality, assemble_MB, assemble_NB,
                                 assemble_TB, d_matrix, d_star_matrix,
-                                derivative_matrix, duality_pairing,
+                                derivative_matrix, duality_gram,
                                 hat_h1_basis, hat_hk_basis, hodge_split,
-                                m_full_matrix, matrix_from_csv, matrix_to_csv,
-                                reflection_full_matrix, reflection_operator,
-                                restrict)
+                                m_full_matrix, reflection_full_matrix,
+                                reflection_operator, restrict)
 from halfspace.diagnostics import (block_coefficients,
                                    random_accretive_constant,
                                    skew_coefficients, smooth_real_symmetric)
@@ -132,7 +132,7 @@ def test_duality_pairing_vs_matrix():
     # for B = I the pairing is the sesquilinear L2 product twisted by the
     # boundary reflection N = N^+ - N^-
     from halfspace.algebra import reflection_matrix
-    val = duality_pairing(f, g, B)
+    val = torus.weight * np.vdot(g.flatten(), duality_gram(B) @ f.flatten())
     Nf = Field(torus, f.values @ reflection_matrix(torus.dim_n).T)
     ref = inner_product(Nf, g)
     assert abs(val - ref) <= 1e-10 * max(abs(ref), 1.0)
@@ -146,15 +146,6 @@ def test_hodge_split_recomposes():
     total = f1.values + f2.values + const.values
     assert np.linalg.norm(total - f.values) <= 1e-8 * np.linalg.norm(f.values)
     assert split_constant >= 1.0 - 1e-9
-
-
-def test_matrix_csv_roundtrip(tmp_path):
-    torus = Torus(1, 2 * np.pi, 8)
-    T = assemble_TB(identity_coefficients(torus))
-    path = tmp_path / "op.csv"
-    matrix_to_csv(T, path)
-    T2 = matrix_from_csv(path, basis_tag=T.basis_tag)
-    assert np.allclose(T2.entries, T.entries, atol=1e-15)
 
 
 def test_hat_hk_basis_dimensions():
@@ -280,6 +271,119 @@ def test_kernel_only_subspace_accepted(name):
     assert basis.dim == 1
     T = restrict(TB_operator(B), basis, 1e-8)
     assert T.invariance_defect <= 1e-12
+
+
+# -- constrained subspaces against the dense null-space oracle ----------------
+
+def _dense_hk_basis(B, k, rtol=1e-10):
+    """The constrained degree-k space as the SVD null space of the stacked
+    full-space constraints [d N^+ ; d* N^- B] on degree-k fields."""
+    torus = B.torus
+    n, P = torus.dim_n, torus.num_points
+    lift = lambda M: np.kron(np.eye(P), M)
+    embed = lift(np.eye(torus.lambda_dim)[:, algebra.mask_degrees(n) == k])
+    C = np.vstack([
+        d_matrix(torus) @ lift(algebra.tangential_proj_matrix(n)) @ embed,
+        d_star_matrix(torus) @ lift(algebra.normal_proj_matrix(n))
+        @ assembly.coefficient_matrix(B) @ embed])
+    return assembly.SubspaceBasis(
+        embed @ scipy.linalg.null_space(C, rcond=rtol), f"dense_hk(k={k})")
+
+
+def _dense_hodge_split(B, f, rtol=1e-9):
+    """hodge_split through full-space null spaces of i m d and
+    B^{-1} i m d* B, with the same constant removal and least squares."""
+    torus = B.torus
+    P, d = torus.num_points, torus.lambda_dim
+    vec = f.flatten()
+    const_vec = np.tile(vec.reshape(P, d).mean(axis=0), P)
+    v = vec - const_vec
+    m = m_full_matrix(torus)
+    Bm = assembly.coefficient_matrix(B)
+    n1 = scipy.linalg.null_space(1j * m @ d_matrix(torus), rcond=rtol)
+    n2 = scipy.linalg.null_space(
+        np.linalg.solve(Bm, 1j * m @ d_star_matrix(torus) @ Bm), rcond=rtol)
+    consts = np.kron(np.ones((P, 1)), np.eye(d)) / np.sqrt(P)
+
+    def drop_consts(nspace):
+        u, s, _ = np.linalg.svd(nspace - consts @ (consts.T @ nspace),
+                                full_matrices=False)
+        return u[:, s > 1e-10]
+
+    U1, U2 = drop_consts(n1), drop_consts(n2)
+    coef = np.linalg.lstsq(np.hstack([U1, U2]), v, rcond=None)[0]
+    v1, v2 = U1 @ coef[:U1.shape[1]], U2 @ coef[U1.shape[1]:]
+    split = (np.linalg.norm(v1) + np.linalg.norm(v2)) / np.linalg.norm(v)
+    return v1, v2, const_vec, split
+
+
+@pytest.mark.parametrize("n,N,name", _cases())
+def test_hat_hk_basis_matches_dense_null_space(n, N, name):
+    torus = Torus(n, 2 * np.pi, N)
+    B = _family(torus, name)
+    for k in range(n + 2):
+        got = hat_hk_basis(B, k)
+        ref = _dense_hk_basis(B, k)
+        assert got.dim == ref.dim, k
+        cosines = np.linalg.svd(ref.columns.conj().T @ got.columns,
+                                compute_uv=False)
+        assert 1.0 - cosines.min() <= 1e-12, k
+
+
+@pytest.mark.parametrize("n,N,name", _cases())
+def test_hodge_split_matches_dense_null_spaces(n, N, name):
+    torus = Torus(n, 2 * np.pi, N)
+    B = _family(torus, name)
+    f = _rand_field(torus, 5)
+    f1, f2, const, split = hodge_split(B, f)
+    v1, v2, const_vec, ref_split = _dense_hodge_split(B, f)
+    assert _rel(f1.flatten(), v1) <= 1e-10
+    assert _rel(f2.flatten(), v2) <= 1e-10
+    assert _rel(const.flatten(), const_vec) <= 1e-10
+    assert abs(split - ref_split) <= 1e-10 * ref_split
+
+
+@pytest.mark.parametrize("n,N", SIZES)
+@pytest.mark.parametrize("name", ["smooth_symmetric", "block"])
+def test_degree2_transmission_matches_dense_basis(n, N, name, monkeypatch):
+    from halfspace import bvp
+    torus = Torus(n, 2 * np.pi, N)
+    B = _family(torus, name)
+    frame = bvp.BoundaryFrame(B, degree=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(bvp, "hat_hk_basis", _dense_hk_basis)
+        dense = bvp.BoundaryFrame(B, degree=2)
+    rng = np.random.default_rng(n + N)
+    g = frame.to_field(rng.normal(size=frame.dec.dim)
+                       + 1j * rng.normal(size=frame.dec.dim))
+    (sol_p, sol_m), report = bvp.solve_transmission(B, 2, 2.0, 1.0, g,
+                                                    frame=frame)
+    (ref_p, ref_m), _ = bvp.solve_transmission(B, 2, 2.0, 1.0, g,
+                                               frame=dense)
+    assert report.boundary_residual <= 1e-10
+    assert report.invariance_defect <= 1e-10
+    for got, ref in ((sol_p, ref_p), (sol_m, ref_m)):
+        assert _rel(got.trace_field().values, ref.trace_field().values) \
+            <= 1e-10
+
+
+def test_constrained_subspaces_need_no_dense_operator(monkeypatch):
+    # the degree-2 frame and the Hodge split use per-mode null spaces and
+    # pointwise maps only
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense full-space route taken")
+
+    for name in ("d_matrix", "d_star_matrix", "pointwise_operator"):
+        monkeypatch.setattr(assembly, name, refuse)
+    monkeypatch.setattr(scipy.linalg, "null_space", refuse)
+    from halfspace.bvp import BoundaryFrame
+    torus = Torus(2, 2 * np.pi, 8)
+    B = _family(torus, "smooth_symmetric")
+    frame = BoundaryFrame(B, degree=2)
+    # per mode e_12 and one normal 2-vector with d* = 0; all three at xi = 0
+    assert frame.basis.dim == 2 * torus.num_points + 1
+    f1, f2, const, _ = hodge_split(B, _rand_field(torus, 5))
+    assert np.all(np.isfinite(f1.values + f2.values + const.values))
 
 
 # -- the implicit plane-wave basis ---------------------------------------------

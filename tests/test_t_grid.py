@@ -16,7 +16,7 @@ from halfspace.bvp import (BoundaryFrame, SolutionField,
                            dirichlet_second_order_residual, nontangential_max,
                            norm_sup_t, norm_triplebar_dt, solve_neumann)
 from halfspace.calculus import (apply_function, apply_to_vector,
-                                default_t_grid, exp_minus_t_abs, p_t,
+                                default_t_grid, exp_minus_t_abs,
                                 psi_abs_exp, psi_exp, q_t,
                                 quadratic_constants, semigroup_dt,
                                 square_function)
@@ -251,7 +251,7 @@ def test_block_path_rejects_non_finite_t(frame_n1, bad):
 def test_norms_reject_an_empty_grid(frame_n1):
     sol = _solution(frame_n1)
     for norm in (norm_sup_t, lambda sol, ts: nontangential_max(
-            sol, t_samples=ts)):
+            sol, t_samples=ts), dirichlet_second_order_residual):
         with pytest.raises(ValueError, match="empty sample grid"):
             norm(sol, [])
 
@@ -280,7 +280,7 @@ def test_norms_call_apply_to_vector_once_per_block(frame_n1, monkeypatch):
 
 T_FAMILIES = {
     "exp_minus_t_abs": exp_minus_t_abs, "psi_abs_exp": psi_abs_exp,
-    "psi_exp": psi_exp, "q_t": q_t, "p_t": p_t,
+    "psi_exp": psi_exp, "q_t": q_t,
     "semigroup_dt_1": lambda t: semigroup_dt(t, 1),
     "semigroup_dt_2": lambda t: semigroup_dt(t, 2),
 }
