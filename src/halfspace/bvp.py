@@ -18,14 +18,22 @@ products.  The solve formulas are
                   lambda = (a+ + a-)/(a+ - a-)
 
 and the interior extension is always the semigroup F_t = e^{-t|T|} f applied
-through the spectral decomposition.  The decomposition and the boundary
-inverses factor their matrices one connected block at a time
-(``calculus.block_partition``): per Fourier mode for constant
-coefficients, and as a rule the whole matrix for variable ones.  Time derivatives are always computed
-from the generator (-|T| on the Hardy part), never by finite differences.
-A ``SolutionField`` forms its eigen-coordinates V^{-1} f once; every later
-evaluation, one height or a whole t-grid as one t-family block, is then the
-single product V (S o c).
+through the spectral decomposition.  The decomposition factors T one
+connected block at a time (``calculus.block_partition``): per Fourier mode
+for constant coefficients, and as a rule the whole matrix for variable
+ones.  The frame keeps E, P_nk, P_K and E_solve as blocks
+(``calculus.BlockDiagonal``) on the partition of T, and N and N_A each on
+the connected blocks of T and itself; every boundary operator is formed,
+factored and solved block by block on the partition of its reflection, and
+the Hardy defect, kernel fraction, reflection conditions and well-posedness
+gaps are taken per block.  The dense frame matrices (``frame.E``,
+``frame.Pnk``, ``frame.PK``, ``frame.E_solve``, ``frame.N``, ``frame.NA``)
+are views formed on first access.  Time
+derivatives are always computed from the generator (-|T| on the Hardy
+part), never by finite differences.  A ``SolutionField`` forms its
+eigen-coordinates V^{-1} f once; every later evaluation, one height or a
+whole t-grid as one t-family block, is then the block-by-block product
+V (S o c).
 
 Constant grid modes form the discrete kernel of T (the torus stand-in for
 the absence of L2 constants on R^n); boundary data is projected onto the
@@ -45,8 +53,9 @@ import scipy.linalg
 from . import algebra, calculus
 from .assembly import (NB_operator, TB_operator, hat_h1_basis, hat_hk_basis,
                        reflection_operator, restrict)
-from .calculus import (apply_to_vector, decompose, exp_minus_t_abs,
-                       psi_abs_exp, semigroup_dt, sgn, square_function)
+from .calculus import (BlockDiagonal, apply_to_vector, decompose,
+                       exp_minus_t_abs, psi_abs_exp, semigroup_dt, sgn,
+                       square_function)
 from .grid import (CoefficientField, Field, Torus, gradient_of,
                    partial_columns, vector_block_coefficients)
 
@@ -133,31 +142,26 @@ class BoundaryInverse:
     space beyond that, or an effective condition number past the cap, is a
     well-posedness failure, raised at construction.
 
-    The operator is factored one connected block at a time
-    (``calculus.block_partition``), one stacked SVD per block size; an
-    operator that is one block gets the plain dense SVD.  The rules are
-    global: the cutoff is 1e-12 times the largest singular value of any
-    block, ``null_dim`` counts the dropped values of all blocks, and
-    ``cond`` is the largest value over the smallest kept one.  The kept
-    factors are scattered into dense columns, in descending order of their
-    singular values.
+    The operator is a ``calculus.BlockDiagonal``, factored and solved block
+    by block, one stacked SVD per block size; an operator that is one block
+    gets the plain dense SVD and solve.  The rules are global: the cutoff is
+    1e-12 times the largest singular value of any block, ``null_dim`` counts
+    the dropped values of all blocks, and ``cond`` is the largest value over
+    the smallest kept one.  Each block keeps its leading singular triplets
+    up to the largest kept count of its size group; a dropped value among
+    them is set to inf, so that it divides its component to zero.
     """
 
-    def __init__(self, op: np.ndarray, label: str, kernel_dim: int):
-        m = op.shape[0]
-        groups = calculus.block_partition(op)
-        factors = [_stacked_svd(calculus.gather_blocks(op, idx))
-                   for idx in groups]
+    def __init__(self, op: BlockDiagonal, label: str, kernel_dim: int):
+        m = op.dim
+        factors = [_stacked_svd(b) for b in op.blocks]
         s_all = np.concatenate([s.ravel() for _, s, _ in factors])
-        # rank of every singular value in the global descending order
-        order = np.argsort(-s_all, kind="stable")
-        rank = np.empty(m, dtype=int)
-        rank[order] = np.arange(m)
-        s_sorted = s_all[order]
-        cutoff = 1e-12 * s_sorted[0]
-        kept = int(np.sum(s_sorted > cutoff))
+        s_max = float(np.max(s_all))
+        cutoff = 1e-12 * s_max
+        kept = int(np.sum(s_all > cutoff))
         null_dim = m - kept
-        cond = float(s_sorted[0] / s_sorted[kept - 1]) if kept else np.inf
+        cond = (s_max / float(np.min(s_all[s_all > cutoff])) if kept
+                else np.inf)
         if null_dim > kernel_dim:
             raise WellPosednessError(
                 f"boundary operator {label!r} has {null_dim} null directions "
@@ -170,30 +174,34 @@ class BoundaryInverse:
         self.label = label
         self.cond = cond
         self.null_dim = null_dim
-        # V column-major, like Vh.conj().T[:, keep]: the layouts fix the
-        # rounding of the products in ``solve``
-        self._V = np.zeros((kept, m), dtype=complex).T
-        self._Uh = np.zeros((kept, m), dtype=complex)
-        self._s = s_sorted[:kept]
-        offset = 0
-        for idx, (U, s, Vh) in zip(groups, factors):
-            pos = rank[offset:offset + s.size].reshape(s.shape)
-            offset += s.size
-            if idx.shape[0] == 1:
-                # one block: the kept columns of its factors, by slicing
-                keep = pos[0] < kept
-                rows, cols = np.ix_(idx[0], pos[0][keep])
-                self._V[rows, cols] = Vh[0][keep].conj().T
-                self._Uh[cols.T, rows.T] = U[0][:, keep].conj().T
-                continue
-            b, j = np.nonzero(pos < kept)
-            cols = pos[b, j][:, None]
-            self._V[idx[b], cols] = Vh[b, j, :].conj()
-            self._Uh[cols, idx[b]] = U[b, :, j].conj()
+        self._groups = op.groups
+        self._factors = []  # per group: V, U^H and the divisors s
+        for U, s, Vh in factors:
+            r = int(np.max(np.sum(s > cutoff, axis=1)))
+            # V column-major and U^H row-major, as the dense slices
+            # Vh[:r].conj().T and U[:, :r].conj().T: the layouts fix the
+            # rounding of the products in ``solve``
+            self._factors.append((
+                np.swapaxes(np.conj(Vh[:, :r]), 1, 2),
+                np.ascontiguousarray(np.conj(np.swapaxes(U[:, :, :r], 1, 2))),
+                np.where(s[:, :r] > cutoff, s[:, :r], np.inf)))
+
+    @property
+    def singular_values(self) -> np.ndarray:
+        """The kept singular values of all blocks, in descending order."""
+        s = np.concatenate([s.ravel() for _, _, s in self._factors])
+        return -np.sort(-s[np.isfinite(s)])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Apply the inverse to a vector or to right-hand-side columns."""
-        return self._V @ (((self._Uh @ rhs).T / self._s).T)
+        rhs = np.asarray(rhs)
+        cols = rhs[:, None] if rhs.ndim == 1 else rhs
+
+        def block_solve(g, x):
+            V, Uh, s = self._factors[g]
+            return V @ ((Uh @ x) / s[:, :, None])
+        out = BlockDiagonal.rowwise(self._groups, block_solve, cols, out=True)
+        return out[:, 0] if rhs.ndim == 1 else out
 
 
 def _stacked_svd(blocks: np.ndarray):
@@ -225,7 +233,12 @@ class BoundaryFrame:
     Builds (once) the restricted Dirac operator, its spectral decomposition,
     the Cauchy reflection E, and the two boundary reflections, and factors
     each boundary operator the first time a solve needs it.  All solves
-    and campaigns for the same coefficients share a frame.
+    and campaigns for the same coefficients share a frame.  The frame
+    matrices are held as blocks: ``E_blocks``, ``Pnk_blocks``, ``PK_blocks``
+    and ``E_solve_blocks`` on the partition ``groups`` of T, ``N_blocks``
+    and ``NA_blocks`` on the connected blocks of T and the reflection;
+    ``E``, ``Pnk``, ``PK``, ``E_solve``, ``N`` and ``NA`` are their dense
+    views.
     """
 
     def __init__(self, B: CoefficientField, degree: int = 1,
@@ -249,30 +262,70 @@ class BoundaryFrame:
         self.invariance_defect = self.T.invariance_defect
         self.dec = decompose(self.T, (B.kappa, B.sup_norm),
                              kernel_tol=kernel_tol)
-        self.E = calculus.apply_function(self.dec, sgn()).entries
-        self.N = restrict(reflection_operator(self.torus), self.basis).entries
-        self.NA = restrict(NB_operator(B), self.basis).entries
-        self.Pnk = self.dec.nonkernel_projector()
-        self.PK = self.dec.kernel_projector()
+        # E, P_nk, P_K and E_solve are held on the partition of T (that of
+        # V); each reflection on the connected blocks of T and itself, the
+        # partition its boundary operators are factored on.  The steps
+        # keep the order of the dense products, so that the peak memory of
+        # the build is not raised.
+        self.groups = self.dec.V_blocks.groups
+        self.E_blocks = calculus.apply_function(self.dec, sgn())
+        self.N_blocks = self._reflection_blocks(
+            restrict(reflection_operator(self.torus), self.basis).entries)
+        self.NA_blocks = self._reflection_blocks(
+            restrict(NB_operator(B), self.basis).entries)
+        self.Pnk_blocks = self.dec.nonkernel_projector()
+        self.PK_blocks = self.dec.kernel_projector()
         self.kernel_dim = int(np.sum(self.dec.kernel_indices))
         # Solve-side Cauchy reflection: the discrete kernel (the torus
         # artifact replacing the absent constants) is assigned to the upper
         # Hardy class, so that (E - N) f = 2 N^- f holds on the whole
         # bounded-solution class E^+ H + ker T.
-        self.E_solve = self.E + self.PK
+        self.E_solve_blocks = self.E_blocks + self.PK_blocks
         self._inverses = {}
+
+    def _reflection_blocks(self, refl: np.ndarray) -> BlockDiagonal:
+        return BlockDiagonal.gather(
+            refl, calculus.block_partition(self.T.entries, refl))
+
+    # -- dense views, formed on first access --------------------------------
+
+    @property
+    def E(self) -> np.ndarray:
+        return self.E_blocks.dense()
+
+    @property
+    def E_solve(self) -> np.ndarray:
+        return self.E_solve_blocks.dense()
+
+    @property
+    def Pnk(self) -> np.ndarray:
+        return self.Pnk_blocks.dense()
+
+    @property
+    def PK(self) -> np.ndarray:
+        return self.PK_blocks.dense()
+
+    @property
+    def N(self) -> np.ndarray:
+        return self.N_blocks.dense()
+
+    @property
+    def NA(self) -> np.ndarray:
+        return self.NA_blocks.dense()
 
     # -- operators ---------------------------------------------------------
 
     def boundary_operator(self, kind: str, lam: complex | None = None):
+        """The boundary operator of ``kind`` as a ``calculus.BlockDiagonal``
+        on the partition of its reflection, and its label."""
         label = _boundary_label(kind)
-        if kind == "neumann":
-            return self.E_solve - self.NA, label
-        if kind == "regularity":
-            return self.E_solve + self.N, label
-        if kind in ("neu_perp", "dirichlet"):
-            return self.E_solve - self.N, label
-        return lam * np.eye(self.dec.dim) - self.E_solve @ self.NA, label
+        refl = self.N_blocks if kind in ("regularity", "neu_perp",
+                                         "dirichlet") else self.NA_blocks
+        E_solve = self.E_solve_blocks.regroup(refl.groups)
+        if kind == "transmission":
+            return BlockDiagonal.eye(refl.groups) * lam - E_solve @ refl, label
+        return (E_solve + refl if kind == "regularity"
+                else E_solve - refl), label
 
     def factor(self, kind: str) -> BoundaryInverse:
         """The inverse of the boundary operator of ``kind``, factored once
@@ -285,7 +338,7 @@ class BoundaryFrame:
             self._inverses[label] = BoundaryInverse(op, label, self.kernel_dim)
         return self._inverses[label]
 
-    def invert(self, op: np.ndarray, rhs: np.ndarray, label: str):
+    def invert(self, op: BlockDiagonal, rhs: np.ndarray, label: str):
         """Minimum-norm solve of an arbitrary boundary operator, factored
         afresh on every call (see ``BoundaryInverse``)."""
         inv = BoundaryInverse(op, label, self.kernel_dim)
@@ -372,7 +425,7 @@ class SolutionField:
     def hardy_defect(self) -> float:
         """Relative size of the Hardy component for the wrong half space
         (the kernel belongs to both, so it never counts as a defect)."""
-        E, Pnk = self.frame.E, self.frame.Pnk
+        E, Pnk = self.frame.E_blocks, self.frame.Pnk_blocks
         resid = 0.5 * (Pnk @ self.coords - self.side * (E @ self.coords))
         scale = max(np.linalg.norm(self.coords), 1e-300)
         return float(np.linalg.norm(resid) / scale)
@@ -413,7 +466,8 @@ def _finish_solve(frame: BoundaryFrame, kind: str, formula: str,
     g_eff = frame.to_field(rhs_coords)
     resid = compare(sol.trace_field(), g_eff)
     scale = max(np.linalg.norm(sol_coords), 1e-300)
-    kernel_fraction = float(np.linalg.norm(frame.PK @ sol_coords) / scale)
+    kernel_fraction = float(np.linalg.norm(frame.PK_blocks @ sol_coords)
+                            / scale)
     report = SolveReport(
         formula=formula,
         condition_numbers={label: cond},
@@ -616,10 +670,11 @@ def solve_transmission(B: CoefficientField, degree: int, alpha_plus: complex,
         raise WellPosednessError(
             f"spectral point lambda = {lam!r} is degenerate "
             f"(|lambda^2 + 1| = {margin:.3e})", np.inf)
-    rhs = (2.0 / (alpha_plus - alpha_minus)) * (frame.E_solve @ g_coords)
+    E_solve = frame.E_solve_blocks
+    rhs = (2.0 / (alpha_plus - alpha_minus)) * (E_solve @ g_coords)
     f_coords, cond, null_dim = frame.invert(op, rhs, label)
-    f_plus = 0.5 * (f_coords + frame.E_solve @ f_coords)
-    f_minus = 0.5 * (f_coords - frame.E_solve @ f_coords)
+    f_plus = 0.5 * (f_coords + E_solve @ f_coords)
+    f_minus = 0.5 * (f_coords - E_solve @ f_coords)
     sol_p = SolutionField(frame, f_plus, side=+1)
     sol_m = SolutionField(frame, f_minus, side=-1)
 
@@ -646,7 +701,7 @@ def solve_transmission(B: CoefficientField, degree: int, alpha_plus: complex,
         boundary_residual=resid,
         data_projection_loss=float(g_loss),
         trace_kernel_fraction=float(
-            np.linalg.norm(frame.PK @ f_coords)
+            np.linalg.norm(frame.PK_blocks @ f_coords)
             / max(np.linalg.norm(f_coords), 1e-300)),
         hardy_defect=max(sol_p.hardy_defect() if np.linalg.norm(f_plus) > 0 else 0.0,
                          sol_m.hardy_defect() if np.linalg.norm(f_minus) > 0 else 0.0),
@@ -755,33 +810,41 @@ def nontangential_max(sol: SolutionField, c0: float = 0.5, c1: float = 1.0,
 # ---------------------------------------------------------------------------
 
 def reflection_conditions(frame: BoundaryFrame) -> dict:
-    """Uncapped 2-norm condition numbers of I -+ E N_A and I -+ E N."""
-    eye = np.eye(frame.dec.dim)
-    EN_A, EN = frame.E @ frame.NA, frame.E @ frame.N
-    ops = {"I-EN_A": eye - EN_A, "I+EN_A": eye + EN_A,
-           "I-EN": eye - EN, "I+EN": eye + EN}
+    """Uncapped 2-norm condition numbers of I -+ E N_A and I -+ E N, from
+    the singular values of their blocks on the partition of each
+    reflection."""
     out = {}
-    for label, op in ops.items():
-        sv = np.linalg.svd(op, compute_uv=False)
-        out[label] = float(sv[0] / max(sv[-1], 1e-300))
+    for name, refl in (("N_A", frame.NA_blocks), ("N", frame.N_blocks)):
+        eye = BlockDiagonal.eye(refl.groups)
+        ER = frame.E_blocks.regroup(refl.groups) @ refl
+        for sign_, op in (("-", eye - ER), ("+", eye + ER)):
+            sv = op.svdvals()
+            out[f"I{sign_}E{name}"] = float(np.max(sv)
+                                           / max(np.min(sv), 1e-300))
     return out
 
 
 def wellposedness_report(frame: BoundaryFrame, cap: float = COND_CAP) -> dict:
     """Condition numbers of the four boundary operators (capped at ``cap``)
-    plus the restricted Hardy-to-normal/tangential projection gaps."""
+    plus the restricted Hardy-to-normal/tangential projection gaps, block
+    by block."""
     out = {label: {"cond": min(cond, cap), "capped": cond >= cap}
            for label, cond in reflection_conditions(frame).items()}
     # restricted projections N^{+-}_A : E^+ H -> N^{+-}_A H on non-kernel part
-    Pnk = frame.Pnk
-    Eplus = 0.5 * (Pnk + frame.E @ Pnk)
-    u, s, _ = np.linalg.svd(Eplus)
-    U = u[:, s > 0.5]
-    for name, refl in (("N_A", frame.NA), ("N", frame.N)):
+    Pnk = frame.Pnk_blocks
+    Eplus = (Pnk + frame.E_blocks @ Pnk) * 0.5
+    bases_of = {}  # range bases of E^+ on each partition, taken once
+    for name, refl in (("N_A", frame.NA_blocks), ("N", frame.N_blocks)):
+        on_refl = Eplus.regroup(refl.groups)
+        if id(on_refl) not in bases_of:
+            bases_of[id(on_refl)] = (on_refl, list(on_refl.range_bases()))
+        bases = bases_of[id(on_refl)][1]
+        eye = BlockDiagonal.eye(refl.groups)
         for pm, sign_ in (("+", +1.0), ("-", -1.0)):
-            proj = 0.5 * (np.eye(frame.dec.dim) + sign_ * refl)
-            svals = np.linalg.svd(proj @ U, compute_uv=False)
+            proj = (eye + refl * sign_) * 0.5
+            svals = [np.linalg.svd(proj.blocks[g][sel] @ U, compute_uv=False)
+                     for g, sel, U in bases]
             out[f"gap.{name}{pm}"] = {
-                "smin": float(svals[-1]) if len(svals) else 0.0,
-                "smax": float(svals[0]) if len(svals) else 0.0}
+                "smin": min((float(np.min(s)) for s in svals), default=0.0),
+                "smax": max((float(np.max(s)) for s in svals), default=0.0)}
     return out

@@ -13,9 +13,18 @@ stacked LAPACK call per size).  Constant coefficients give one 2 x 2 block
 per Fourier mode (3 x 3 at the n = 2 zero mode, or smaller where a block has
 exact zeros).  Smooth variable coefficients couple every mode and give one
 block, the plain dense factorization; coefficients that vary along one axis
-only leave the modes of the other axis uncoupled.  V and V^{-1} are dense
-m x m arrays either way, and the kernel, polish and conditioning rules are
-the global ones.
+only leave the modes of the other axis uncoupled.  The kernel, polish and
+conditioning rules are the global ones.
+
+V and V^{-1} stay on that partition (``BlockDiagonal``: the index groups and
+one stacked (count, k, k) array per block size), and so does every matrix
+formed from them: ``apply_function``, the kernel and non-kernel projectors,
+and the products of ``apply_to_vector`` and ``quadratic_constants`` are
+block by block.  A matrix that is one block is the single (1, m, m) group,
+so a frame whose T is one block (smooth variable coefficients) makes the
+same dense calls as a plain matrix would.  Dense m x m arrays (``dec.V``,
+``dec.Vinv``, ``BlockDiagonal.dense()``) are views formed on request, for
+tests, oracles and diagnostics.
 
 Eigenvalues close to zero (relative threshold ``kernel_tol``) form the
 discrete kernel, the stand-in for the missing constants of the continuum
@@ -43,7 +52,8 @@ value is ||f||^2 / 2, from the closed integral
 int_0^inf (s/(1+s^2))^2 ds/s = 1/2.  The Gram matrix of the quadratic
 estimate, G = sum_j h Q_j^* Q_j with Q_j = V diag(s_j) V^{-1}, is formed in
 its Hadamard form G = V^{-*} [(V^* V) o W] V^{-1}, W = h conj(S) S^T: one
-m x T x m product instead of two m^3 products per height.
+m x T x m product instead of two m^3 products per height, and only the
+diagonal blocks of W on the partition of V.
 """
 
 from __future__ import annotations
@@ -211,13 +221,194 @@ def psi_exp(t) -> FunctionDescriptor:
                      kernel_value=0.0, sign_sensitive=True)
 
 
+def _same_partition(a: list, b: list) -> bool:
+    return a is b or (len(a) == len(b) and all(
+        np.array_equal(x, y) for x, y in zip(a, b)))
+
+
+def _is_whole(groups: list) -> bool:
+    """Whether the partition is one block of all indices."""
+    return len(groups) == 1 and groups[0].shape[0] == 1
+
+
+def _rows(idx: np.ndarray):
+    """The rows of a group: a slice when its blocks tile one range of
+    indices in order (the per-mode blocks of a plane-wave frame do), so that
+    they are taken and put back as views, else the flat index array."""
+    start = int(idx.flat[0])
+    if np.array_equal(idx.ravel(), np.arange(start, start + idx.size)):
+        return slice(start, start + idx.size)
+    return idx.ravel()
+
+
+class BlockDiagonal:
+    """A block-diagonal m x m matrix held as its blocks: the index groups of
+    ``block_partition`` and one stacked (count, k, k) array per group.
+
+    ``@`` takes a vector, a column block, or another block matrix on the
+    same partition; ``+``, ``-``, ``.H`` and ``*`` (by a scalar, by a
+    length-m vector that scales the columns, or entrywise by a block matrix
+    on the same partition) work block by block.  A matrix that is one block
+    (``whole``; as a rule for variable coefficients) is the single
+    (1, m, m) group, and each operation is then the plain dense one.
+    ``dense()`` scatters the blocks into an m x m array, once, on request.
+    """
+
+    __array_ufunc__ = None  # ndarray operators defer to the methods here
+
+    def __init__(self, groups: list, blocks: list):
+        self.groups = groups
+        self.blocks = blocks
+        self.dim = sum(idx.size for idx in groups)
+        self._dense = None
+
+    @classmethod
+    def gather(cls, mat: np.ndarray, groups: list) -> "BlockDiagonal":
+        """The diagonal blocks of a dense matrix on the partition ``groups``
+        (entries outside them are dropped)."""
+        return cls(groups, [gather_blocks(mat, idx) for idx in groups])
+
+    @classmethod
+    def of(cls, mat: np.ndarray) -> "BlockDiagonal":
+        """A dense matrix on its own partition, ``block_partition(mat)``."""
+        mat = np.asarray(mat, dtype=complex)
+        return cls.gather(mat, block_partition(mat))
+
+    @classmethod
+    def eye(cls, groups: list) -> "BlockDiagonal":
+        """The identity on the partition ``groups``."""
+        return cls(groups, [np.broadcast_to(np.eye(idx.shape[1]), idx.shape
+                                            + (idx.shape[1],))
+                            for idx in groups])
+
+    @property
+    def whole(self) -> bool:
+        return _is_whole(self.groups)
+
+    @property
+    def shape(self) -> tuple:
+        return (self.dim, self.dim)
+
+    def _like(self, blocks: list) -> "BlockDiagonal":
+        return BlockDiagonal(self.groups, blocks)
+
+    def _pair(self, other: "BlockDiagonal", op) -> "BlockDiagonal":
+        if not _same_partition(self.groups, other.groups):
+            raise ValueError("block matrices on different partitions")
+        return self._like([op(a, b) for a, b in zip(self.blocks,
+                                                     other.blocks)])
+
+    def regroup(self, groups: list) -> "BlockDiagonal":
+        """The same matrix on a coarser partition ``groups``, each of whose
+        blocks is a union of blocks of this one."""
+        if _same_partition(self.groups, groups):
+            return self
+        where = np.empty((3, self.dim), dtype=int)  # group, block, position
+        for g, idx in enumerate(groups):
+            where[0, idx] = g
+            where[1, idx] = np.arange(idx.shape[0])[:, None]
+            where[2, idx] = np.arange(idx.shape[1])
+        out = [np.zeros(idx.shape + idx.shape[1:], dtype=complex)
+               for idx in groups]
+        for idx, blk in zip(self.groups, self.blocks):
+            g_of = where[0, idx[:, 0]]
+            for g in np.unique(g_of):
+                sel = g_of == g
+                pos = where[2, idx[sel]]
+                out[g][where[1, idx[sel, :1]][:, :, None], pos[:, :, None],
+                       pos[:, None, :]] = blk if sel.all() else blk[sel]
+        return BlockDiagonal(groups, out)
+
+    def __add__(self, other):
+        return self._pair(other, np.add)
+
+    def __sub__(self, other):
+        return self._pair(other, np.subtract)
+
+    def __mul__(self, other):
+        if isinstance(other, BlockDiagonal):
+            return self._pair(other, np.multiply)
+        other = np.asarray(other)
+        if other.ndim == 0:
+            return self._like([b * other for b in self.blocks])
+        return self._like(self.rowwise(
+            self.groups, lambda g, vals: self.blocks[g] * vals[:, None, :],
+            other))
+
+    @property
+    def H(self) -> "BlockDiagonal":
+        """The conjugate transpose."""
+        return self._like([np.conj(np.swapaxes(b, 1, 2))
+                           for b in self.blocks])
+
+    def __matmul__(self, other):
+        if isinstance(other, BlockDiagonal):
+            return self._pair(other, np.matmul)
+        other = np.asarray(other)
+        if other.ndim == 1:
+            return (self @ other[:, None])[:, 0]
+        return self.rowwise(self.groups, lambda g, x: self.blocks[g] @ x,
+                            other, out=True)
+
+    @staticmethod
+    def rowwise(groups: list, fn, x: np.ndarray, out: bool = False):
+        """``fn(g, rows)`` for every group g of the partition ``groups``,
+        with ``rows`` the rows of ``x`` on the group's indices stacked as
+        (count, k, ...): a list of the results, or with ``out`` the results
+        put back into the rows of one array like ``x``.  A whole partition
+        passes ``x[None]`` itself."""
+        x = np.asarray(x)
+        if _is_whole(groups):
+            parts = [fn(0, x[None])]
+            return parts[0][0] if out else parts
+        rows = [_rows(idx) for idx in groups]
+        parts = [fn(g, x[r].reshape(idx.shape + x.shape[1:]))
+                 for g, (idx, r) in enumerate(zip(groups, rows))]
+        if not out:
+            return parts
+        res = np.empty(x.shape[:1] + parts[0].shape[2:], dtype=parts[0].dtype)
+        for r, part in zip(rows, parts):
+            res[r] = part.reshape((-1,) + part.shape[2:])
+        return res
+
+    def svdvals(self) -> np.ndarray:
+        """The singular values of all blocks, one stacked SVD per group."""
+        return np.concatenate([np.linalg.svd(b, compute_uv=False).ravel()
+                               for b in self.blocks])
+
+    def range_bases(self):
+        """Orthonormal bases of the range of a projector-like matrix, block
+        by block: the left singular vectors with singular value above 1/2.
+        Yields (g, sel, U): group g, the boolean selection of its blocks
+        whose range has r columns, and their bases stacked (count, k, r),
+        one stacked SVD per group."""
+        for g, b in enumerate(self.blocks):
+            u, s, _ = np.linalg.svd(b)
+            ranks = np.sum(s > 0.5, axis=1)
+            for r in np.unique(ranks[ranks > 0]):
+                sel = ranks == r
+                yield g, sel, np.ascontiguousarray(u[sel][:, :, :r])
+
+    def dense(self) -> np.ndarray:
+        """The m x m array, formed on the first call (a view of the block
+        for a whole matrix)."""
+        if self._dense is None:
+            self._dense = _scatter_blocks(self.groups, self.blocks, self.dim)
+        return self._dense
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.dense(), dtype=dtype)
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Dense eigendecomposition of a bisectorial operator matrix."""
+    """Eigendecomposition of a bisectorial operator matrix, with V and
+    V^{-1} held block by block (``BlockDiagonal``); ``V`` and ``Vinv`` are
+    their dense views."""
 
     eigenvalues: np.ndarray
-    V: np.ndarray
-    Vinv: np.ndarray
+    V_blocks: BlockDiagonal
+    Vinv_blocks: BlockDiagonal
     cond_V: float
     kernel_indices: np.ndarray  # boolean mask over eigenvalue positions
     omega: float
@@ -226,7 +417,15 @@ class SpectralDecomposition:
 
     @property
     def dim(self) -> int:
-        return self.V.shape[0]
+        return self.eigenvalues.size
+
+    @property
+    def V(self) -> np.ndarray:
+        return self.V_blocks.dense()
+
+    @property
+    def Vinv(self) -> np.ndarray:
+        return self.Vinv_blocks.dense()
 
     @property
     def nonkernel(self) -> np.ndarray:
@@ -241,18 +440,24 @@ class SpectralDecomposition:
 
     def coordinates(self, vec: np.ndarray) -> np.ndarray:
         """Eigen-coordinates V^{-1} vec."""
-        return self.Vinv @ vec
+        return self.Vinv_blocks @ vec
 
-    def matrix(self) -> np.ndarray:
-        return (self.V * self.eigenvalues) @ self.Vinv
+    def kernel_projector(self) -> BlockDiagonal:
+        """V_K V^{-1}_K, formed only in the blocks that hold kernel
+        eigenvalues."""
+        blocks = []
+        for idx, V, W in zip(self.V_blocks.groups, self.V_blocks.blocks,
+                             self.Vinv_blocks.blocks):
+            P = np.zeros(V.shape, dtype=complex)
+            K = self.kernel_indices[idx]
+            for b in np.flatnonzero(np.any(K, axis=1)):
+                P[b] = V[b][:, K[b]] @ W[b][K[b]]
+            blocks.append(P)
+        return self.V_blocks._like(blocks)
 
-    def kernel_projector(self) -> np.ndarray:
-        K = self.kernel_indices
-        return self.V[:, K] @ self.Vinv[K]
-
-    def nonkernel_projector(self) -> np.ndarray:
-        sel = self.nonkernel.astype(complex)
-        return (self.V * sel) @ self.Vinv
+    def nonkernel_projector(self) -> BlockDiagonal:
+        return (self.V_blocks * self.nonkernel.astype(complex)) \
+            @ self.Vinv_blocks
 
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(self.eigenvalues), initial=0.0))
@@ -264,10 +469,12 @@ class SpectralDecomposition:
         return float(np.min(np.abs(lam)))
 
 
-def block_partition(mat: np.ndarray) -> list:
+def block_partition(mat: np.ndarray, *more: np.ndarray) -> list:
     """The connected blocks of the exact nonzero pattern of a square matrix
     (mat != 0 or mat^T != 0), grouped by size: a list of (count, size) index
-    arrays, one row per block, ascending indices, sizes ascending.
+    arrays, one row per block, ascending indices, sizes ascending.  With
+    ``more`` matrices of the same size, the pattern is the union of all
+    their patterns: the finest partition they are all block diagonal on.
 
     Found by min-label propagation on the dense boolean pattern: every
     index takes the smallest label among its neighbours (a bounded number
@@ -276,6 +483,8 @@ def block_partition(mat: np.ndarray) -> list:
     per-mode blocks in two.
     """
     pattern = np.asarray(mat) != 0
+    for other in more:
+        pattern |= np.asarray(other) != 0
     pattern |= pattern.T
     m = pattern.shape[0]
     rows = max(1, _PARTITION_CHUNK // max(m, 1))
@@ -314,7 +523,7 @@ def gather_blocks(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def _scatter_blocks(groups: list, blocks: list, m: int) -> np.ndarray:
     """The dense m x m block-diagonal matrix with the stacked ``blocks`` of
     each size group at the indices of ``groups``."""
-    if len(groups) == 1 and groups[0].shape == (1, m):
+    if _is_whole(groups):
         return blocks[0][0]
     out = np.zeros((m, m), dtype=complex)
     for idx, block in zip(groups, blocks):
@@ -327,7 +536,8 @@ def decompose(T: OperatorMatrix | np.ndarray,
               kernel_tol: float = DEFAULT_KERNEL_TOL,
               cond_cap: float = COND_V_CAP) -> SpectralDecomposition:
     """Eigendecomposition with kernel and sector classification, one
-    connected block of T at a time (``block_partition``).
+    connected block of T at a time (``block_partition``); V and V^{-1} are
+    kept on that partition.
 
     ``B_constants`` is the pair (kappa, sup_norm) of the coefficients that
     built T; it sets the sector half-angle omega = arccos(kappa/(2 sup_norm)).
@@ -341,9 +551,9 @@ def decompose(T: OperatorMatrix | np.ndarray,
         T, dtype=complex)
     m = mat.shape[0]
     groups = block_partition(mat)
-    hermitian = _is_hermitian(mat)
-    lam = np.empty(m, dtype=complex)
     subs = [gather_blocks(mat, idx) for idx in groups]
+    hermitian = _is_hermitian(BlockDiagonal(groups, subs))
+    lam = np.empty(m, dtype=complex)
     vecs = []
     for idx, sub in zip(groups, subs):
         if hermitian:
@@ -357,8 +567,8 @@ def decompose(T: OperatorMatrix | np.ndarray,
     kernel = np.abs(lam) <= kernel_tol * max_abs if max_abs > 0 else np.ones(
         lam.shape, dtype=bool)
     if hermitian:
-        V = _scatter_blocks(groups, vecs, m)
-        Vinv = V.conj().T
+        V = BlockDiagonal(groups, vecs)
+        Vinv = V.H
         cond_V = 1.0
     else:
         if np.any(kernel):
@@ -374,15 +584,14 @@ def decompose(T: OperatorMatrix | np.ndarray,
             raise IllConditionedEigenbasisError(
                 f"calculus.decompose: cond(V) = {cond_V:.3e} > cap "
                 f"{cond_cap:.1e}", cond_V)
-        Vinv = _scatter_blocks(groups, [np.linalg.inv(V_b) for V_b in vecs],
-                               m)
-        V = _scatter_blocks(groups, vecs, m)
+        Vinv = BlockDiagonal(groups, [np.linalg.inv(V_b) for V_b in vecs])
+        V = BlockDiagonal(groups, vecs)
     if B_constants is not None:
         omega = sector_half_angle(*B_constants)
     else:
         omega = np.pi / 2
     return SpectralDecomposition(
-        eigenvalues=lam, V=V, Vinv=Vinv, cond_V=cond_V,
+        eigenvalues=lam, V_blocks=V, Vinv_blocks=Vinv, cond_V=cond_V,
         kernel_indices=kernel, omega=omega, kernel_tol=kernel_tol,
         hermitian=hermitian)
 
@@ -415,21 +624,27 @@ def _polish_kernel(groups, subs, vecs, lam, kernel, kernel_tol) -> None:
             lam[groups[g][b][in_kernel]] = 0.0
 
 
-def _is_hermitian(mat: np.ndarray) -> bool:
-    """||mat - mat^*||_2 <= 1e-10 ||mat||_2, decided from Frobenius norms
-    through ||X||_F / sqrt(m) <= ||X||_2 <= ||X||_F wherever that bracket
-    settles it; the two exact 2-norms are taken only when it does not."""
+def _is_hermitian(T: BlockDiagonal) -> bool:
+    """||T - T^*||_2 <= 1e-10 ||T||_2, decided block by block from
+    Frobenius norms through ||X||_F / sqrt(m) <= ||X||_2 <= ||X||_F wherever
+    that bracket settles it; the two exact 2-norms (the largest block ones)
+    are taken only when it does not."""
     rtol = 1e-10
-    defect = mat - mat.conj().T
-    root_m = np.sqrt(mat.shape[0])
-    d_fro = np.linalg.norm(defect)
-    s_fro = np.linalg.norm(mat)
+    subs = T.blocks
+    defects = [sub - np.conj(np.swapaxes(sub, 1, 2)) for sub in subs]
+    root_m = np.sqrt(T.dim)
+    d_fro = np.sqrt(sum(np.linalg.norm(d) ** 2 for d in defects))
+    s_fro = np.sqrt(sum(np.linalg.norm(sub) ** 2 for sub in subs))
     if d_fro <= rtol * max(s_fro / root_m, 1e-300):
         return True
     if d_fro / root_m > rtol * max(s_fro, 1e-300):
         return False
-    scale = max(np.linalg.norm(mat, 2), 1e-300)
-    return bool(np.linalg.norm(defect, 2) <= rtol * scale)
+
+    def norm2(stacks):
+        return max(float(np.max(np.linalg.norm(x, 2, axis=(1, 2))))
+                   for x in stacks)
+    scale = max(norm2(subs), 1e-300)
+    return bool(norm2(defects) <= rtol * scale)
 
 
 def sector_half_angle(kappa: float, sup_norm: float) -> float:
@@ -474,10 +689,11 @@ def _symbol_values(dec: SpectralDecomposition, b) -> np.ndarray:
 
 
 def apply_function(dec: SpectralDecomposition,
-                   b: FunctionDescriptor) -> OperatorMatrix:
-    """b(T) = V diag(b(lambda)) V^{-1}, kernel eigenvalues -> kernel value."""
+                   b: FunctionDescriptor) -> BlockDiagonal:
+    """b(T) = V diag(b(lambda)) V^{-1}, kernel eigenvalues -> kernel value,
+    block by block on the partition of V."""
     vals = _symbol_values(dec, b)
-    return OperatorMatrix((dec.V * vals) @ dec.Vinv)
+    return (dec.V_blocks * vals) @ dec.Vinv_blocks
 
 
 def apply_to_vector(dec: SpectralDecomposition, b, vec: np.ndarray | None = None,
@@ -492,7 +708,8 @@ def apply_to_vector(dec: SpectralDecomposition, b, vec: np.ndarray | None = None
     """
     c = dec.coordinates(vec) if eig_coords is None else eig_coords
     S = _symbol_values(dec, b)
-    return dec.V @ _flush_subnormals(S * c if S.ndim == 1 else S * c[:, None])
+    return dec.V_blocks @ _flush_subnormals(
+        S * c if S.ndim == 1 else S * c[:, None])
 
 
 def _flush_subnormals(X: np.ndarray) -> np.ndarray:
@@ -560,10 +777,10 @@ def quadratic_norm(dec: SpectralDecomposition, coeffs: np.ndarray,
     c = dec.coordinates(coeffs)
     lam = dec.eigenvalues
     lam_nk = np.where(dec.kernel_indices, 0.0, lam)
-    Tf = dec.V @ (lam_nk * c)
+    Tf = dec.V_blocks @ (lam_nk * c)
     inv_vals = np.where(dec.kernel_indices, 0.0,
                         1.0 / np.where(dec.kernel_indices, 1.0, lam))
-    Tinv_f = dec.V @ (inv_vals * c)
+    Tinv_f = dec.V_blocks @ (inv_vals * c)
     t_lo, t_hi = ts[0] * np.exp(-h / 2), ts[-1] * np.exp(h / 2)
     total += (t_lo ** 2 / 2.0) * float(np.vdot(Tf, Tf).real)
     total += (1.0 / (2.0 * t_hi ** 2)) * float(np.vdot(Tinv_f, Tinv_f).real)
@@ -592,23 +809,32 @@ def quadratic_constants(dec: SpectralDecomposition, t_grid=None,
     if use_default:
         symbol = q_t
     # G = sum_j h Q_j^* Q_j with Q_j = V diag(s_j) V^{-1} is
-    # V^{-*} [(V^* V) o W] V^{-1}, W_ik = h sum_j conj(s_j(lam_i)) s_j(lam_k)
+    # V^{-*} [(V^* V) o W] V^{-1}, W_ik = h sum_j conj(s_j(lam_i)) s_j(lam_k),
+    # block diagonal with V: only the diagonal blocks of W are formed
+    V, Vinv = dec.V_blocks, dec.Vinv_blocks
     S = _symbol_values(dec, symbol(np.asarray(ts, dtype=float)))
-    W = h * (S.conj() @ S.T)
+    W = V._like(V.rowwise(
+        V.groups, lambda g, S_b: h * (S_b.conj() @ np.swapaxes(S_b, 1, 2)),
+        S))
     if use_default:
         # tails: T restricted to the non-kernel part and its inverse there
         lam_nk = np.where(dec.kernel_indices, 0.0, dec.eigenvalues)
         lam = np.where(dec.kernel_indices, 1.0, dec.eigenvalues)
         inv_vals = np.where(dec.kernel_indices, 0.0, 1.0 / lam)
         t_lo, t_hi = ts[0] * np.exp(-h / 2), ts[-1] * np.exp(h / 2)
-        W += (t_lo ** 2 / 2.0) * np.outer(lam_nk.conj(), lam_nk)
-        W += (1.0 / (2.0 * t_hi ** 2)) * np.outer(inv_vals.conj(), inv_vals)
-    G = dec.Vinv.conj().T @ (((dec.V.conj().T @ dec.V) * W) @ dec.Vinv)
-    # orthonormal basis of the non-kernel subspace
-    Pnk = dec.nonkernel_projector()
-    u, s, _ = np.linalg.svd(Pnk)
-    U = u[:, s > 0.5]
-    Gr = U.conj().T @ G @ U
-    ev = np.linalg.eigvalsh(0.5 * (Gr + Gr.conj().T))
-    ev = np.clip(ev, 0.0, None)
-    return float(np.sqrt(ev[0])), float(np.sqrt(ev[-1]))
+
+        def outer(vals):  # the diagonal blocks of conj(vals) vals^T
+            return V.rowwise(V.groups, lambda g, v: v.conj()[:, :, None]
+                             * v[:, None, :], vals)
+        for w, a, b in zip(W.blocks, outer(lam_nk), outer(inv_vals)):
+            w += (t_lo ** 2 / 2.0) * a
+            w += (1.0 / (2.0 * t_hi ** 2)) * b
+    G = Vinv.H @ (((V.H @ V) * W) @ Vinv)
+    # extreme eigenvalues of G compressed to the non-kernel subspace, one
+    # stacked eigvalsh per block size and subspace dimension
+    lo, hi = np.inf, -np.inf
+    for g, sel, U in dec.nonkernel_projector().range_bases():
+        Gr = np.conj(np.swapaxes(U, 1, 2)) @ G.blocks[g][sel] @ U
+        ev = np.linalg.eigvalsh(0.5 * (Gr + np.conj(np.swapaxes(Gr, 1, 2))))
+        lo, hi = min(lo, float(np.min(ev))), max(hi, float(np.max(ev)))
+    return float(np.sqrt(max(lo, 0.0))), float(np.sqrt(max(hi, 0.0)))

@@ -10,6 +10,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import cmath
 import os
 import sys
 
@@ -81,33 +82,47 @@ class RunConfig:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(
                 f"{self._where(section, key)}: '{key}' must be a number, "
                 f"got {raw!r}") from None
+        return self._finite(section, key, raw, value)
 
     def get_complex(self, section, key, default=None, required=False):
         raw = self.get(section, key, default=None, required=required)
         if raw is None:
             return default
         try:
-            return complex(raw.replace(" ", ""))
+            value = complex(raw.replace(" ", ""))
         except ValueError:
             raise ConfigError(
                 f"{self._where(section, key)}: '{key}' must be a complex "
                 f"number like '1+2j', got {raw!r}") from None
+        return self._finite(section, key, raw, value)
 
     def get_list(self, section, key, conv=float, default=None, required=False):
         raw = self.get(section, key, default=None, required=required)
         if raw is None:
             return default
         try:
-            return [conv(tok) for tok in raw.replace(",", " ").split()]
+            values = [conv(tok) for tok in raw.replace(",", " ").split()]
         except ValueError:
             raise ConfigError(
                 f"{self._where(section, key)}: '{key}' must be a list of "
                 f"numbers, got {raw!r}") from None
+        for value in values:
+            self._finite(section, key, raw, value)
+        return values
+
+    def _finite(self, section, key, raw, value):
+        """``value`` if it is finite; nan and inf (which ``float`` and
+        ``complex`` accept) raise a line-numbered ConfigError."""
+        if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+            raise ConfigError(
+                f"{self._where(section, key)}: '{key}' must be finite, "
+                f"got {raw!r}")
+        return value
 
     def echo(self) -> str:
         lines = []

@@ -59,8 +59,8 @@ class Torus:
     def __post_init__(self):
         if self.dim_n not in (1, 2):
             raise ValueError("dim_n must be 1 or 2")
-        if self.length <= 0:
-            raise ValueError("length must be positive")
+        if not (np.isfinite(self.length) and self.length > 0):
+            raise ValueError("length must be positive and finite")
         N = self.points_per_axis
         if N < 8 or (N & (N - 1)) != 0:
             raise ValueError("points_per_axis must be a power of two >= 8")

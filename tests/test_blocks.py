@@ -1,0 +1,245 @@
+"""Block-diagonal frame matrices against the dense route.
+
+For constant coefficients every frame matrix is block diagonal per Fourier
+mode and is kept as its blocks (``calculus.BlockDiagonal``).  These tests
+rebuild each quantity densely from the dense views of V and V^{-1} and
+compare, and check that a constant frame builds, solves and evaluates its
+interior without ever forming a dense frame matrix.
+"""
+
+import numpy as np
+import pytest
+
+from halfspace import bvp, calculus
+from halfspace.bvp import (BoundaryFrame, BoundaryInverse,
+                           dirichlet_second_order_residual, nontangential_max,
+                           norm_sup_t, norm_triplebar_dt,
+                           reflection_conditions, solve_kind)
+from halfspace.calculus import (BlockDiagonal, apply_to_vector,
+                                block_partition, default_t_grid,
+                                exp_minus_t_abs, quadratic_constants, q_t, sgn)
+from halfspace.diagnostics import (gaussian_data, random_accretive_constant,
+                                   skew_coefficients)
+from halfspace.grid import (Torus, identity_coefficients,
+                            vector_block_coefficients)
+
+RTOL = 1e-13
+CASES = [(1, 64, "identity"), (1, 64, "constant"), (2, 8, "identity"),
+         (2, 8, "constant")]
+_FRAMES = {}
+
+
+def _coefficients(torus, family):
+    if family == "identity":
+        return identity_coefficients(torus)
+    return vector_block_coefficients(
+        torus, random_accretive_constant(1, torus.dim_n))
+
+
+def _frame(case):
+    if case not in _FRAMES:
+        n, N, family = case
+        _FRAMES[case] = BoundaryFrame(_coefficients(Torus(n, 2 * np.pi, N),
+                                                    family))
+    return _FRAMES[case]
+
+
+def _rel(a, b):
+    return np.linalg.norm(np.asarray(a) - b) / max(np.linalg.norm(b), 1e-300)
+
+
+def _dense_function(dec, b):
+    """b(T) as the dense product V diag(b(lambda)) V^{-1}."""
+    return (dec.V * calculus._symbol_values(dec, b)) @ dec.Vinv
+
+
+def _dense_frame(frame):
+    """E, P_nk, P_K and E_solve from the dense V and V^{-1}."""
+    dec = frame.dec
+    E = _dense_function(dec, sgn())
+    K = dec.kernel_indices
+    PK = dec.V[:, K] @ dec.Vinv[K]
+    Pnk = (dec.V * dec.nonkernel) @ dec.Vinv
+    return E, Pnk, PK, E + PK
+
+
+def _dense_pinv(op):
+    """The minimum-norm inverse with the global cutoff rule, densely."""
+    u, s, vh = np.linalg.svd(op)
+    keep = s > 1e-12 * s[0]
+    pinv = (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
+    return pinv, s[0] / s[keep][-1], int(np.sum(~keep))
+
+
+@pytest.fixture(params=CASES, ids=["-".join(map(str, c)) for c in CASES])
+def frame(request):
+    return _frame(request.param)
+
+
+def test_frame_matrices_are_per_mode_blocks(frame):
+    for mat in (frame.E_blocks, frame.Pnk_blocks, frame.PK_blocks,
+                frame.N_blocks, frame.NA_blocks, frame.dec.V_blocks):
+        assert not mat.whole
+        assert max(idx.shape[1] for idx in mat.groups) <= 3
+    E, Pnk, PK, E_solve = _dense_frame(frame)
+    for got, ref in ((frame.E, E), (frame.Pnk, Pnk), (frame.PK, PK),
+                     (frame.E_solve, E_solve)):
+        assert isinstance(got, np.ndarray)
+        assert _rel(got, ref) <= RTOL
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(frame.dec.dim) + 1j * rng.standard_normal(
+        frame.dec.dim)
+    assert _rel(frame.E_blocks @ v, E @ v) <= RTOL
+    assert _rel(frame.Pnk_blocks @ v, Pnk @ v) <= RTOL
+    assert _rel(frame.dec.coordinates(v), frame.dec.Vinv @ v) <= RTOL
+
+
+def test_t_family_matches_dense_product(frame):
+    dec = frame.dec
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal(dec.dim) + 1j * rng.standard_normal(dec.dim)
+    ts, _ = default_t_grid(dec, points_per_decade=5)
+    S = calculus._symbol_values(dec, exp_minus_t_abs(ts))
+    ref = dec.V @ (S * (dec.Vinv @ v)[:, None])
+    assert _rel(apply_to_vector(dec, exp_minus_t_abs(ts), v), ref) <= RTOL
+
+
+def test_solves_match_dense_pseudo_inverse(frame, monkeypatch):
+    E, Pnk, PK, E_solve = _dense_frame(frame)
+    ops = {"E - N_A": E_solve - frame.NA, "E + N": E_solve + frame.N,
+           "E - N": E_solve - frame.N}
+    solved = []
+    real_solve = BoundaryInverse.solve
+
+    def recording(self, rhs):
+        out = real_solve(self, rhs)
+        solved.append((self, rhs, out))
+        return out
+
+    monkeypatch.setattr(BoundaryInverse, "solve", recording)
+    scalar = gaussian_data(frame.torus)
+    for kind in bvp.SCALAR_KINDS:
+        solved.clear()
+        sol, report = solve_kind(kind, frame, scalar)
+        (inv, rhs, coords), = solved
+        pinv, cond, null_dim = _dense_pinv(ops[inv.label])
+        assert _rel(coords, pinv @ rhs) <= RTOL, kind
+        assert np.array_equal(sol.coords, coords)
+        assert abs(inv.cond - cond) <= RTOL * cond, kind
+        assert inv.null_dim == null_dim == report.extra["null_dim"], kind
+        hardy = np.linalg.norm(0.5 * (Pnk @ sol.coords - E @ sol.coords)) \
+            / np.linalg.norm(sol.coords)
+        assert abs(sol.hardy_defect() - hardy) <= RTOL, kind
+        kernel = np.linalg.norm(PK @ sol.coords) / np.linalg.norm(sol.coords)
+        assert abs(report.trace_kernel_fraction - kernel) <= RTOL, kind
+
+
+def test_reflection_conditions_match_dense_svd(frame):
+    E = _dense_frame(frame)[0]
+    eye = np.eye(frame.dec.dim)
+    got = reflection_conditions(frame)
+    for label, refl in (("EN_A", frame.NA), ("EN", frame.N)):
+        for sign in "-+":
+            s = np.linalg.svd(eye + (1 if sign == "+" else -1) * (E @ refl),
+                              compute_uv=False)
+            ref = s[0] / s[-1]
+            assert abs(got[f"I{sign}{label}"] - ref) <= RTOL * ref
+
+
+def test_quadratic_constants_match_dense_gram(frame):
+    dec = frame.dec
+    ts, h = default_t_grid(dec)
+    S = calculus._symbol_values(dec, q_t(ts))
+    W = h * (S.conj() @ S.T)
+    lam_nk = np.where(dec.kernel_indices, 0.0, dec.eigenvalues)
+    inv = np.where(dec.kernel_indices, 0.0,
+                   1.0 / np.where(dec.kernel_indices, 1.0, dec.eigenvalues))
+    t_lo, t_hi = ts[0] * np.exp(-h / 2), ts[-1] * np.exp(h / 2)
+    W += (t_lo ** 2 / 2.0) * np.outer(lam_nk.conj(), lam_nk)
+    W += (1.0 / (2.0 * t_hi ** 2)) * np.outer(inv.conj(), inv)
+    G = dec.Vinv.conj().T @ (((dec.V.conj().T @ dec.V) * W) @ dec.Vinv)
+    u, s, _ = np.linalg.svd(_dense_frame(frame)[1])
+    U = u[:, s > 0.5]
+    Gr = U.conj().T @ G @ U
+    ev = np.sqrt(np.clip(np.linalg.eigvalsh(0.5 * (Gr + Gr.conj().T)), 0,
+                         None))
+    c_low, c_high = quadratic_constants(dec)
+    assert abs(c_low - ev[0]) <= RTOL * ev[0]
+    assert abs(c_high - ev[-1]) <= RTOL * ev[-1]
+
+
+def test_constant_frame_never_forms_a_dense_frame_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense frame matrix formed")
+
+    monkeypatch.setattr(calculus, "_scatter_blocks", refuse)
+    monkeypatch.setattr(BlockDiagonal, "dense", refuse)
+    torus = Torus(2, 2 * np.pi, 8)
+    frame = BoundaryFrame(_coefficients(torus, "constant"))
+    scalar = gaussian_data(torus)
+    for kind in bvp.SCALAR_KINDS:
+        sol, report = solve_kind(kind, frame, scalar)
+        assert report.boundary_residual <= 1e-10, kind
+        ts = sol.default_t_samples()
+        assert np.all(np.isfinite(sol.at_t(0.5).values))
+        assert norm_sup_t(sol, ts) > 0
+        assert norm_triplebar_dt(sol) > 0
+        assert nontangential_max(sol, t_samples=ts) > 0
+        assert np.isfinite(dirichlet_second_order_residual(sol, ts[:10]))
+    reflection_conditions(frame)
+    bvp.wellposedness_report(frame)
+    quadratic_constants(frame.dec)
+
+
+def test_boundary_operators_factor_on_their_own_partition():
+    # skew_k4 has an exactly decoupled zero-mode coordinate in T and N
+    # but not in N_A: E -+ N split into 1 + (m - 1), E - N_A does not
+    torus = Torus(1, 2 * np.pi, 32)
+    frame = BoundaryFrame(skew_coefficients(torus, 4.0))
+    assert [g.shape for g in frame.groups] == [(1, 1), (1, 63)]
+    for kind, sizes in (("neumann", [64]), ("regularity", [1, 63]),
+                        ("neu_perp", [1, 63])):
+        op, _ = frame.boundary_operator(kind)
+        assert [g.shape[1] for g in op.groups] == sizes, kind
+        own = block_partition(op.dense())
+        assert [g.tolist() for g in op.groups] == \
+            [g.tolist() for g in own], kind
+
+
+def _permuted_blocks(seed, sizes=(1, 2, 2, 3, 3)):
+    rng = np.random.default_rng(seed)
+    m = sum(sizes)
+    D = np.zeros((m, m), dtype=complex)
+    start = 0
+    for k in sizes:
+        D[start:start + k, start:start + k] = rng.normal(size=(k, k)) \
+            + 1j * rng.normal(size=(k, k))
+        start += k
+    perm = np.random.default_rng(0).permutation(m)
+    return D[np.ix_(perm, perm)]
+
+
+def test_block_diagonal_algebra_matches_dense():
+    A, B = _permuted_blocks(1), _permuted_blocks(2)
+    a = BlockDiagonal.of(A)
+    b = BlockDiagonal.gather(B, a.groups)
+    assert len(a.groups) == 3 and not a.whole
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=A.shape[0]) + 1j * rng.normal(size=A.shape[0])
+    X = rng.normal(size=(A.shape[0], 4))
+    for got, ref in (((a @ b).dense(), A @ B), ((a + b).dense(), A + B),
+                     ((a - b).dense(), A - B), ((a * b).dense(), A * B),
+                     ((a * v).dense(), A * v), ((a * 2j).dense(), 2j * A),
+                     (a.H.dense(), A.conj().T), (a @ v, A @ v),
+                     (a @ X, A @ X), (np.asarray(a), A),
+                     (BlockDiagonal.eye(a.groups).dense(), np.eye(len(A)))):
+        assert _rel(got, ref) <= 1e-15
+    assert np.allclose(np.sort(a.svdvals()),
+                       np.sort(np.linalg.svd(A, compute_uv=False)))
+    # a coarser partition holds the same matrix
+    coarse = block_partition(A, np.diag(np.ones(len(A) - 1), 1))
+    assert len(coarse) == 1 and coarse[0].shape == (1, len(A))
+    assert _rel(a.regroup(coarse).dense(), A) == 0.0
+    assert a.regroup(a.groups) is a
+    with pytest.raises(ValueError, match="partitions"):
+        a @ a.regroup(coarse)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from halfspace.bvp import BoundaryInverse
-from halfspace.calculus import (IllConditionedEigenbasisError,
+from halfspace.calculus import (BlockDiagonal, IllConditionedEigenbasisError,
                                 SectorViolationError, _is_hermitian,
                                 abs_power, apply_function, apply_to_vector,
                                 block_partition, chi_minus,
@@ -36,10 +36,10 @@ def _nonnormal_bisectorial(seed=1, dim=10):
 def test_sign_function_idempotent_projections():
     mat, _ = _hermitian_with_kernel()
     dec = decompose(mat)
-    E = apply_function(dec, sgn()).entries
-    Pp = apply_function(dec, chi_plus()).entries
-    Pm = apply_function(dec, chi_minus()).entries
-    Pnk = dec.nonkernel_projector()
+    E = apply_function(dec, sgn()).dense()
+    Pp = apply_function(dec, chi_plus()).dense()
+    Pm = apply_function(dec, chi_minus()).dense()
+    Pnk = dec.nonkernel_projector().dense()
     assert np.allclose(Pp @ Pp, Pp, atol=1e-10)
     assert np.allclose(Pm @ Pm, Pm, atol=1e-10)
     assert np.allclose(Pp + Pm, Pnk, atol=1e-10)
@@ -50,7 +50,7 @@ def test_sign_function_idempotent_projections():
 def test_kernel_projector_and_dimensions():
     mat, lam = _hermitian_with_kernel(kernel_dim=3)
     dec = decompose(mat)
-    PK = dec.kernel_projector()
+    PK = dec.kernel_projector().dense()
     assert int(round(np.real(np.trace(PK)))) == 3
     assert np.allclose(mat @ PK, 0.0, atol=1e-10)
 
@@ -59,7 +59,7 @@ def test_resolvent_against_direct_and_brute():
     mat = _nonnormal_bisectorial()
     lam0 = 0.7j
     dec = decompose(mat)
-    R_spec = apply_function(dec, resolvent(lam0)).entries
+    R_spec = apply_function(dec, resolvent(lam0)).dense()
     R_dir = brute_resolvent(mat, lam0, np.eye(mat.shape[0]))
     assert np.allclose(R_spec, R_dir, atol=1e-9 * np.linalg.norm(R_dir, 2))
     v = np.arange(mat.shape[0], dtype=complex)
@@ -81,7 +81,7 @@ def test_semigroup_composition():
 def test_exp_abs_fixes_kernel():
     mat, _ = _hermitian_with_kernel(seed=5, kernel_dim=2)
     dec = decompose(mat)
-    PK = dec.kernel_projector()
+    PK = dec.kernel_projector().dense()
     v = PK @ (np.ones(mat.shape[0]) + 0.5j)
     out = apply_to_vector(dec, exp_minus_t_abs(2.0), v)
     assert np.allclose(out, v, atol=1e-10)
@@ -92,10 +92,10 @@ def test_q_t_and_p_t_algebra():
     mat = _nonnormal_bisectorial(seed=6)
     dec = decompose(mat)
     t = 0.8
-    q = apply_function(dec, q_t(t)).entries
+    q = apply_function(dec, q_t(t)).dense()
     eye = np.eye(mat.shape[0])
     p = np.linalg.inv(eye + t ** 2 * (mat @ mat))
-    Pnk = dec.nonkernel_projector()
+    Pnk = dec.nonkernel_projector().dense()
     lhs = p + t * (mat @ q)
     # on the kernel p_t acts as the identity
     assert np.allclose(lhs, Pnk + (eye - Pnk) @ p, atol=1e-8)
@@ -144,8 +144,8 @@ def test_quadratic_constants_selfadjoint():
 def test_abs_power_composition():
     mat, _ = _hermitian_with_kernel(seed=10, kernel_dim=0)
     dec = decompose(mat)
-    half = apply_function(dec, abs_power(0.5)).entries
-    full = apply_function(dec, abs_power(1.0)).entries
+    half = apply_function(dec, abs_power(0.5)).dense()
+    full = apply_function(dec, abs_power(1.0)).dense()
     assert np.allclose(half @ half, full, atol=1e-9 * np.linalg.norm(full, 2))
 
 
@@ -175,10 +175,11 @@ def test_hermitian_verdict_matches_exact_two_norms():
                 mat = H + eps * np.linalg.norm(H, 2) * D
                 exact = (np.linalg.norm(mat - mat.conj().T, 2)
                          <= 1e-10 * np.linalg.norm(mat, 2))
-                assert _is_hermitian(mat) == exact, (dim, eps)
+                verdict = _is_hermitian(BlockDiagonal.of(mat))
+                assert verdict == exact, (dim, eps)
                 decided.add(bool(exact))
     assert decided == {True, False}
-    assert _is_hermitian(np.zeros((3, 3)))
+    assert _is_hermitian(BlockDiagonal.of(np.zeros((3, 3))))
 
 
 def _permuted_block_diagonal(seed=13, hermitian=False):
@@ -244,11 +245,11 @@ def test_block_decompose_matches_dense_lapack(hermitian):
 
 def test_block_boundary_inverse_matches_dense_svd():
     mat, _, _ = _permuted_block_diagonal()
-    inv = BoundaryInverse(mat, "test", kernel_dim=2)
+    inv = BoundaryInverse(BlockDiagonal.of(mat), "test", kernel_dim=2)
     s = np.linalg.svd(mat, compute_uv=False)
     keep = s > 1e-12 * s[0]
     assert inv.null_dim == mat.shape[0] - np.sum(keep) == 2
-    assert np.linalg.norm(inv._s - s[keep]) <= 1e-12 * s[0]
+    assert np.linalg.norm(inv.singular_values - s[keep]) <= 1e-12 * s[0]
     assert abs(inv.cond - s[0] / s[keep][-1]) <= 1e-12 * inv.cond
     rng = np.random.default_rng(14)
     rhs = rng.normal(size=(mat.shape[0], 2)) + 1j * rng.normal(

@@ -92,6 +92,39 @@ def test_config_error_exit_code(tmp_path):
     assert rc2 == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_numbers_are_config_errors(tmp_path, value):
+    # SOLVE_CFG has 12 lines; the three keys land on lines 13-15
+    text = SOLVE_CFG + (f"tol = {value}\nalpha = {value}+1j\n"
+                        f"eps_list = 0.1, {value}\n")
+    cfg = parse_config(_write(tmp_path, "nf.cfg", text))
+    for line, key, get in ((13, "tol", cfg.get_float),
+                           (14, "alpha", cfg.get_complex),
+                           (15, "eps_list", cfg.get_list)):
+        with pytest.raises(ConfigError, match="finite") as err:
+            get("problem", key)
+        assert f"nf.cfg:{line}" in str(err.value)
+
+
+@pytest.mark.parametrize("length", ["nan", "inf"])
+def test_non_finite_torus_length_exits_2(tmp_path, length):
+    text = SOLVE_CFG.replace("length = 6.283185307179586",
+                             f"length = {length}")
+    cfg = _write(tmp_path, "nf.cfg", text)
+    rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
+               "--quiet"])
+    assert rc == 2
+
+
+def test_nan_invariance_tol_exits_2(tmp_path):
+    # nan would switch the invariance gate off: defect > nan is never true
+    cfg = _write(tmp_path, "nf.cfg",
+                 SOLVE_CFG + "\n[tolerances]\ninvariance_tol = nan\n")
+    rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
+               "--quiet"])
+    assert rc == 2
+
+
 def test_missing_problem_section_exit_code(tmp_path):
     cfg = _write(tmp_path, "nop.cfg",
                  "[torus]\nn = 1\nlength = 6.0\npoints = 32\n")

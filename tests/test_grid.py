@@ -28,6 +28,12 @@ def test_torus_validation():
         Torus(1, -1.0, 32)
 
 
+@pytest.mark.parametrize("length", [np.nan, np.inf, -np.inf])
+def test_torus_rejects_non_finite_length(length):
+    with pytest.raises(ValueError, match="finite"):
+        Torus(1, length, 32)
+
+
 @pytest.mark.parametrize("dim_n", [1, 2])
 def test_fourier_roundtrip(dim_n):
     torus = Torus(dim_n, 2 * np.pi, 16)

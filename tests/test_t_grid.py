@@ -69,7 +69,7 @@ def _square_function_loop(dec, symbol, coeffs, ts, h):
 def _gram_loop(dec, ts, h, symbol):
     G = np.zeros((dec.dim, dec.dim), dtype=complex)
     for t in ts:
-        Q = apply_function(dec, symbol(t)).entries
+        Q = apply_function(dec, symbol(t)).dense()
         G += h * (Q.conj().T @ Q)
     return G
 
@@ -185,7 +185,7 @@ def test_quadratic_constants_match_gram_loop(name, request):
     dec = request.getfixturevalue(name).dec
     assert not dec.hermitian
     ts, h = default_t_grid(dec)
-    U = np.linalg.svd(dec.nonkernel_projector())[0][:, :int(
+    U = np.linalg.svd(dec.nonkernel_projector().dense())[0][:, :int(
         np.sum(dec.nonkernel))]
     for symbol in (None, psi_abs_exp):
         G = _gram_loop(dec, ts, h, symbol or q_t)
