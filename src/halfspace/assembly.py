@@ -45,11 +45,11 @@ so the constrained space is G^{-1} W.  W does not depend on B and splits
 by Fourier mode: it is a ``PlaneWaveBasis`` whose frames are the per-mode
 null vectors of the symbols of d and d*.  ``hat_hk_basis`` lifts it,
 applies G^{-1} pointwise and orthonormalizes with one thin QR.
-``hodge_split`` takes null(i m d) = null d and null(B^{-1} i m d* B) =
-B^{-1} null d* from the same per-mode null spaces.  The dense full-space
-matrices (``assemble_TB``, ``assemble_NB``, ``d_matrix``, ...) remain as
-test oracles and for the duality and off-diagonal campaigns, which need
-the whole operator.
+``hodge_split`` takes null(i m d) = null d (without the constants) and
+null(B^{-1} i m d* B) = B^{-1} null d* (whole) from the same per-mode null
+spaces.  The dense full-space matrices (``assemble_TB``, ``assemble_NB``,
+``d_matrix``, ...) remain as test oracles and for the duality and
+off-diagonal campaigns, which need the whole operator.
 
 All matrices act on plain coefficient vectors; because the grid quadrature
 weight is a scalar multiple of the identity metric, operator norms, condition
@@ -876,11 +876,13 @@ def adjoint_in_duality(op: OperatorMatrix, B: CoefficientField) -> OperatorMatri
 
 def hodge_split(B: CoefficientField, f: Field, rtol: float = 1e-9):
     """Split f (minus its grid mean) as f1 + f2 with f1 in null(i m d) and
-    f2 in null(B^{-1} i m d* B), inside the mean-zero complement.
+    f2 in null(B^{-1} i m d* B), both mean free.
 
     The null spaces come from the per-mode null spaces of the symbols of d
     and d*: null(i m d) = null d and null(B^{-1} i m d* B) = B^{-1} null d*,
-    with ``rtol`` relative to the largest symbol singular value.
+    with ``rtol`` relative to the largest symbol singular value.  The
+    constants are taken out of null d only: f1 is mean free, and so is
+    f2 = (f - mean) - f1.
 
     Returns (f1, f2, constant_part, split_constant) where split_constant is
     (||f1|| + ||f2||) / ||f - mean||, the measured topological-splitting
@@ -899,18 +901,17 @@ def hodge_split(B: CoefficientField, f: Field, rtol: float = 1e-9):
     Binv = _pointwise_inverse(torus, B.maps, "coefficient map B")
     n2 = _pointwise_field_operator(torus, Binv) @ _null_plane_waves(
         torus, _mode_symbols(torus, "d_star"), eye, rtol).columns
-    # remove constants from both null spaces (they lie in the intersection)
-    const_basis = np.zeros((P * d, d), dtype=complex)
-    for mask in range(d):
-        col = np.zeros((P, d), dtype=complex)
-        col[:, mask] = 1.0 / np.sqrt(P)
-        const_basis[:, mask] = col.reshape(-1)
-    def drop_consts(nspace):
-        keep = nspace - const_basis @ (const_basis.conj().T @ nspace)
-        u, s, _ = np.linalg.svd(keep, full_matrices=False)
-        return u[:, s > 1e-10]
-    U1 = drop_consts(n1)
-    U2 = drop_consts(n2)
+    # the constants lie in null d and in null d*, so they are taken out of
+    # null d only (what is left of it is mean free); B^{-1} null d* stays
+    # whole, since for variable B the fields B^{-1} c are not constant and
+    # projecting the constants out would leave null(B^{-1} i m d* B)
+    consts = np.zeros((P, d, d), dtype=complex)
+    consts[:, np.arange(d), np.arange(d)] = 1.0 / np.sqrt(P)
+    consts = consts.reshape(P * d, d)
+    u, s, _ = np.linalg.svd(n1 - consts @ (consts.conj().T @ n1),
+                            full_matrices=False)
+    U1 = u[:, s > 1e-10]
+    U2 = np.linalg.qr(n2)[0]
     stacked = np.hstack([U1, U2])
     coef, *_ = np.linalg.lstsq(stacked, v, rcond=None)
     v1 = U1 @ coef[:U1.shape[1]]

@@ -24,11 +24,13 @@ for constant coefficients, and as a rule the whole matrix for variable
 ones.  The frame keeps E, P_nk, P_K and E_solve as blocks
 (``calculus.BlockDiagonal``) on the partition of T, and N and N_A each on
 the connected blocks of T and itself; every boundary operator is formed,
-factored and solved block by block on the partition of its reflection, and
-the Hardy defect, kernel fraction, reflection conditions and well-posedness
-gaps are taken per block.  The dense frame matrices (``frame.E``,
-``frame.Pnk``, ``frame.PK``, ``frame.E_solve``, ``frame.N``, ``frame.NA``)
-are views formed on first access.  Time
+factored and solved block by block on the partition of its reflection
+(``BoundaryInverse``: singular values alone for the cutoff, condition
+number and null count, then one deflated inverse per block and no
+singular vectors), and the Hardy defect, kernel fraction, reflection
+conditions and well-posedness gaps are taken per block.  The dense frame
+matrices (``frame.E``, ``frame.Pnk``, ``frame.PK``, ``frame.E_solve``,
+``frame.N``, ``frame.NA``) are views formed on first access.  Time
 derivatives are always computed from the generator (-|T| on the Hardy
 part), never by finite differences.  A ``SolutionField`` forms its
 eigen-coordinates V^{-1} f once; every later evaluation, one height or a
@@ -48,7 +50,6 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import algebra, calculus
 from .assembly import (NB_operator, TB_operator, hat_h1_basis, hat_hk_basis,
@@ -135,7 +136,8 @@ class SolveReport:
 
 
 class BoundaryInverse:
-    """Minimum-norm inverse of a boundary operator through an SVD cutoff.
+    """Minimum-norm inverse of a boundary operator under a singular-value
+    cutoff.
 
     Kernel directions of T invisible to the boundary datum make the solve
     operators structurally rank deficient by at most dim ker T; any null
@@ -143,25 +145,28 @@ class BoundaryInverse:
     well-posedness failure, raised at construction.
 
     The operator is a ``calculus.BlockDiagonal``, factored and solved block
-    by block, one stacked SVD per block size; an operator that is one block
-    gets the plain dense SVD and solve.  The rules are global: the cutoff is
-    1e-12 times the largest singular value of any block, ``null_dim`` counts
-    the dropped values of all blocks, and ``cond`` is the largest value over
-    the smallest kept one.  Each block keeps its leading singular triplets
-    up to the largest kept count of its size group; a dropped value among
-    them is set to inf, so that it divides its component to zero.
+    by block; an operator that is one block is the single (1, m, m) group.
+    Each size group takes its singular values alone (one stacked
+    ``calculus.svdvals`` call), and the rules on them are global: the
+    cutoff is 1e-12 times the largest singular value of any block,
+    ``null_dim`` counts the values at or below it over all blocks, and
+    ``cond`` is the largest value over the smallest kept one.  Past the
+    checks, each group gets one ``calculus.DeflatedInverse``: the inverse
+    of each block deflated by its own count of dropped values, at the
+    scale of the largest singular value, together with its left and right
+    null bases, so that ``solve`` is the truncated pseudo-inverse up to
+    rounding without any singular vectors.
     """
 
     def __init__(self, op: BlockDiagonal, label: str, kernel_dim: int):
         m = op.dim
-        factors = [_stacked_svd(b) for b in op.blocks]
-        s_all = np.concatenate([s.ravel() for _, s, _ in factors])
+        svals = [calculus.svdvals(b) for b in op.blocks]
+        s_all = np.concatenate([s.ravel() for s in svals])
         s_max = float(np.max(s_all))
         cutoff = 1e-12 * s_max
-        kept = int(np.sum(s_all > cutoff))
-        null_dim = m - kept
-        cond = (s_max / float(np.min(s_all[s_all > cutoff])) if kept
-                else np.inf)
+        kept = s_all[s_all > cutoff]
+        null_dim = m - kept.size
+        cond = s_max / float(np.min(kept)) if kept.size else np.inf
         if null_dim > kernel_dim:
             raise WellPosednessError(
                 f"boundary operator {label!r} has {null_dim} null directions "
@@ -174,46 +179,20 @@ class BoundaryInverse:
         self.label = label
         self.cond = cond
         self.null_dim = null_dim
+        self.singular_values = -np.sort(-kept)
         self._groups = op.groups
-        self._factors = []  # per group: V, U^H and the divisors s
-        for U, s, Vh in factors:
-            r = int(np.max(np.sum(s > cutoff, axis=1)))
-            # V column-major and U^H row-major, as the dense slices
-            # Vh[:r].conj().T and U[:, :r].conj().T: the layouts fix the
-            # rounding of the products in ``solve``
-            self._factors.append((
-                np.swapaxes(np.conj(Vh[:, :r]), 1, 2),
-                np.ascontiguousarray(np.conj(np.swapaxes(U[:, :, :r], 1, 2))),
-                np.where(s[:, :r] > cutoff, s[:, :r], np.inf)))
-
-    @property
-    def singular_values(self) -> np.ndarray:
-        """The kept singular values of all blocks, in descending order."""
-        s = np.concatenate([s.ravel() for _, _, s in self._factors])
-        return -np.sort(-s[np.isfinite(s)])
+        self._inverses = [
+            calculus.DeflatedInverse(b, np.sum(s <= cutoff, axis=1), s_max)
+            for b, s in zip(op.blocks, svals)]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Apply the inverse to a vector or to right-hand-side columns."""
         rhs = np.asarray(rhs)
         cols = rhs[:, None] if rhs.ndim == 1 else rhs
-
-        def block_solve(g, x):
-            V, Uh, s = self._factors[g]
-            return V @ ((Uh @ x) / s[:, :, None])
-        out = BlockDiagonal.rowwise(self._groups, block_solve, cols, out=True)
+        out = BlockDiagonal.rowwise(
+            self._groups, lambda g, x: self._inverses[g].solve(x), cols,
+            out=True)
         return out[:, 0] if rhs.ndim == 1 else out
-
-
-def _stacked_svd(blocks: np.ndarray):
-    """Full SVDs of a (count, k, k) stack of blocks, as one call."""
-    try:
-        return np.linalg.svd(blocks)
-    except np.linalg.LinAlgError:
-        # the default divide-and-conquer driver can fail to converge on
-        # large non-normal matrices; the QR-based driver is slower but
-        # unconditionally convergent
-        parts = [scipy.linalg.svd(b, lapack_driver="gesvd") for b in blocks]
-        return tuple(np.stack(x) for x in zip(*parts))
 
 
 _BOUNDARY_LABELS = {"neumann": "E - N_A", "regularity": "E + N",

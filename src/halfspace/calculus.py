@@ -16,6 +16,15 @@ block, the plain dense factorization; coefficients that vary along one axis
 only leave the modes of the other axis uncoupled.  The kernel, polish and
 conditioning rules are the global ones.
 
+Null spaces of at most n + 1 dimensions (the kernel of T, the null
+directions of the boundary operators) are found without singular vectors:
+``svdvals`` gives the singular values alone, one stacked call per block
+size, and ``DeflatedInverse`` inverts each block with its known null count
+deflated by a fixed random rank-r term, which yields orthonormal left and
+right null bases and the truncated pseudo-inverse up to rounding.  The
+kernel polish (right null bases of the blocks of T) and
+``bvp.BoundaryInverse`` share it, and both run on numpy alone.
+
 V and V^{-1} stay on that partition (``BlockDiagonal``: the index groups and
 one stacked (count, k, k) array per block size), and so does every matrix
 formed from them: ``apply_function``, the kernel and non-kernel projectors,
@@ -62,12 +71,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .assembly import OperatorMatrix
 
 __all__ = [
     "block_partition",
     "gather_blocks",
+    "svdvals",
+    "DeflatedInverse",
     "SpectralDecomposition",
     "FunctionDescriptor",
     "IllConditionedEigenbasisError",
@@ -373,8 +385,7 @@ class BlockDiagonal:
 
     def svdvals(self) -> np.ndarray:
         """The singular values of all blocks, one stacked SVD per group."""
-        return np.concatenate([np.linalg.svd(b, compute_uv=False).ravel()
-                               for b in self.blocks])
+        return np.concatenate([svdvals(b).ravel() for b in self.blocks])
 
     def range_bases(self):
         """Orthonormal bases of the range of a projector-like matrix, block
@@ -604,7 +615,9 @@ def _polish_kernel(groups, subs, vecs, lam, kernel, kernel_tol) -> None:
     accurate to the cluster's residual, which would leave a t-independent
     defect in every semigroup evaluation.  Each block with k kernel
     eigenvalues whose k-th smallest singular value is at most
-    kernel_tol ||T||_2 gets its last k right singular vectors instead.
+    kernel_tol ||T||_2 gets an orthonormal basis of its k-dimensional null
+    space instead, the right null basis of ``DeflatedInverse`` (it spans
+    the last k right singular vectors, so cond(V) does not change).
     """
     norms, nulls = [], []
     for g, (idx, sub) in enumerate(zip(groups, subs)):
@@ -612,16 +625,93 @@ def _polish_kernel(groups, subs, vecs, lam, kernel, kernel_tol) -> None:
         if np.any(counts == 0):
             norms.append(np.max(np.linalg.norm(sub[counts == 0], ord=2,
                                                axis=(1, 2))))
-        for b in np.flatnonzero(counts):
-            _, s, vh = np.linalg.svd(sub[b])
-            norms.append(s[0])
-            nulls.append((g, b, int(counts[b]), s, vh))
+        rows = np.flatnonzero(counts)
+        if rows.size:
+            s = svdvals(sub[rows])
+            norms.append(np.max(s[:, 0]))
+            nulls.append((g, rows, counts[rows], s))
     norm_T = max(norms)
-    for g, b, k, s, vh in nulls:
-        if s[-k] <= kernel_tol * norm_T:
+    for g, rows, k, s in nulls:
+        exact = s[np.arange(rows.size), -k] <= kernel_tol * norm_T
+        rows, k = rows[exact], k[exact]
+        if not rows.size:
+            continue
+        right = DeflatedInverse(subs[g][rows], k, norm_T).right
+        for b, k_b, basis in zip(rows, k, right):
             in_kernel = kernel[groups[g][b]]
-            vecs[g][b][:, in_kernel] = vh[-k:].conj().T
+            vecs[g][b][:, in_kernel] = basis[:, :k_b]
             lam[groups[g][b][in_kernel]] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# minimum-norm solves of blocks with a small null space
+# ---------------------------------------------------------------------------
+
+def svdvals(blocks: np.ndarray) -> np.ndarray:
+    """The singular values of a (count, k, k) stack of blocks, descending
+    per block, as one call."""
+    try:
+        return np.linalg.svd(blocks, compute_uv=False)
+    except np.linalg.LinAlgError:
+        # the default divide-and-conquer driver can fail to converge on
+        # large non-normal matrices; the QR-based driver is slower but
+        # unconditionally convergent
+        return np.stack([scipy.linalg.svd(b, compute_uv=False,
+                                          lapack_driver="gesvd")
+                         for b in blocks])
+
+
+class DeflatedInverse:
+    """Minimum-norm inverse and null bases of a (count, k, k) stack of
+    blocks A whose block b has a null space of known dimension
+    ``null_counts[b]``, without singular vectors.
+
+    With r the largest null count, L0 and R0 fixed orthonormal k x r
+    matrices (random, seeded by k and r) and mu_b the mask that zeros their
+    columns at and beyond null_counts[b],
+
+        W_b = inv(A_b + scale L0 mu_b R0^H)
+
+    is invertible when A_b has rank k - null_counts[b] (generically in L0
+    and R0).  Since range A_b and range L0 mu_b meet only in 0, W_b L0 mu_b
+    spans null A_b and W_b^H R0 mu_b spans null A_b^H; ``right`` and
+    ``left`` are their orthonormal bases from one stacked QR each, with
+    the masked columns zero.  ``solve`` is then the truncated
+    pseudo-inverse up to rounding:
+
+        x = (I - right right^H) W (I - left left^H) b
+
+    (Golub & Van Loan, Matrix Computations, 4th ed., section 5.5).  Pass
+    the largest singular value of the whole operator as ``scale``: an
+    exactly zero block then still gets a well-conditioned W.
+    """
+
+    def __init__(self, A: np.ndarray, null_counts: np.ndarray, scale: float):
+        null_counts = np.asarray(null_counts)
+        r = int(np.max(null_counts, initial=0))
+        if r == 0:
+            self.W = np.linalg.inv(A)
+            self.right = self.left = None
+            return
+        k = A.shape[1]
+        rng = np.random.default_rng([k, r])
+        L0, R0 = np.linalg.qr(rng.standard_normal((2, k, r))
+                              + 1j * rng.standard_normal((2, k, r)))[0]
+        mu = (np.arange(r) < null_counts[:, None])[:, None, :]
+        L = L0 * mu
+        self.W = np.linalg.inv(A + scale * (L @ R0.conj().T))
+        self.right = np.linalg.qr(self.W @ L)[0] * mu
+        self.left = np.linalg.qr(
+            np.conj(np.swapaxes(self.W, 1, 2)) @ (R0 * mu))[0] * mu
+
+    def solve(self, x: np.ndarray) -> np.ndarray:
+        """The minimum-norm solutions for the stacked right-hand sides
+        ``x``, shape (count, k, columns)."""
+        if self.right is None:
+            return self.W @ x
+        y = x - self.left @ (np.conj(np.swapaxes(self.left, 1, 2)) @ x)
+        y = self.W @ y
+        return y - self.right @ (np.conj(np.swapaxes(self.right, 1, 2)) @ y)
 
 
 def _is_hermitian(T: BlockDiagonal) -> bool:

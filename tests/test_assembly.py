@@ -22,6 +22,7 @@ from halfspace.diagnostics import (block_coefficients,
                                    skew_coefficients, smooth_real_symmetric)
 from halfspace.grid import (CoefficientField, Field, Torus,
                             identity_coefficients, inner_product,
+                            underline_d, underline_d_star_B,
                             vector_block_coefficients)
 
 
@@ -292,7 +293,8 @@ def _dense_hk_basis(B, k, rtol=1e-10):
 
 def _dense_hodge_split(B, f, rtol=1e-9):
     """hodge_split through full-space null spaces of i m d and
-    B^{-1} i m d* B, with the same constant removal and least squares."""
+    B^{-1} i m d* B, with the same least squares: the constants are taken
+    out of null(i m d) only, and null(B^{-1} i m d* B) is kept whole."""
     torus = B.torus
     P, d = torus.num_points, torus.lambda_dim
     vec = f.flatten()
@@ -305,12 +307,10 @@ def _dense_hodge_split(B, f, rtol=1e-9):
         np.linalg.solve(Bm, 1j * m @ d_star_matrix(torus) @ Bm), rcond=rtol)
     consts = np.kron(np.ones((P, 1)), np.eye(d)) / np.sqrt(P)
 
-    def drop_consts(nspace):
-        u, s, _ = np.linalg.svd(nspace - consts @ (consts.T @ nspace),
-                                full_matrices=False)
-        return u[:, s > 1e-10]
-
-    U1, U2 = drop_consts(n1), drop_consts(n2)
+    u, s, _ = np.linalg.svd(n1 - consts @ (consts.T @ n1),
+                            full_matrices=False)
+    U1 = u[:, s > 1e-10]
+    U2 = n2
     coef = np.linalg.lstsq(np.hstack([U1, U2]), v, rcond=None)[0]
     v1, v2 = U1 @ coef[:U1.shape[1]], U2 @ coef[U1.shape[1]:]
     split = (np.linalg.norm(v1) + np.linalg.norm(v2)) / np.linalg.norm(v)
@@ -341,6 +341,15 @@ def test_hodge_split_matches_dense_null_spaces(n, N, name):
     assert _rel(f2.flatten(), v2) <= 1e-10
     assert _rel(const.flatten(), const_vec) <= 1e-10
     assert abs(split - ref_split) <= 1e-10 * ref_split
+    # each part lies in its null space, and both are mean free
+    assert np.linalg.norm(underline_d(f1).values) <= \
+        1e-12 * np.linalg.norm(f1.values)
+    assert np.linalg.norm(underline_d_star_B(f2, B).values) <= \
+        1e-12 * np.linalg.norm(f2.values)
+    for part in (f1, f2):
+        mean = part.values.reshape(-1, torus.lambda_dim).mean(axis=0)
+        assert np.linalg.norm(mean) * np.sqrt(torus.num_points) <= \
+            1e-12 * np.linalg.norm(part.values)
 
 
 @pytest.mark.parametrize("n,N", SIZES)

@@ -4,7 +4,10 @@ For constant coefficients every frame matrix is block diagonal per Fourier
 mode and is kept as its blocks (``calculus.BlockDiagonal``).  These tests
 rebuild each quantity densely from the dense views of V and V^{-1} and
 compare, and check that a constant frame builds, solves and evaluates its
-interior without ever forming a dense frame matrix.
+interior without ever forming a dense frame matrix.  For variable
+coefficients (T one block, or a few) the boundary inverses are pinned
+against a dense pseudo-inverse and the polished kernel against the null
+space of a dense SVD.
 """
 
 import numpy as np
@@ -18,8 +21,9 @@ from halfspace.bvp import (BoundaryFrame, BoundaryInverse,
 from halfspace.calculus import (BlockDiagonal, apply_to_vector,
                                 block_partition, default_t_grid,
                                 exp_minus_t_abs, quadratic_constants, q_t, sgn)
-from halfspace.diagnostics import (gaussian_data, random_accretive_constant,
-                                   skew_coefficients)
+from halfspace.diagnostics import (block_coefficients, gaussian_data,
+                                   random_accretive_constant,
+                                   skew_coefficients, smooth_real_symmetric)
 from halfspace.grid import (Torus, identity_coefficients,
                             vector_block_coefficients)
 
@@ -243,3 +247,103 @@ def test_block_diagonal_algebra_matches_dense():
     assert a.regroup(a.groups) is a
     with pytest.raises(ValueError, match="partitions"):
         a @ a.regroup(coarse)
+
+
+# -- variable coefficients: boundary inverses and the kernel polish ------------
+
+VARIABLE_CASES = [(1, 64, "block"), (1, 64, "skew_k4"),
+                  (1, 64, "smooth_symmetric"), (2, 8, "block"),
+                  (2, 8, "smooth_symmetric")]
+
+
+def _variable_frame(case):
+    if case not in _FRAMES:
+        n, N, family = case
+        torus = Torus(n, 2 * np.pi, N)
+        B = {"block": lambda: block_coefficients(torus, 3),
+             "skew_k4": lambda: skew_coefficients(torus, 4.0),
+             "smooth_symmetric": lambda: smooth_real_symmetric(torus, 3),
+             }[family]()
+        _FRAMES[case] = BoundaryFrame(B)
+    return _FRAMES[case]
+
+
+@pytest.fixture(params=VARIABLE_CASES,
+                ids=["-".join(map(str, c)) for c in VARIABLE_CASES])
+def variable_frame(request):
+    return _variable_frame(request.param)
+
+
+def test_variable_boundary_inverses_match_dense_pseudo_inverse(
+        variable_frame):
+    frame = variable_frame
+    m = frame.dec.dim
+    rng = np.random.default_rng(6)
+    rhs = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+    for kind in ("neumann", "regularity", "neu_perp"):
+        op, _ = frame.boundary_operator(kind)
+        inv = frame.factor(kind)
+        pinv, cond, null_dim = _dense_pinv(op.dense())
+        assert inv.null_dim == null_dim, kind
+        assert abs(inv.cond - cond) <= 1e-12 * cond, kind
+        assert _rel(inv.solve(rhs), pinv @ rhs) <= 1e-12, kind
+        assert _rel(inv.solve(rhs[:, 0]), pinv @ rhs[:, 0]) <= 1e-12, kind
+
+
+def test_stacked_group_with_mixed_null_counts_matches_dense_pseudo_inverse():
+    # one group of four 2 x 2 blocks (zero, rank one, two invertible) and one
+    # of two 3 x 3 blocks (rank two, invertible), on permuted indices
+    rng = np.random.default_rng(7)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    twos = np.stack([np.zeros((2, 2)), np.outer(cplx(2), cplx(2)),
+                     cplx(2, 2), cplx(2, 2)])
+    threes = np.stack([cplx(3, 2) @ cplx(2, 3), cplx(3, 3)])
+    perm = rng.permutation(14)
+    groups = [perm[:8].reshape(4, 2), perm[8:].reshape(2, 3)]
+    op = BlockDiagonal(groups, [twos, threes])
+    inv = BoundaryInverse(op, "test", kernel_dim=4)
+    pinv, cond, null_dim = _dense_pinv(op.dense())
+    assert inv.null_dim == null_dim == 4
+    assert abs(inv.cond - cond) <= 1e-12 * cond
+    s = np.linalg.svd(op.dense(), compute_uv=False)
+    assert _rel(inv.singular_values, s[:14 - null_dim]) <= 1e-14
+    rhs = cplx(14, 3)
+    assert _rel(inv.solve(rhs), pinv @ rhs) <= 1e-12
+    with pytest.raises(bvp.WellPosednessError, match="null directions"):
+        BoundaryInverse(op, "test", kernel_dim=3)
+
+
+# skew_k4 gives a Hermitian T, whose unitary eigenbasis is not polished
+@pytest.mark.parametrize("case", [c for c in VARIABLE_CASES
+                                  if c[2] != "skew_k4"],
+                         ids=lambda c: "-".join(map(str, c)))
+def test_polished_kernel_spans_the_singular_null_space(case):
+    frame = _variable_frame(case)
+    dec = frame.dec
+    assert not dec.hermitian
+    T = frame.T.entries
+    K = dec.kernel_indices
+    k = int(np.sum(K))
+    assert k == frame.torus.dim_n + 1
+    _, _, vh = np.linalg.svd(T)
+    null = vh[-k:].conj().T
+    VK = dec.V[:, K]
+    assert _rel(VK.conj().T @ VK, np.eye(k)) <= 1e-14
+    # sines of the principal angles between the two k-dimensional spaces
+    sines = np.linalg.svd(VK - null @ (null.conj().T @ VK), compute_uv=False)
+    assert np.max(sines) <= 1e-12
+    assert np.all(dec.eigenvalues[K] == 0.0)
+    # the singular null basis in place of the polished one is V times a
+    # unitary: the singular values of V agree to rounding (Weyl), and so
+    # does cond(V), to 1e-12 relative up to cond(V) = 1e4; past that the
+    # rounding of the smallest singular value is amplified by cond(V)
+    V_svd = dec.V.copy()
+    V_svd[:, K] = null
+    s = np.linalg.svd(dec.V, compute_uv=False)
+    s_svd = np.linalg.svd(V_svd, compute_uv=False)
+    assert np.max(np.abs(s_svd - s)) <= 1e-13 * s[0]
+    assert abs(s_svd[0] / s_svd[-1] - dec.cond_V) <= \
+        1e-12 * dec.cond_V * max(1.0, 1e-4 * dec.cond_V)

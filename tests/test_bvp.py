@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from halfspace.bvp import (SCALAR_KINDS, BoundaryFrame, SolutionField,
                            WellPosednessError, dirichlet_values,
@@ -305,3 +306,24 @@ def test_constant_frame_factors_one_stacked_svd_per_block_size(monkeypatch):
         keep = dense > 1e-12 * dense[0]
         assert inv.null_dim == op.shape[0] - np.sum(keep)
         assert abs(inv.cond - dense[0] / dense[keep][-1]) <= 1e-12 * inv.cond
+
+
+def test_variable_frame_and_solves_call_no_scipy_lapack(monkeypatch):
+    # numpy and scipy each load their own OpenBLAS, and the idle threads of
+    # one pool spin against the other's calls: the frame build (with the
+    # kernel polish) and the boundary factorizations stay on numpy
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg routine called")
+
+    for name in scipy.linalg.__all__:
+        obj = getattr(scipy.linalg, name)
+        if callable(obj) and not isinstance(obj, type):
+            monkeypatch.setattr(scipy.linalg, name, refuse)
+    monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", refuse)
+    torus = Torus(1, 2 * np.pi, 32)
+    frame = BoundaryFrame(smooth_real_symmetric(torus, seed=3))
+    assert not frame.dec.hermitian and frame.kernel_dim == 2
+    scalar = gaussian_data(torus)
+    for kind in SCALAR_KINDS:
+        _, report = solve_kind(kind, frame, scalar)
+        assert report.boundary_residual <= 1e-8, kind
