@@ -23,7 +23,9 @@ size, and ``DeflatedInverse`` inverts each block with its known null count
 deflated by a fixed random rank-r term, which yields orthonormal left and
 right null bases and the truncated pseudo-inverse up to rounding.  The
 kernel polish (right null bases of the blocks of T) and
-``bvp.BoundaryInverse`` share it, and both run on numpy alone.
+``bvp.BoundaryInverse`` share it, and both run on numpy alone.  The module's
+one scipy use is ``svdvals``'s retry with LAPACK's QR-based ``gesvd`` driver
+when numpy's SVD fails to converge; scipy is imported there, on first use.
 
 V and V^{-1} stay on that partition (``BlockDiagonal``: the index groups and
 one stacked (count, k, k) array per block size), and so does every matrix
@@ -71,7 +73,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .assembly import OperatorMatrix
 
@@ -655,7 +656,9 @@ def svdvals(blocks: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         # the default divide-and-conquer driver can fail to converge on
         # large non-normal matrices; the QR-based driver is slower but
-        # unconditionally convergent
+        # unconditionally convergent (imported here: the solver runtime does
+        # not load scipy)
+        import scipy.linalg
         return np.stack([scipy.linalg.svd(b, compute_uv=False,
                                           lapack_driver="gesvd")
                          for b in blocks])

@@ -7,7 +7,8 @@ evidence, not tautology:
 * constant-coefficient problems are conjugated to per-Fourier-mode 2x2
   matrix algebra on span{e_0, xi/|xi|},
 * the explicit half-plane Cauchy kernel gives an adaptive-quadrature
-  extension for identity coefficients on the line,
+  extension for identity coefficients on the line (QUADPACK ``quad``, the
+  module's one scipy use, imported on the first call),
 * the classical Poisson factor e^{-|xi| t} checks the Dirichlet solve,
 * the closed integral int_0^inf (s/(1+s^2))^2 ds/s = 1/2 pins the
   self-adjoint quadratic-estimate value, and
@@ -17,7 +18,6 @@ evidence, not tautology:
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import algebra
 from .grid import Field, Torus, norm as field_norm
@@ -294,6 +294,8 @@ def cauchy_extension_line(g1, t: float, x: float,
 
     Returns the pair (component along e_0, component along e_1).
     """
+    from scipy.integrate import quad
+
     if t <= 0:
         raise ValueError("t must be positive")
     lo, hi = support

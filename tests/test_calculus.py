@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from halfspace import calculus
 from halfspace.bvp import BoundaryInverse
 from halfspace.calculus import (BlockDiagonal, IllConditionedEigenbasisError,
                                 SectorViolationError, _is_hermitian,
@@ -10,7 +11,7 @@ from halfspace.calculus import (BlockDiagonal, IllConditionedEigenbasisError,
                                 block_partition, chi_minus,
                                 chi_plus, decompose, default_t_grid,
                                 exp_minus_t_abs, q_t, quadratic_constants,
-                                quadratic_norm, resolvent, sgn)
+                                quadratic_norm, resolvent, sgn, svdvals)
 from halfspace.oracles import brute_resolvent, selfadjoint_qe_value
 
 
@@ -258,3 +259,23 @@ def test_block_boundary_inverse_matches_dense_svd():
     assert np.linalg.norm(inv.solve(rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
     assert np.linalg.norm(inv.solve(rhs[:, 0]) - ref[:, 0]) <= \
         1e-12 * np.linalg.norm(ref[:, 0])
+
+
+def test_svdvals_falls_back_when_numpy_fails_to_converge(monkeypatch):
+    rng = np.random.default_rng(7)
+    blocks = (rng.normal(size=(3, 40, 40))
+              + 1j * rng.normal(size=(3, 40, 40)))
+    expected = np.linalg.svd(blocks, compute_uv=False)
+    numpy_svd = calculus.np.linalg.svd
+
+    def stacked_values_fail(a, *args, **kwargs):
+        if np.ndim(a) == 3 and kwargs.get("compute_uv") is False:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return numpy_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(calculus.np.linalg, "svd", stacked_values_fail)
+    with pytest.raises(np.linalg.LinAlgError):
+        calculus.np.linalg.svd(blocks, compute_uv=False)
+    s = svdvals(blocks)
+    assert s.shape == (3, 40)
+    assert np.max(np.abs(s - expected) / expected) <= 1e-13

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import subprocess
 import sys
 
@@ -195,3 +196,54 @@ def test_library_does_not_import_cli():
             "sys.exit('halfspace.cli' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_solver_runtime_does_not_import_scipy(tmp_path):
+    # scipy serves only the explicit-kernel oracle and the SVD fallback; the
+    # solve command, a variable frame, its solves and its norms never load it
+    src = os.path.dirname(os.path.dirname(halfspace.__file__))
+    cfg = _write(tmp_path, "solve.cfg", SOLVE_CFG)
+    out = str(tmp_path / "out")
+    code = f"""
+import sys
+import halfspace
+from halfspace import cli, oracles
+from halfspace.bvp import (SCALAR_KINDS, BoundaryFrame, nontangential_max,
+                           norm_sup_t, norm_triplebar_dt, solve_kind)
+from halfspace.diagnostics import gaussian_data, smooth_real_symmetric
+from halfspace.grid import Torus
+
+assert cli.main(["solve", "--config", {cfg!r}, "--out", {out!r},
+                 "--quiet"]) == 0
+torus = Torus(1, 6.283185307179586, 32)
+frame = BoundaryFrame(smooth_real_symmetric(torus, seed=3))
+for kind in SCALAR_KINDS:
+    sol, _ = solve_kind(kind, frame, gaussian_data(torus))
+    sol.at_t(0.5)
+    norm_sup_t(sol)
+    norm_triplebar_dt(sol)
+    nontangential_max(sol)
+loaded = sorted(m for m in sys.modules
+                if m == "scipy" or m.startswith("scipy."))
+if loaded:
+    sys.exit("solver runtime loaded %d scipy modules, first %s"
+             % (len(loaded), loaded[0]))
+oracles.cauchy_extension_line(lambda y: 1.0 / (1.0 + y * y), 1.0, 0.0)
+if "scipy.integrate" not in sys.modules:
+    sys.exit("cauchy_extension_line did not load scipy.integrate")
+"""
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_package_version_matches_pyproject():
+    # one source: the build reads its version from halfspace.__version__
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(path) as fh:
+        text = fh.read()
+    assert not re.search(r'^version\s*=\s*"', text, re.M)
+    assert re.search(r'^dynamic\s*=\s*\[[^]]*"version"', text, re.M)
+    assert re.search(
+        r'^version\s*=\s*\{\s*attr\s*=\s*"halfspace\.__version__"', text, re.M)
