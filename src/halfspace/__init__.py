@@ -1,10 +1,11 @@
 """Spectral laboratory for half-space elliptic boundary value problems.
 
 The package discretizes a first-order Dirac-type boundary operator on a
-periodic lattice, builds its holomorphic functional calculus through dense
-eigendecompositions, and solves Neumann, regularity, auxiliary Neumann,
-Dirichlet, and transmission problems through boundary-reflection operator
-equations.  Independent closed-form oracles (constant-coefficient Fourier
+periodic lattice, builds its holomorphic functional calculus through
+eigendecompositions factored one connected block at a time (one small block
+per Fourier mode for constant coefficients), and solves Neumann,
+regularity, auxiliary Neumann, Dirichlet, and transmission problems through
+boundary-reflection operator equations.  Independent closed-form oracles (constant-coefficient Fourier
 symbols, explicit half-plane kernels, self-adjoint quadrature values) verify
 every route, and batch campaigns measure Rellich identities, spectral
 localization, quadratic estimates, and perturbation stability.

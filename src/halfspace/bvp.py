@@ -221,8 +221,7 @@ class BoundaryFrame:
     """
 
     def __init__(self, B: CoefficientField, degree: int = 1,
-                 invariance_tol: float = 1e-8,
-                 kernel_tol: float = calculus.DEFAULT_KERNEL_TOL):
+                 invariance_tol: float = 1e-8):
         if not B.is_accretive():
             raise ValueError(
                 f"coefficients are not accretive (kappa = {B.kappa:.3e})")
@@ -239,8 +238,7 @@ class BoundaryFrame:
         self.T = restrict(TB_operator(B), self.basis,
                           invariance_tol=invariance_tol)
         self.invariance_defect = self.T.invariance_defect
-        self.dec = decompose(self.T, (B.kappa, B.sup_norm),
-                             kernel_tol=kernel_tol)
+        self.dec = decompose(self.T, (B.kappa, B.sup_norm))
         # E, P_nk, P_K and E_solve are held on the partition of T (that of
         # V); each reflection on the connected blocks of T and itself, the
         # partition its boundary operators are factored on.  The steps
@@ -409,11 +407,13 @@ class SolutionField:
         scale = max(np.linalg.norm(self.coords), 1e-300)
         return float(np.linalg.norm(resid) / scale)
 
-    def default_t_samples(self, points_per_decade: int = 10):
+    def default_t_samples(self):
+        """Log-spaced heights from 1e-2/max|lambda| to 1e2/min non-kernel
+        |lambda|, 10 per decade."""
         dec = self.frame.dec
         t_min = 1e-2 / dec.spectral_radius()
         t_max = 1e2 / dec.min_nonkernel()
-        m = max(int(np.ceil(np.log10(t_max / t_min) * points_per_decade)), 2)
+        m = max(int(np.ceil(np.log10(t_max / t_min) * 10)), 2)
         return np.exp(np.linspace(np.log(t_min), np.log(t_max), m))
 
 
@@ -531,25 +531,22 @@ def solve_neu_perp(A, data, torus: Torus | None = None,
 
 
 def solve_dirichlet(A, data, torus: Torus | None = None,
-                    frame: BoundaryFrame | None = None,
-                    residual_t_samples=None):
+                    frame: BoundaryFrame | None = None):
     """Dirichlet problem: U_t is the e_0 reading of the aux Neumann solve.
 
     The report additionally carries the relative second-order interior
-    residual div_{t,x} A grad_{t,x} U at sampled heights, computed with
-    spectral x-derivatives and exact generator t-derivatives.
+    residual div_{t,x} A grad_{t,x} U at ten log-spaced heights from
+    0.05/max|lambda| to 2/min non-kernel |lambda|, computed with spectral
+    x-derivatives and exact generator t-derivatives.
     """
     if frame is None:
         frame = BoundaryFrame(_as_coefficients(A, torus))
     sol, report = solve_neu_perp(None, data, frame=frame)
     report.formula = "U_t = (2 e^{-t|T|} (E - N)^{-1} (u e0), e0)"
-    if residual_t_samples is None:
-        dec = frame.dec
-        residual_t_samples = np.exp(np.linspace(
-            np.log(0.05 / dec.spectral_radius()),
-            np.log(2.0 / dec.min_nonkernel()), 10))
-    resid = dirichlet_second_order_residual(sol, residual_t_samples)
-    report.second_order_residual = resid
+    dec = frame.dec
+    report.second_order_residual = dirichlet_second_order_residual(
+        sol, np.exp(np.linspace(np.log(0.05 / dec.spectral_radius()),
+                                np.log(2.0 / dec.min_nonkernel()), 10)))
     return sol, report
 
 
@@ -625,12 +622,12 @@ def _check_gradient(data: Field, tol: float = 1e-10) -> None:
 
 def solve_transmission(B: CoefficientField, degree: int, alpha_plus: complex,
                        alpha_minus: complex, g: Field,
-                       frame: BoundaryFrame | None = None,
-                       membership_tol: float = 1e-8):
+                       frame: BoundaryFrame | None = None):
     """Two-sided transmission problem for degree-k fields.
 
     Solves (lambda - E N_B) f = 2/(a+ - a-) E g on the constrained degree-k
     subspace, splits f into Hardy halves and verifies both jump conditions.
+    A datum more than 1e-8 (relative) outside that subspace is rejected.
     """
     if alpha_plus == alpha_minus:
         raise ValueError("alpha_plus and alpha_minus must differ")
@@ -639,7 +636,7 @@ def solve_transmission(B: CoefficientField, degree: int, alpha_plus: complex,
         frame = BoundaryFrame(B, degree=degree)
     torus = frame.torus
     g_coords, g_loss = frame.to_coords(g)
-    if g_loss > membership_tol:
+    if g_loss > 1e-8:
         raise ValueError(
             f"transmission datum is outside the constrained degree-{degree} "
             f"space (relative distance {g_loss:.3e})")
@@ -720,16 +717,11 @@ def norm_sup_t(sol: SolutionField, t_samples=None) -> float:
     return float(np.max(sol.norms_at_ts(t_samples)))
 
 
-def norm_triplebar_dt(sol: SolutionField, points_per_decade: int = 40) -> float:
-    """Triple-bar norm (int ||t dF/dt||^2 dt/t)^{1/2} via the generator."""
-    dec = sol.frame.dec
-    ts, h = calculus.default_t_grid(dec, points_per_decade=points_per_decade)
-    total = square_function(dec, psi_abs_exp, sol.coords, ts, h)
-    # small-t tail: integrand ~ (t |lam|)^2
-    Tf = apply_to_vector(dec, calculus.abs_power(1.0),
-                         eig_coords=sol.eig_coords)
-    t_lo = ts[0] * np.exp(-h / 2)
-    total += (t_lo ** 2 / 2.0) * float(np.vdot(Tf, Tf).real)
+def norm_triplebar_dt(sol: SolutionField) -> float:
+    """Triple-bar norm (int ||t dF/dt||^2 dt/t)^{1/2} via the generator:
+    the square function of t|T| e^{-t|T|} = -t d/dt e^{-t|T|}."""
+    total = square_function(sol.frame.dec, psi_abs_exp,
+                            eig_coords=sol.eig_coords)
     return float(np.sqrt(sol.frame.torus.weight * total))
 
 
@@ -803,11 +795,11 @@ def reflection_conditions(frame: BoundaryFrame) -> dict:
     return out
 
 
-def wellposedness_report(frame: BoundaryFrame, cap: float = COND_CAP) -> dict:
-    """Condition numbers of the four boundary operators (capped at ``cap``)
-    plus the restricted Hardy-to-normal/tangential projection gaps, block
-    by block."""
-    out = {label: {"cond": min(cond, cap), "capped": cond >= cap}
+def wellposedness_report(frame: BoundaryFrame) -> dict:
+    """Condition numbers of the four boundary operators (capped at
+    ``COND_CAP``) plus the restricted Hardy-to-normal/tangential projection
+    gaps, block by block."""
+    out = {label: {"cond": min(cond, COND_CAP), "capped": cond >= COND_CAP}
            for label, cond in reflection_conditions(frame).items()}
     # restricted projections N^{+-}_A : E^+ H -> N^{+-}_A H on non-kernel part
     Pnk = frame.Pnk_blocks

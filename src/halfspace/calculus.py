@@ -37,8 +37,8 @@ same dense calls as a plain matrix would.  Dense m x m arrays (``dec.V``,
 ``dec.Vinv``, ``BlockDiagonal.dense()``) are views formed on request, for
 tests, oracles and diagnostics.
 
-Eigenvalues close to zero (relative threshold ``kernel_tol``) form the
-discrete kernel, the stand-in for the missing constants of the continuum
+Eigenvalues close to zero (relative threshold ``DEFAULT_KERNEL_TOL``) form
+the discrete kernel, the stand-in for the missing constants of the continuum
 problem.  Each symbol declares its kernel value explicitly: sgn and the
 spectral projections vanish there, the semigroup and resolvent-type
 symbols are one.  Symbols built on the holomorphic sgn are undefined on the
@@ -55,14 +55,18 @@ substitution per block.  A caller that applies many blocks to the same f
 (``bvp.SolutionField``) keeps c = ``dec.coordinates(f)`` and passes it as
 ``eig_coords``, so each block costs the one product V (S o c).
 
-Square-function norms int ||psi_t(T) f||^2 dt/t are summed by one midpoint
-rule over a log-spaced grid (40 points per decade), one block product for
-the whole grid; each caller adds its own analytic tail corrections from the
-spectral extremes.  For psi_t = q_t and self-adjoint injective T the exact
-value is ||f||^2 / 2, from the closed integral
-int_0^inf (s/(1+s^2))^2 ds/s = 1/2.  The Gram matrix of the quadratic
-estimate, G = sum_j h Q_j^* Q_j with Q_j = V diag(s_j) V^{-1}, is formed in
-its Hadamard form G = V^{-*} [(V^* V) o W] V^{-1}, W = h conj(S) S^T: one
+Square-function norms int_0^inf ||psi_t(T) f||^2 dt/t have one
+quadrature, ``square_function``: the midpoint rule over the log-spaced
+``default_t_grid`` (40 points per decade), one block product for the whole
+grid, plus the tails beyond the grid that each t-family declares through
+its leading symbols (``FunctionDescriptor.small_t`` and ``large_t``): z and
+1/z for q_t, z for ``psi_exp``, |z| for ``psi_abs_exp``.  For self-adjoint
+injective T the exact values are ||f||^2 / 2 for q_t and ||f||^2 / 4 for
+the other two, from int_0^inf (s/(1+s^2))^2 ds/s = 1/2 and
+int_0^inf (s e^{-s})^2 ds/s = 1/4.  ``quadratic_constants`` takes the Gram
+matrix of the same quadrature for q_t, G = sum_j w_j Q_j^* Q_j with
+Q_j = V diag(s_j) V^{-1}, in its Hadamard form
+G = V^{-*} [(V^* V) o W] V^{-1}, W = sum_j w_j conj(s_j) s_j^T: one
 m x T x m product instead of two m^3 products per height, and only the
 diagonal blocks of W on the partition of V.
 """
@@ -95,13 +99,11 @@ __all__ = [
     "chi_minus",
     "sgn",
     "exp_minus_t_abs",
-    "abs_power",
     "semigroup_dt",
     "psi_abs_exp",
     "psi_exp",
     "default_t_grid",
     "square_function",
-    "quadratic_norm",
     "quadratic_constants",
 ]
 
@@ -127,13 +129,18 @@ class FunctionDescriptor:
     """A holomorphic symbol on the double sector with a declared kernel value.
 
     ``sign_sensitive`` marks symbols built on the holomorphic sgn, which are
-    undefined on the imaginary axis.
+    undefined on the imaginary axis.  A square-function family psi_t
+    declares its tails: ``small_t`` = g with psi_t ~ t g as t -> 0 and
+    ``large_t`` = h with psi_t ~ h / t as t -> inf, None where psi_t
+    decays faster than any power.
     """
 
     name: str
     fn: object  # callable complex array -> complex array
     kernel_value: complex
     sign_sensitive: bool = False
+    small_t: FunctionDescriptor | None = None
+    large_t: FunctionDescriptor | None = None
 
     def __call__(self, lam):
         return self.fn(np.asarray(lam, dtype=complex))
@@ -156,8 +163,17 @@ def resolvent(lam0: complex) -> FunctionDescriptor:
         kernel_value=1.0 / lam0)
 
 
+# leading symbols of the square-function families at t -> 0 and t -> inf
+_Z = FunctionDescriptor("z", lambda z: z, kernel_value=0.0)
+_ABS_Z = FunctionDescriptor("|z|", _holo_abs, kernel_value=0.0,
+                            sign_sensitive=True)
+_INV_Z = FunctionDescriptor("1/z", lambda z: 1.0 / np.where(z == 0, 1.0, z),
+                            kernel_value=0.0)
+
+
 def _t_family(name: str, t, fn, kernel_value: complex,
-              sign_sensitive: bool, params: str = "") -> FunctionDescriptor:
+              sign_sensitive: bool, params: str = "",
+              small_t=None, large_t=None) -> FunctionDescriptor:
     """The symbol z -> fn(z, t) at one height t, or, for a 1-D array of
     heights, the family whose value at an array z is the block
     fn(z[..., None], t) = [b_{t_j}(z_i)], one column per height."""
@@ -165,17 +181,18 @@ def _t_family(name: str, t, fn, kernel_value: complex,
     if ts.ndim == 0:
         return FunctionDescriptor(f"{name}(t={t!r}{params})",
                                   lambda z: fn(z, t), kernel_value,
-                                  sign_sensitive)
+                                  sign_sensitive, small_t, large_t)
     if ts.ndim != 1:
         raise ValueError("heights must be a scalar or a 1-D array")
     return FunctionDescriptor(f"{name}(t=<{ts.size} heights>{params})",
                               lambda z: fn(z[..., None], ts), kernel_value,
-                              sign_sensitive)
+                              sign_sensitive, small_t, large_t)
 
 
 def q_t(t) -> FunctionDescriptor:
     return _t_family("q_t", t, lambda z, t: t * z / (1.0 + (t * z) ** 2),
-                     kernel_value=0.0, sign_sensitive=False)
+                     kernel_value=0.0, sign_sensitive=False, small_t=_Z,
+                     large_t=_INV_Z)
 
 
 def chi_plus() -> FunctionDescriptor:
@@ -201,13 +218,6 @@ def exp_minus_t_abs(t) -> FunctionDescriptor:
                      kernel_value=1.0, sign_sensitive=True)
 
 
-def abs_power(s: float) -> FunctionDescriptor:
-    return FunctionDescriptor(
-        f"abs_power(s={s!r})",
-        lambda z: _holo_abs(z) ** s,
-        kernel_value=0.0, sign_sensitive=True)
-
-
 def semigroup_dt(t, order: int) -> FunctionDescriptor:
     """(d/dt)^order e^{-t|z|} = (-|z|)^order e^{-t|z|}, order >= 1."""
     def fn(z, t):
@@ -223,7 +233,7 @@ def psi_abs_exp(t) -> FunctionDescriptor:
         ta = t * _holo_abs(z)
         return ta * np.exp(-ta)
     return _t_family("psi_abs_exp", t, fn, kernel_value=0.0,
-                     sign_sensitive=True)
+                     sign_sensitive=True, small_t=_ABS_Z)
 
 
 def psi_exp(t) -> FunctionDescriptor:
@@ -231,7 +241,7 @@ def psi_exp(t) -> FunctionDescriptor:
     symbol."""
     return _t_family("psi_exp", t,
                      lambda z, t: t * z * np.exp(-t * _holo_abs(z)),
-                     kernel_value=0.0, sign_sensitive=True)
+                     kernel_value=0.0, sign_sensitive=True, small_t=_Z)
 
 
 def _same_partition(a: list, b: list) -> bool:
@@ -424,7 +434,6 @@ class SpectralDecomposition:
     cond_V: float
     kernel_indices: np.ndarray  # boolean mask over eigenvalue positions
     omega: float
-    kernel_tol: float
     hermitian: bool
 
     @property
@@ -545,7 +554,6 @@ def _scatter_blocks(groups: list, blocks: list, m: int) -> np.ndarray:
 
 def decompose(T: OperatorMatrix | np.ndarray,
               B_constants: tuple | None = None,
-              kernel_tol: float = DEFAULT_KERNEL_TOL,
               cond_cap: float = COND_V_CAP) -> SpectralDecomposition:
     """Eigendecomposition with kernel and sector classification, one
     connected block of T at a time (``block_partition``); V and V^{-1} are
@@ -576,15 +584,15 @@ def decompose(T: OperatorMatrix | np.ndarray,
         lam[idx] = lam_b
         vecs.append(V_b)
     max_abs = np.max(np.abs(lam), initial=0.0)
-    kernel = np.abs(lam) <= kernel_tol * max_abs if max_abs > 0 else np.ones(
-        lam.shape, dtype=bool)
+    kernel = (np.abs(lam) <= DEFAULT_KERNEL_TOL * max_abs if max_abs > 0
+              else np.ones(lam.shape, dtype=bool))
     if hermitian:
         V = BlockDiagonal(groups, vecs)
         Vinv = V.H
         cond_V = 1.0
     else:
         if np.any(kernel):
-            _polish_kernel(groups, subs, vecs, lam, kernel, kernel_tol)
+            _polish_kernel(groups, subs, vecs, lam, kernel)
         # The conditioning verdict is taken on the polished basis: a
         # near-degenerate zero cluster can make eig's raw basis look
         # arbitrarily ill conditioned even when the polished basis is fine.
@@ -604,11 +612,10 @@ def decompose(T: OperatorMatrix | np.ndarray,
         omega = np.pi / 2
     return SpectralDecomposition(
         eigenvalues=lam, V_blocks=V, Vinv_blocks=Vinv, cond_V=cond_V,
-        kernel_indices=kernel, omega=omega, kernel_tol=kernel_tol,
-        hermitian=hermitian)
+        kernel_indices=kernel, omega=omega, hermitian=hermitian)
 
 
-def _polish_kernel(groups, subs, vecs, lam, kernel, kernel_tol) -> None:
+def _polish_kernel(groups, subs, vecs, lam, kernel) -> None:
     """Replace eig's kernel eigenvectors by exact null vectors, in place
     (``subs`` and ``vecs`` are the stacked blocks of T and of V).
 
@@ -616,8 +623,8 @@ def _polish_kernel(groups, subs, vecs, lam, kernel, kernel_tol) -> None:
     accurate to the cluster's residual, which would leave a t-independent
     defect in every semigroup evaluation.  Each block with k kernel
     eigenvalues whose k-th smallest singular value is at most
-    kernel_tol ||T||_2 gets an orthonormal basis of its k-dimensional null
-    space instead, the right null basis of ``DeflatedInverse`` (it spans
+    DEFAULT_KERNEL_TOL ||T||_2 gets an orthonormal basis of its
+    k-dimensional null space instead, the right null basis of ``DeflatedInverse`` (it spans
     the last k right singular vectors, so cond(V) does not change).
     """
     norms, nulls = [], []
@@ -633,7 +640,7 @@ def _polish_kernel(groups, subs, vecs, lam, kernel, kernel_tol) -> None:
             nulls.append((g, rows, counts[rows], s))
     norm_T = max(norms)
     for g, rows, k, s in nulls:
-        exact = s[np.arange(rows.size), -k] <= kernel_tol * norm_T
+        exact = s[np.arange(rows.size), -k] <= DEFAULT_KERNEL_TOL * norm_T
         rows, k = rows[exact], k[exact]
         if not rows.size:
             continue
@@ -820,108 +827,82 @@ def _flush_subnormals(X: np.ndarray) -> np.ndarray:
 # quadratic estimates
 # ---------------------------------------------------------------------------
 
-def default_t_grid(dec: SpectralDecomposition,
-                   c_lo: float = 1e-3, c_hi: float = 1e3,
-                   points_per_decade: int = POINTS_PER_DECADE):
+def default_t_grid(dec: SpectralDecomposition):
     """Log-spaced midpoint grid covering the spectral window.
 
-    Returns (t values, log-spacing h) with t from c_lo/max|lambda| to
-    c_hi/min nonkernel |lambda|.
+    Returns (t values, log-spacing h) with t from 1e-3/max|lambda| to
+    1e3/min nonkernel |lambda|, ``POINTS_PER_DECADE`` points per decade.
+    An empty non-kernel spectrum raises ValueError.
     """
-    t_min = c_lo / dec.spectral_radius()
-    t_max = c_hi / dec.min_nonkernel()
+    t_max = 1e3 / dec.min_nonkernel()  # first: it raises when T is 0
+    t_min = 1e-3 / dec.spectral_radius()
     n_dec = np.log10(t_max / t_min)
-    m = max(int(np.ceil(n_dec * points_per_decade)), 2)
+    m = max(int(np.ceil(n_dec * POINTS_PER_DECADE)), 2)
     h = np.log(t_max / t_min) / m
     u = np.log(t_min) + (np.arange(m) + 0.5) * h
     return np.exp(u), h
 
 
-def square_function(dec: SpectralDecomposition, symbol, coeffs: np.ndarray,
-                    ts: np.ndarray, h: float) -> float:
-    """Midpoint rule sum_j h ||psi_{t_j}(T) f||^2 for int ||psi_t(T) f||^2 dt/t
-    on the log grid ``ts`` with log-spacing ``h``; no tail terms.
+def _tails(psi: FunctionDescriptor, ts: np.ndarray, h: float) -> list:
+    """The declared tails of the family ``psi`` beyond the grid ``ts`` as
+    (weight, symbol) pairs: int_0^{t_lo} t^2 dt/t = t_lo^2/2 for
+    ``small_t`` and int_{t_hi}^inf t^{-2} dt/t = 1/(2 t_hi^2) for
+    ``large_t``, with t_lo and t_hi the outer cell edges of the grid."""
+    out = []
+    if psi.small_t is not None:
+        out.append(((ts[0] * np.exp(-h / 2)) ** 2 / 2.0, psi.small_t))
+    if psi.large_t is not None:
+        out.append((1.0 / (2.0 * (ts[-1] * np.exp(h / 2)) ** 2),
+                    psi.large_t))
+    return out
 
-    ``symbol`` maps the array of heights to the t-family of psi_t (any
-    t-family of this module), as in ``quadratic_constants``.
+
+def square_function(dec: SpectralDecomposition, family,
+                    coeffs: np.ndarray | None = None, *,
+                    eig_coords: np.ndarray | None = None) -> float:
+    """int_0^inf ||psi_t(T) f||^2 dt/t: the midpoint rule on
+    ``default_t_grid`` plus the tails that ``family`` declares.
+
+    ``family`` maps an array of heights to the t-family of psi_t: ``q_t``,
+    ``psi_abs_exp`` or ``psi_exp``.  ``eig_coords`` passes V^{-1} f when the
+    caller already holds it, in place of ``coeffs``.  Norms are plain
+    coefficient-vector norms.
     """
-    Y = apply_to_vector(dec, symbol(np.asarray(ts, dtype=float)), coeffs)
-    return h * float(np.vdot(Y, Y).real)
+    ts, h = default_t_grid(dec)
+    psi = family(ts)
+    c = dec.coordinates(coeffs) if eig_coords is None else eig_coords
+    Y = apply_to_vector(dec, psi, eig_coords=c)
+    total = h * float(np.vdot(Y, Y).real)
+    for w, g in _tails(psi, ts, h):
+        y = apply_to_vector(dec, g, eig_coords=c)
+        total += w * float(np.vdot(y, y).real)
+    return total
 
 
-def quadratic_norm(dec: SpectralDecomposition, coeffs: np.ndarray,
-                   t_grid=None) -> float:
-    """sqrt of int ||Q_t f||^2 dt/t, Q_t = tT(1 + t^2 T^2)^{-1}.
-
-    Midpoint quadrature in log t plus analytic small-t and large-t tails
-    (||Q_t f|| ~ t||Tf|| and ||Q_t f|| ~ ||T^{-1}f||/t respectively).
-    Norms are plain coefficient-vector norms; ratios against ||f|| are
-    scale free.
-    """
-    if not np.any(dec.nonkernel):
-        raise ValueError("empty non-kernel spectrum")
-    if t_grid is None:
-        ts, h = default_t_grid(dec)
-    else:
-        ts = np.asarray(t_grid)
-        h = np.log(ts[1] / ts[0]) if len(ts) > 1 else 1.0
-    total = square_function(dec, q_t, coeffs, ts, h)
-    # tails
-    c = dec.coordinates(coeffs)
-    lam = dec.eigenvalues
-    lam_nk = np.where(dec.kernel_indices, 0.0, lam)
-    Tf = dec.V_blocks @ (lam_nk * c)
-    inv_vals = np.where(dec.kernel_indices, 0.0,
-                        1.0 / np.where(dec.kernel_indices, 1.0, lam))
-    Tinv_f = dec.V_blocks @ (inv_vals * c)
-    t_lo, t_hi = ts[0] * np.exp(-h / 2), ts[-1] * np.exp(h / 2)
-    total += (t_lo ** 2 / 2.0) * float(np.vdot(Tf, Tf).real)
-    total += (1.0 / (2.0 * t_hi ** 2)) * float(np.vdot(Tinv_f, Tinv_f).real)
-    return float(np.sqrt(total))
-
-
-def quadratic_constants(dec: SpectralDecomposition, t_grid=None,
-                        symbol=None):
+def quadratic_constants(dec: SpectralDecomposition):
     """Best discrete constants (c_low, c_high) in
     c_low ||f|| <= (int ||Q_t f||^2 dt/t)^{1/2} <= c_high ||f||
     over the non-kernel subspace, via the extreme eigenvalues of the Gram
-    matrix G = sum_j w_j Q_{t_j}^* Q_{t_j} (plus analytic tails for the
-    default symbol), formed in its Hadamard form (module docstring).
-
-    ``symbol``: optional map from the array of heights to a t-family,
-    replacing q_t.
+    matrix G = sum_j w_j Q_{t_j}^* Q_{t_j} on the grid and tails of
+    ``square_function`` for q_t, formed in its Hadamard form (module
+    docstring).
     """
-    if not np.any(dec.nonkernel):
-        raise ValueError("empty non-kernel spectrum")
-    if t_grid is None:
-        ts, h = default_t_grid(dec)
-    else:
-        ts = np.asarray(t_grid)
-        h = np.log(ts[1] / ts[0]) if len(ts) > 1 else 1.0
-    use_default = symbol is None
-    if use_default:
-        symbol = q_t
+    ts, h = default_t_grid(dec)
+    psi = q_t(ts)
     # G = sum_j h Q_j^* Q_j with Q_j = V diag(s_j) V^{-1} is
     # V^{-*} [(V^* V) o W] V^{-1}, W_ik = h sum_j conj(s_j(lam_i)) s_j(lam_k),
     # block diagonal with V: only the diagonal blocks of W are formed
     V, Vinv = dec.V_blocks, dec.Vinv_blocks
-    S = _symbol_values(dec, symbol(np.asarray(ts, dtype=float)))
     W = V._like(V.rowwise(
         V.groups, lambda g, S_b: h * (S_b.conj() @ np.swapaxes(S_b, 1, 2)),
-        S))
-    if use_default:
-        # tails: T restricted to the non-kernel part and its inverse there
-        lam_nk = np.where(dec.kernel_indices, 0.0, dec.eigenvalues)
-        lam = np.where(dec.kernel_indices, 1.0, dec.eigenvalues)
-        inv_vals = np.where(dec.kernel_indices, 0.0, 1.0 / lam)
-        t_lo, t_hi = ts[0] * np.exp(-h / 2), ts[-1] * np.exp(h / 2)
-
-        def outer(vals):  # the diagonal blocks of conj(vals) vals^T
-            return V.rowwise(V.groups, lambda g, v: v.conj()[:, :, None]
-                             * v[:, None, :], vals)
-        for w, a, b in zip(W.blocks, outer(lam_nk), outer(inv_vals)):
-            w += (t_lo ** 2 / 2.0) * a
-            w += (1.0 / (2.0 * t_hi ** 2)) * b
+        _symbol_values(dec, psi)))
+    for w_tail, g in _tails(psi, ts, h):
+        vals = _symbol_values(dec, g)
+        # the diagonal blocks of w_tail conj(g) g^T
+        for w, outer in zip(W.blocks, V.rowwise(
+                V.groups, lambda _, v: v.conj()[:, :, None] * v[:, None, :],
+                vals)):
+            w += w_tail * outer
     G = Vinv.H @ (((V.H @ V) * W) @ Vinv)
     # extreme eigenvalues of G compressed to the non-kernel subspace, one
     # stacked eigvalsh per block size and subspace dimension

@@ -19,8 +19,7 @@ from . import algebra, calculus
 from .assembly import (OperatorMatrix, assemble_NB, assemble_TB,
                        adjoint_in_duality, hodge_split)
 from .bvp import BoundaryFrame, reflection_conditions
-from .calculus import (psi_exp, quadratic_constants, quadratic_norm,
-                       square_function)
+from .calculus import psi_exp, q_t, quadratic_constants, square_function
 from .grid import (CoefficientField, Field, Torus,
                    inner_product, norm as field_norm,
                    vector_block_coefficients)
@@ -482,13 +481,13 @@ def psi_comparability(B: CoefficientField, seed: int = 0,
     frame = BoundaryFrame(B)
     dec = frame.dec
     rng = np.random.default_rng(seed)
-    ts, h = calculus.default_t_grid(dec)
     ratios = []
     for i in range(num_fields):
         coords = frame.Pnk @ (rng.standard_normal(dec.dim)
                               + 1j * rng.standard_normal(dec.dim))
-        base = quadratic_norm(dec, coords)
-        psi = float(np.sqrt(square_function(dec, psi_exp, coords, ts, h)))
+        c = dec.coordinates(coords)
+        base = float(np.sqrt(square_function(dec, q_t, eig_coords=c)))
+        psi = float(np.sqrt(square_function(dec, psi_exp, eig_coords=c)))
         ratio = max(base / psi, psi / base)
         ratios.append(ratio)
         result.rows.append({"index": i, "q_t_norm": float(base),

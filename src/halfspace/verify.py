@@ -16,8 +16,8 @@ from .assembly import TB_operator, hat_h1_basis, restrict
 from .bvp import (SCALAR_KINDS, BoundaryFrame, nontangential_max,
                   norm_sup_t, norm_triplebar_dt, solve_dirichlet, solve_kind,
                   solve_neu_perp, solve_regularity)
-from .calculus import (quadratic_constants, quadratic_norm,
-                       sector_half_angle, sector_margin)
+from .calculus import (q_t, quadratic_constants, sector_half_angle,
+                       sector_margin, square_function)
 from .grid import (Field, Torus, identity_coefficients,
                    vector_block_coefficients)
 
@@ -206,7 +206,7 @@ def check_quadratic(points: int = 64, value_tol: float = 1e-4,
         dec = frame.dec
         coords = frame.Pnk @ (rng.standard_normal(dec.dim)
                               + 1j * rng.standard_normal(dec.dim))
-        qn = quadratic_norm(dec, coords)
+        qn = np.sqrt(square_function(dec, q_t, coords))
         ref = oracles.selfadjoint_qe_value(frame.T.entries, coords)
         err = abs(qn ** 2 - ref) / max(abs(ref), 1e-300)
         out.append(_entry(f"quadratic.value.{label}", err, value_tol))

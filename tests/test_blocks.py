@@ -102,7 +102,7 @@ def test_t_family_matches_dense_product(frame):
     dec = frame.dec
     rng = np.random.default_rng(4)
     v = rng.standard_normal(dec.dim) + 1j * rng.standard_normal(dec.dim)
-    ts, _ = default_t_grid(dec, points_per_decade=5)
+    ts = default_t_grid(dec)[0][::8]
     S = calculus._symbol_values(dec, exp_minus_t_abs(ts))
     ref = dec.V @ (S * (dec.Vinv @ v)[:, None])
     assert _rel(apply_to_vector(dec, exp_minus_t_abs(ts), v), ref) <= RTOL

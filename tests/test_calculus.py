@@ -7,11 +7,12 @@ from halfspace import calculus
 from halfspace.bvp import BoundaryInverse
 from halfspace.calculus import (BlockDiagonal, IllConditionedEigenbasisError,
                                 SectorViolationError, _is_hermitian,
-                                abs_power, apply_function, apply_to_vector,
+                                apply_function, apply_to_vector,
                                 block_partition, chi_minus,
                                 chi_plus, decompose, default_t_grid,
-                                exp_minus_t_abs, q_t, quadratic_constants,
-                                quadratic_norm, resolvent, sgn, svdvals)
+                                exp_minus_t_abs, psi_abs_exp, psi_exp, q_t,
+                                quadratic_constants, resolvent, sgn,
+                                square_function, svdvals)
 from halfspace.oracles import brute_resolvent, selfadjoint_qe_value
 
 
@@ -126,7 +127,7 @@ def test_selfadjoint_quadratic_value():
     dec = decompose(mat)
     rng = np.random.default_rng(8)
     v = rng.normal(size=mat.shape[0]) + 1j * rng.normal(size=mat.shape[0])
-    val = quadratic_norm(dec, v) ** 2
+    val = square_function(dec, q_t, v)
     ref = 0.5 * np.linalg.norm(v) ** 2
     assert abs(val - ref) <= 1e-6 * ref
     # independent quadrature route
@@ -142,12 +143,25 @@ def test_quadratic_constants_selfadjoint():
     assert abs(c_high - 1 / np.sqrt(2)) <= 1e-3
 
 
-def test_abs_power_composition():
-    mat, _ = _hermitian_with_kernel(seed=10, kernel_dim=0)
-    dec = decompose(mat)
-    half = apply_function(dec, abs_power(0.5)).dense()
-    full = apply_function(dec, abs_power(1.0)).dense()
-    assert np.allclose(half @ half, full, atol=1e-9 * np.linalg.norm(full, 2))
+@pytest.mark.parametrize("dim", [40, 200])
+def test_square_function_closed_forms_with_tails(dim):
+    # Hermitian injective T with |spectrum| spanning 1e-2 .. 1e2, both signs:
+    # int (s/(1+s^2))^2 ds/s = 1/2 and int (s e^{-s})^2 ds/s = 1/4.  The bare
+    # midpoint sum misses these by about 1e-7, so every declared tail counts.
+    rng = np.random.default_rng(dim)
+    Q = np.linalg.qr(rng.normal(size=(dim, dim))
+                     + 1j * rng.normal(size=(dim, dim)))[0]
+    lam = np.geomspace(1e-2, 1e2, dim) * rng.choice([-1.0, 1.0], dim)
+    dec = decompose(Q @ np.diag(lam) @ Q.conj().T)
+    assert dec.hermitian and not np.any(dec.kernel_indices)
+    f = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    norm2 = np.linalg.norm(f) ** 2
+    for family, exact in ((q_t, 0.5), (psi_exp, 0.25), (psi_abs_exp, 0.25)):
+        got = square_function(dec, family, f)
+        assert abs(got - exact * norm2) <= 1e-9 * exact * norm2, family
+        # eigen-coordinates in place of f give the same number
+        assert square_function(dec, family,
+                               eig_coords=dec.coordinates(f)) == got
 
 
 def test_default_t_grid_spans_spectrum():
@@ -158,6 +172,14 @@ def test_default_t_grid_spans_spectrum():
     assert ts[-1] > 1.0 / dec.min_nonkernel()
     assert h > 0
     assert np.allclose(np.diff(np.log(ts)), h)
+
+
+def test_quadrature_rejects_an_empty_non_kernel_spectrum():
+    dec = decompose(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="empty non-kernel spectrum"):
+        square_function(dec, q_t, np.ones(3))
+    with pytest.raises(ValueError, match="empty non-kernel spectrum"):
+        quadratic_constants(dec)
 
 
 def test_hermitian_verdict_matches_exact_two_norms():
@@ -238,7 +260,7 @@ def test_block_decompose_matches_dense_lapack(hermitian):
         1e-12 * np.linalg.norm(mat)
     assert np.linalg.norm(dec.V @ dec.Vinv - np.eye(mat.shape[0])) <= 1e-12
     assert abs(dec.cond_V - np.linalg.cond(dec.V)) <= 1e-12 * dec.cond_V
-    expected_kernel = np.abs(ref) <= dec.kernel_tol * scale
+    expected_kernel = np.abs(ref) <= calculus.DEFAULT_KERNEL_TOL * scale
     assert np.sum(dec.kernel_indices) == np.sum(expected_kernel) == 2
     assert np.all(dec.eigenvalues[dec.kernel_indices] == 0.0)
     assert np.linalg.norm(mat @ dec.V[:, dec.kernel_indices]) == 0.0

@@ -58,19 +58,45 @@ def _nontangential_loop(sol, t_samples, c0=0.5, c1=1.0):
     return float(np.sqrt(torus.weight * np.sum(best))), wins
 
 
-def _square_function_loop(dec, symbol, coeffs, ts, h):
+def _dense_tails(dec, family):
+    """The tails of ``family`` beyond the default grid as (weight, dense
+    matrix) pairs: its leading symbols g(T) at t -> 0 and h(T) at
+    t -> inf on the non-kernel part, written out here, and no pair at an
+    end where psi_t decays faster than any power."""
+    ts, h = default_t_grid(dec)
+    t_lo, t_hi = ts[0] * np.exp(-h / 2), ts[-1] * np.exp(h / 2)
+    lam = np.where(dec.kernel_indices, 1.0, dec.eigenvalues)
+    nk = dec.nonkernel.astype(complex)
+
+    def dense(vals):
+        return (dec.V * (vals * nk)) @ dec.Vinv
+    T = dense(lam)
+    small, large = {q_t: (T, dense(1.0 / lam)),
+                    psi_abs_exp: (dense(lam * np.sign(lam.real)), None),
+                    psi_exp: (T, None)}[family]
+    return [(t_lo ** 2 / 2.0, small)] + (
+        [] if large is None else [(1.0 / (2.0 * t_hi ** 2), large)])
+
+
+def _square_function_loop(dec, family, coeffs):
+    ts, h = default_t_grid(dec)
     total = 0.0
     for t in ts:
-        y = apply_to_vector(dec, symbol(t), coeffs)
+        y = apply_to_vector(dec, family(t), coeffs)
         total += h * float(np.vdot(y, y).real)
+    for w, g in _dense_tails(dec, family):
+        total += w * float(np.linalg.norm(g @ coeffs) ** 2)
     return total
 
 
-def _gram_loop(dec, ts, h, symbol):
+def _gram_loop(dec, family):
+    ts, h = default_t_grid(dec)
     G = np.zeros((dec.dim, dec.dim), dtype=complex)
     for t in ts:
-        Q = apply_function(dec, symbol(t)).dense()
+        Q = apply_function(dec, family(t)).dense()
         G += h * (Q.conj().T @ Q)
+    for w, g in _dense_tails(dec, family):
+        G += w * (g.conj().T @ g)
     return G
 
 
@@ -160,11 +186,13 @@ def test_norms_match_per_height_loops(name, request):
     ref_sup = max(frame.phys_norm(apply_to_vector(
         frame.dec, exp_minus_t_abs(t), sol.coords)) for t in ts)
     assert _rel(norm_sup_t(sol, ts), ref_sup) <= RTOL
-    grid, h = default_t_grid(frame.dec)
-    for symbol in (q_t, psi_abs_exp):
-        ref = _square_function_loop(frame.dec, symbol, sol.coords, grid, h)
-        got = square_function(frame.dec, symbol, sol.coords, grid, h)
-        assert _rel(got, ref) <= RTOL
+    refs = {}
+    for family in (q_t, psi_abs_exp, psi_exp):
+        refs[family] = _square_function_loop(frame.dec, family, sol.coords)
+        got = square_function(frame.dec, family, sol.coords)
+        assert _rel(got, refs[family]) <= RTOL
+    assert _rel(norm_triplebar_dt(sol),
+                np.sqrt(frame.torus.weight * refs[psi_abs_exp])) <= RTOL
 
 
 def test_block_apply_to_vector_matches_per_symbol(frame_n1):
@@ -184,25 +212,15 @@ def test_block_apply_to_vector_matches_per_symbol(frame_n1):
 def test_quadratic_constants_match_gram_loop(name, request):
     dec = request.getfixturevalue(name).dec
     assert not dec.hermitian
-    ts, h = default_t_grid(dec)
     U = np.linalg.svd(dec.nonkernel_projector().dense())[0][:, :int(
         np.sum(dec.nonkernel))]
-    for symbol in (None, psi_abs_exp):
-        G = _gram_loop(dec, ts, h, symbol or q_t)
-        if symbol is None:
-            lam = np.where(dec.kernel_indices, 1.0, dec.eigenvalues)
-            nk = dec.nonkernel.astype(complex)
-            Tnk = (dec.V * (lam * nk)) @ dec.Vinv
-            Tinv = (dec.V * (nk / lam)) @ dec.Vinv
-            t_lo, t_hi = ts[0] * np.exp(-h / 2), ts[-1] * np.exp(h / 2)
-            G += (t_lo ** 2 / 2.0) * (Tnk.conj().T @ Tnk)
-            G += (1.0 / (2.0 * t_hi ** 2)) * (Tinv.conj().T @ Tinv)
-        Gr = U.conj().T @ G @ U
-        ev = np.sqrt(np.clip(np.linalg.eigvalsh(0.5 * (Gr + Gr.conj().T)),
-                             0.0, None))
-        got = quadratic_constants(dec, symbol=symbol)
-        assert _rel(got[0], ev[0]) <= 1e-12
-        assert _rel(got[1], ev[-1]) <= 1e-12
+    G = _gram_loop(dec, q_t)
+    Gr = U.conj().T @ G @ U
+    ev = np.sqrt(np.clip(np.linalg.eigvalsh(0.5 * (Gr + Gr.conj().T)),
+                         0.0, None))
+    got = quadratic_constants(dec)
+    assert _rel(got[0], ev[0]) <= 1e-12
+    assert _rel(got[1], ev[-1]) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["frame_n1", "frame_n2"])
