@@ -766,13 +766,12 @@ def _null_plane_waves(torus: Torus, constraints: np.ndarray,
     return PlaneWaveBasis(torus, embed @ vecs, null)
 
 
-def hat_hk_basis(B: CoefficientField, k: int,
-                 rtol: float = 1e-10) -> SubspaceBasis:
+def hat_hk_basis(B: CoefficientField, k: int) -> SubspaceBasis:
     """Orthonormal basis of the degree-k fields with d(f_tan) = 0 and
     d*((B f)_nor) = 0: G^{-1} W for G = N^+ + N^- B and the per-mode null
     space W of d on tangential and d* on normal degree-k fields (see the
-    module docstring).  ``rtol`` is relative to the largest singular value
-    of the per-mode constraint symbols."""
+    module docstring).  The null-space cut is 1e-10 relative to the largest
+    singular value of the per-mode constraint symbols."""
     torus = B.torus
     n = torus.dim_n
     if not 0 <= k <= n + 1:
@@ -783,7 +782,7 @@ def hat_hk_basis(B: CoefficientField, k: int,
     constraints = np.concatenate(
         [_mode_symbols(torus, "d") @ (tan @ embed),
          _mode_symbols(torus, "d_star") @ (nor @ embed)], axis=1)
-    W = _null_plane_waves(torus, constraints, embed, rtol)
+    W = _null_plane_waves(torus, constraints, embed, 1e-10)
     if W.dim == 0:
         raise ValueError(f"constrained degree-{k} subspace is empty")
     Ginv = _pointwise_inverse(torus, tan + nor @ B.maps, "N^+ + N^- B")
@@ -874,13 +873,13 @@ def adjoint_in_duality(op: OperatorMatrix, B: CoefficientField) -> OperatorMatri
 # Hodge-type splitting
 # ---------------------------------------------------------------------------
 
-def hodge_split(B: CoefficientField, f: Field, rtol: float = 1e-9):
+def hodge_split(B: CoefficientField, f: Field):
     """Split f (minus its grid mean) as f1 + f2 with f1 in null(i m d) and
     f2 in null(B^{-1} i m d* B), both mean free.
 
     The null spaces come from the per-mode null spaces of the symbols of d
     and d*: null(i m d) = null d and null(B^{-1} i m d* B) = B^{-1} null d*,
-    with ``rtol`` relative to the largest symbol singular value.  The
+    cut at 1e-9 relative to the largest symbol singular value.  The
     constants are taken out of null d only: f1 is mean free, and so is
     f2 = (f - mean) - f1.
 
@@ -897,10 +896,10 @@ def hodge_split(B: CoefficientField, f: Field, rtol: float = 1e-9):
     v = vec - const_vec
     eye = np.eye(d)
     n1 = _null_plane_waves(torus, _mode_symbols(torus, "d"), eye,
-                           rtol).columns
+                           1e-9).columns
     Binv = _pointwise_inverse(torus, B.maps, "coefficient map B")
     n2 = _pointwise_field_operator(torus, Binv) @ _null_plane_waves(
-        torus, _mode_symbols(torus, "d_star"), eye, rtol).columns
+        torus, _mode_symbols(torus, "d_star"), eye, 1e-9).columns
     # the constants lie in null d and in null d*, so they are taken out of
     # null d only (what is left of it is mean free); B^{-1} null d* stays
     # whole, since for variable B the fields B^{-1} c are not constant and

@@ -741,13 +741,12 @@ def _periodic_box_mean(a: np.ndarray, win: int, axis: int) -> np.ndarray:
     return np.moveaxis((csum[win:win + N] - csum[:N]) / win, 0, axis)
 
 
-def nontangential_max(sol: SolutionField, c0: float = 0.5, c1: float = 1.0,
-                      t_samples=None) -> float:
+def nontangential_max(sol: SolutionField, t_samples=None) -> float:
     """L2 norm of the non-tangential maximal function on the sample lattice.
 
-    Whitney boxes: |s - t| < c0 t in height, |y - x| < c1 t per axis
-    (periodic distance); the box average always includes the nearest lattice
-    sample.  The fields at all heights come from one block product.
+    Whitney boxes: |s - t| < t/2 in height, |y - x| <= t per axis (periodic
+    distance, whole grid steps); the box average always includes the nearest
+    lattice sample.  The fields at all heights come from one block product.
     """
     frame = sol.frame
     torus = frame.torus
@@ -763,11 +762,11 @@ def nontangential_max(sol: SolutionField, c0: float = 0.5, c1: float = 1.0,
     dx = torus.length / torus.points_per_axis
     best = np.zeros(torus.shape)
     for i, t in enumerate(t_samples):
-        in_s = np.abs(t_samples - t) < c0 * t
+        in_s = np.abs(t_samples - t) < 0.5 * t
         if not np.any(in_s):
             in_s[i] = True
         avg = sq[in_s].mean(axis=0)
-        half_w = max(int(np.floor(c1 * t / dx)), 0)
+        half_w = max(int(np.floor(t / dx)), 0)
         win = min(2 * half_w + 1, torus.points_per_axis)
         for ax in range(torus.dim_n):
             avg = _periodic_box_mean(avg, win, ax)

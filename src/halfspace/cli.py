@@ -89,8 +89,8 @@ class RunConfig:
                 f"got {raw!r}") from None
         return self._finite(section, key, raw, value)
 
-    def get_complex(self, section, key, default=None, required=False):
-        raw = self.get(section, key, default=None, required=required)
+    def get_complex(self, section, key, default=None):
+        raw = self.get(section, key)
         if raw is None:
             return default
         try:
@@ -101,8 +101,8 @@ class RunConfig:
                 f"number like '1+2j', got {raw!r}") from None
         return self._finite(section, key, raw, value)
 
-    def get_list(self, section, key, conv=float, default=None, required=False):
-        raw = self.get(section, key, default=None, required=required)
+    def get_list(self, section, key, conv=float, default=None):
+        raw = self.get(section, key)
         if raw is None:
             return default
         try:
@@ -206,7 +206,8 @@ def build_coefficients(cfg: RunConfig, torus: Torus,
     if family == "constant":
         entries = cfg.get_list("coefficients", "entries")
         if entries is None:
-            A = oracles_random_constant(cfg, torus, seed)
+            A = diagnostics.random_accretive_constant(
+                cfg.get_int("coefficients", "seed", default=seed), torus.dim_n)
         else:
             dim = torus.dim_n + 1
             if len(entries) != 2 * dim * dim:
@@ -221,11 +222,6 @@ def build_coefficients(cfg: RunConfig, torus: Torus,
             raise ConfigError(f"{cfg.path}: bad constant matrix: {exc}") \
                 from None
     raise ConfigError(f"{cfg.path}: unknown coefficient family {family!r}")
-
-
-def oracles_random_constant(cfg: RunConfig, torus: Torus, seed: int):
-    return diagnostics.random_accretive_constant(
-        cfg.get_int("coefficients", "seed", default=seed), torus.dim_n)
 
 
 def build_scalar_data(cfg: RunConfig, torus: Torus) -> np.ndarray:
@@ -346,6 +342,15 @@ def cmd_campaign(cfg: RunConfig, out_dir: str, seed: int, quiet: bool) -> int:
             raise ConfigError(f"{cfg.path}: empty k_list")
         n_points = cfg.get_list("campaign", "n_points", conv=int,
                                 default=[128, 256])
+        where = cfg._where("campaign", "n_points")
+        if not n_points:
+            raise ConfigError(f"{where}: empty n_points")
+        for N in n_points:
+            try:
+                Torus(1, torus.length, N)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{where}: invalid n_points entry {N}: {exc}") from None
         result = diagnostics.skew_scan(k_list, n_points, torus.length)
     elif cid == "psi":
         result = diagnostics.psi_comparability(B, seed=seed)

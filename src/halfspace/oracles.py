@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import algebra
+from .calculus import DEFAULT_KERNEL_TOL
 from .grid import Field, Torus, norm as field_norm
 
 __all__ = [
@@ -285,8 +286,7 @@ def constant_deviations(sol, A_const: np.ndarray, kind: str,
 # ---------------------------------------------------------------------------
 
 def cauchy_extension_line(g1, t: float, x: float,
-                          support: tuple = (-8.0, 8.0),
-                          abs_tol: float = 1e-8) -> np.ndarray:
+                          support: tuple = (-8.0, 8.0)) -> np.ndarray:
     """Explicit upper half-plane extension of tangential data g = g1 e1 for
     identity coefficients on the line:
 
@@ -299,6 +299,7 @@ def cauchy_extension_line(g1, t: float, x: float,
     if t <= 0:
         raise ValueError("t must be positive")
     lo, hi = support
+    abs_tol = 1e-8
 
     def kern_e0(y):
         return -(x - y) * g1(y) / (t ** 2 + (x - y) ** 2)
@@ -328,17 +329,17 @@ def brute_resolvent(T: np.ndarray, lam0: complex, vec: np.ndarray) -> np.ndarray
     return np.linalg.solve(lam0 * np.eye(T.shape[0]) - T, vec)
 
 
-def selfadjoint_qe_value(T: np.ndarray, vec: np.ndarray,
-                         kernel_tol: float = 1e-10) -> float:
+def selfadjoint_qe_value(T: np.ndarray, vec: np.ndarray) -> float:
     """Exact quadratic-estimate value ||f_nonkernel||^2 / 2 for self-adjoint T,
-    from int_0^inf (s/(1+s^2))^2 ds/s = 1/2."""
+    from int_0^inf (s/(1+s^2))^2 ds/s = 1/2. The kernel is the eigenvalues
+    at most ``DEFAULT_KERNEL_TOL`` times the largest in modulus."""
     T = np.asarray(T, dtype=complex)
     herm_defect = np.linalg.norm(T - T.conj().T, 2)
     if herm_defect > 1e-8 * max(np.linalg.norm(T, 2), 1e-300):
         raise ValueError("operator is not self-adjoint")
     lam, V = np.linalg.eigh(0.5 * (T + T.conj().T))
     coeffs = V.conj().T @ vec
-    keep = np.abs(lam) > kernel_tol * max(np.max(np.abs(lam)), 1e-300)
+    keep = np.abs(lam) > DEFAULT_KERNEL_TOL * max(np.max(np.abs(lam)), 1e-300)
     return 0.5 * float(np.sum(np.abs(coeffs[keep]) ** 2))
 
 

@@ -30,10 +30,15 @@ def _entry(name, value, tol, ok=None):
     return (name, float(value), float(tol), bool(ok))
 
 
+def _campaign_entries(prefix, result):
+    return [_entry(f"{prefix}.{c.name}", c.value, c.tolerance, c.passed)
+            for c in result.checks]
+
+
 # -- 1. exterior algebra identities -----------------------------------------
 
-def check_algebra(samples: int = 1000, tol: float = 1e-12, seed: int = 0):
-    rng = np.random.default_rng(seed)
+def check_algebra(samples: int = 1000, tol: float = 1e-12):
+    rng = np.random.default_rng(0)
     worst = {"anticommute": 0.0, "associative": 0.0, "derivation": 0.0,
              "m_squared": 0.0, "mu_anticommutator": 0.0, "mu_nilpotent": 0.0}
 
@@ -81,12 +86,12 @@ def check_algebra(samples: int = 1000, tol: float = 1e-12, seed: int = 0):
 
 # -- 2. constant-coefficient symbol oracle ----------------------------------
 
-def check_symbol_oracle(points: int = 256, tol: float = 1e-9, seed: int = 1,
+def check_symbol_oracle(points: int = 256, tol: float = 1e-9,
                         num_t: int = 10):
     torus = Torus(1, 2 * np.pi, points)
     out = []
     cases = [("identity", np.eye(2, dtype=complex)),
-             ("random", diagnostics.random_accretive_constant(seed, 1))]
+             ("random", diagnostics.random_accretive_constant(1, 1))]
     scalar = diagnostics.mode_data(torus, 2) + 0.5 * diagnostics.gaussian_data(torus)
     for label, A in cases:
         B = vector_block_coefficients(torus, A)
@@ -103,8 +108,7 @@ def check_symbol_oracle(points: int = 256, tol: float = 1e-9, seed: int = 1,
 # -- 3. explicit Cauchy kernel on the line ----------------------------------
 
 def check_example_kernel(length: float = 16.0, points: int = 512,
-                         sample_points: int = 20, tol: float = 1e-3,
-                         window_periods: int = 4):
+                         sample_points: int = 20, tol: float = 1e-3):
     torus = Torus(1, length, points)
     center, width = length / 2, length / 24
     g1 = diagnostics.gaussian_data(torus, center=center, width=width).real
@@ -126,7 +130,7 @@ def check_example_kernel(length: float = 16.0, points: int = 512,
     idx = rng.integers(int(0.3 * points), int(0.7 * points), sample_points)
     ts = rng.uniform(0.3, 1.5, sample_points)
     worst = 0.0
-    half_window = window_periods * length
+    half_window = 4 * length
     for j, t in zip(idx, ts):
         x = float(x_grid[j])
         # two-window Richardson step removes the O(1/W) truncation tail of
@@ -147,8 +151,9 @@ def check_example_kernel(length: float = 16.0, points: int = 512,
 # -- 4. sector localization --------------------------------------------------
 
 def check_sector(points: int = 128, tol_const: float = 1e-8,
-                 tol_var: float = 1e-2, seed: int = 3):
+                 tol_var: float = 1e-2):
     torus = Torus(1, 2 * np.pi, points)
+    seed = 3
     families = [
         ("identity", identity_coefficients(torus), tol_const),
         ("constant", vector_block_coefficients(
@@ -173,35 +178,31 @@ def check_sector(points: int = 128, tol_const: float = 1e-8,
 
 # -- 5. Rellich identities ---------------------------------------------------
 
-def check_rellich(points: int = 64, fields: int = 100, tol: float = 1e-7,
-                  seed: int = 5):
+def check_rellich(points: int = 64, fields: int = 100, tol: float = 1e-7):
     torus = Torus(1, 2 * np.pi, points)
+    seed = 5
     B = diagnostics.smooth_real_symmetric(torus, seed, kappa_min=0.3)
     result = diagnostics.rellich_campaign(B, seed=seed, num_fields=fields,
                                           tol=tol)
-    return [_entry(f"rellich.{c.name}", c.value, c.tolerance, c.passed)
-            for c in result.checks]
+    return _campaign_entries("rellich", result)
 
 
 # -- 6. block identities -----------------------------------------------------
 
-def check_block(points: int = 64, tol: float = 1e-9, seed: int = 6):
+def check_block(points: int = 64, tol: float = 1e-9):
     torus = Torus(1, 2 * np.pi, points)
-    B = diagnostics.block_coefficients(torus, seed)
-    result = diagnostics.block_campaign(B, tol=tol)
-    return [_entry(f"block.{c.name}", c.value, c.tolerance, c.passed)
-            for c in result.checks]
+    B = diagnostics.block_coefficients(torus, 6)
+    return _campaign_entries("block", diagnostics.block_campaign(B, tol=tol))
 
 
 # -- 7. quadratic estimates, self-adjoint oracle ----------------------------
 
-def check_quadratic(points: int = 64, value_tol: float = 1e-4,
-                    const_tol: float = 1e-3, seed: int = 8, skew_k: float = 2.0):
+def check_quadratic(points: int = 64, value_tol: float = 1e-4):
     torus = Torus(1, 2 * np.pi, points)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(8)
     out = []
     for label, B in (("identity", identity_coefficients(torus)),
-                     ("skew", diagnostics.skew_coefficients(torus, skew_k))):
+                     ("skew", diagnostics.skew_coefficients(torus, 2.0))):
         frame = BoundaryFrame(B)
         dec = frame.dec
         coords = frame.Pnk @ (rng.standard_normal(dec.dim)
@@ -213,17 +214,17 @@ def check_quadratic(points: int = 64, value_tol: float = 1e-4,
         c_low, c_high = quadratic_constants(dec)
         target = 1.0 / np.sqrt(2.0)
         out.append(_entry(f"quadratic.c_low.{label}",
-                          abs(c_low - target) / target, const_tol))
+                          abs(c_low - target) / target, 1e-3))
         out.append(_entry(f"quadratic.c_high.{label}",
-                          abs(c_high - target) / target, const_tol))
+                          abs(c_high - target) / target, 1e-3))
     return out
 
 
 # -- 8. perturbation stability ----------------------------------------------
 
-def check_perturbation(points: int = 32, eps_list=(1e-1, 1e-2, 1e-3),
-                       seed: int = 9):
+def check_perturbation(points: int = 32, eps_list=(1e-1, 1e-2, 1e-3)):
     torus = Torus(1, 2 * np.pi, points)
+    seed = 9
     direction = diagnostics.smooth_real_symmetric(torus, seed + 100,
                                                   kappa_min=-np.inf)
     from .grid import CoefficientField
@@ -236,31 +237,26 @@ def check_perturbation(points: int = 32, eps_list=(1e-1, 1e-2, 1e-3),
                        diagnostics.smooth_real_symmetric(torus, seed))):
         result = diagnostics.perturbation_campaign(B0, delta, eps_list,
                                                    seed=seed)
-        for c in result.checks:
-            out.append(_entry(f"perturbation.{label}.{c.name}", c.value,
-                              c.tolerance, c.passed))
+        out += _campaign_entries(f"perturbation.{label}", result)
     return out
 
 
 # -- 9. well-posedness landscape --------------------------------------------
 
-def check_skew(k_list=(0.0, 1.0, 2.0, 4.0, 8.0), n_points=(128, 256),
-               norm_tol: float = 1e-6):
-    result = diagnostics.skew_scan(k_list, n_points, 2 * np.pi,
-                                   norm_tol=norm_tol)
-    return [_entry(f"skew.{c.name}", c.value, c.tolerance, c.passed)
-            for c in result.checks]
+def check_skew(k_list=(0.0, 1.0, 2.0, 4.0, 8.0), n_points=(128, 256)):
+    return _campaign_entries(
+        "skew", diagnostics.skew_scan(k_list, n_points, 2 * np.pi))
 
 
 # -- 10. solution-norm equivalences -----------------------------------------
 
-def _norm_ratios(points: int, seed: int):
+def _norm_ratios(points: int):
     torus = Torus(1, 2 * np.pi, points)
     ratios = {}
     scalar = diagnostics.mode_data(torus, 1) + 0.3 * diagnostics.mode_data(torus, 3)
     for label, B in (("identity", identity_coefficients(torus)),
                      ("real_symmetric",
-                      diagnostics.smooth_real_symmetric(torus, seed))):
+                      diagnostics.smooth_real_symmetric(torus, 10))):
         frame = BoundaryFrame(B)
         sol, _ = solve_neu_perp(None, scalar, frame=frame)
         base = frame.phys_norm(sol.coords)
@@ -273,10 +269,10 @@ def _norm_ratios(points: int, seed: int):
     return ratios
 
 
-def check_norm_equivalences(points: int = 64, seed: int = 10,
-                            window=(1 / 50, 50.0), drift_tol: float = 0.2):
-    lo = _norm_ratios(points, seed)
-    hi = _norm_ratios(2 * points, seed)
+def check_norm_equivalences(points: int = 64):
+    lo = _norm_ratios(points)
+    hi = _norm_ratios(2 * points)
+    window = (1 / 50, 50.0)
     out = []
     for label in lo:
         for name in lo[label]:
@@ -286,33 +282,31 @@ def check_norm_equivalences(points: int = 64, seed: int = 10,
             out.append(_entry(f"norms.{label}.{name}.window",
                               r1, window[1], ok=in_window))
             drift = abs(r1 - r0) / max(abs(r0), 1e-300)
-            out.append(_entry(f"norms.{label}.{name}.drift", drift, drift_tol))
+            out.append(_entry(f"norms.{label}.{name}.drift", drift, 0.2))
     return out
 
 
 # -- 11. duality -------------------------------------------------------------
 
-def check_duality(points: int = 32, tol: float = 1e-9, seed: int = 11):
+def check_duality(points: int = 32, tol: float = 1e-9):
     torus = Torus(1, 2 * np.pi, points)
+    seed = 11
     out = []
     cases = (("constant_complex", vector_block_coefficients(
         torus, diagnostics.random_accretive_constant(seed, 1))),
         ("real_symmetric", diagnostics.smooth_real_symmetric(torus, seed)))
     for label, B in cases:
-        result = diagnostics.duality_campaign(B, tol=tol)
-        for c in result.checks:
-            out.append(_entry(f"duality.{label}.{c.name}", c.value,
-                              c.tolerance, c.passed))
+        out += _campaign_entries(f"duality.{label}",
+                                 diagnostics.duality_campaign(B, tol=tol))
     return out
 
 
 # -- 12. Dirichlet interior residual ----------------------------------------
 
-def check_dirichlet(points: int = 64, residual_tol: float = 1e-6,
-                    poisson_tol: float = 1e-10, seed: int = 12):
+def check_dirichlet(points: int = 64, residual_tol: float = 1e-6):
     torus = Torus(1, 2 * np.pi, points)
     out = []
-    B = diagnostics.smooth_real_symmetric(torus, seed)
+    B = diagnostics.smooth_real_symmetric(torus, 12)
     scalar = diagnostics.mode_data(torus, 1) + 0.5 * diagnostics.mode_data(torus, 2)
     _, report = solve_dirichlet(None, scalar, frame=BoundaryFrame(B))
     out.append(_entry("dirichlet.second_order_residual",
@@ -327,7 +321,7 @@ def check_dirichlet(points: int = 64, residual_tol: float = 1e-6,
         expect = U0 * np.array([oracles.poisson_factor(x, t) for x in xi])
         worst = max(worst, float(np.linalg.norm(Ut - expect)
                                  / max(np.linalg.norm(U0), 1e-300)))
-    out.append(_entry("dirichlet.poisson_factor", worst, poisson_tol))
+    out.append(_entry("dirichlet.poisson_factor", worst, 1e-10))
     return out
 
 

@@ -175,6 +175,18 @@ def test_unknown_campaign_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("n_points", ["", "0", "64, 100"])
+def test_skew_campaign_bad_n_points_exit_code(tmp_path, capsys, n_points):
+    text = ("[torus]\nn = 1\nlength = 6.0\npoints = 32\n\n"
+            "[coefficients]\nfamily = identity\n\n[campaign]\nid = skew\n"
+            f"n_points = {n_points}\n")
+    cfg = _write(tmp_path, "camp.cfg", text)
+    rc = main(["campaign", "--config", cfg, "--out", str(tmp_path / "o"),
+               "--quiet"])
+    assert rc == 2
+    assert "camp.cfg:11: " in capsys.readouterr().err
+
+
 def test_oracle_command(tmp_path):
     text = ("[torus]\nn = 1\nlength = 6.283185307179586\npoints = 64\n\n"
             "[coefficients]\nfamily = identity\n\n[problem]\ndata = mode\n")

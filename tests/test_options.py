@@ -1,0 +1,157 @@
+"""Every defaulted parameter of a public function has a caller that sets it.
+
+A default that no call ever overrides is a constant spelled as an option:
+it doubles the configurations a reader must consider and none of them is
+exercised. The scan below parses ``src/halfspace`` with ``ast``, lists the
+defaulted parameters of each public function or method whose name is
+defined once in the package, and looks for a call of that name that passes
+each of them, by position or by keyword, in ``src/``, ``bench/``,
+``tests/`` or the README's python example. A call with ``*args`` counts as
+passing every positional parameter and one with ``**kwargs`` every
+parameter. A call that only forwards an option of its own enclosing
+function (``f(tol=tol)``) sets the callee's option only if that enclosing
+option is itself set somewhere.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "halfspace"
+
+# solve_regularity, solve_neu_perp and solve_dirichlet share solve_neumann's
+# signature, whose `torus` the README example sets; the four solvers are
+# called alike, so one of them dropping it would make their calls differ.
+EXEMPT = {("solve_regularity", "torus"), ("solve_neu_perp", "torus"),
+          ("solve_dirichlet", "torus")}
+
+STAR, DOUBLE_STAR = "*", "**"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _defs():
+    """Yield (name, node, is_method) for every def at module or class level."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, FUNCTIONS):
+                yield node.name, node, False
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, FUNCTIONS):
+                        static = any(isinstance(d, ast.Name)
+                                     and d.id == "staticmethod"
+                                     for d in item.decorator_list)
+                        yield item.name, item, not static
+
+
+def _options():
+    """Map each uniquely named public def to its defaulted parameters.
+
+    Each parameter is (name, position), where position is the index a
+    positional argument of a call takes, or None for keyword-only ones.
+    """
+    defs = list(_defs())
+    counts = Counter(name for name, _, _ in defs)
+    options = {}
+    for name, node, is_method in defs:
+        if name.startswith("_") or counts[name] > 1:
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = 1 if is_method else 0
+        params = [(positional[i].arg, i - skip) for i in
+                  range(len(positional) - len(args.defaults), len(positional))]
+        params += [(arg.arg, None) for arg, default in
+                   zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+        if params:
+            options[name] = params
+    return options
+
+
+def _sources():
+    for top in ("src", "bench", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            yield str(path), path.read_text()
+    readme = (ROOT / "README.md").read_text()
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        yield "README.md", block
+
+
+class _CallCollector(ast.NodeVisitor):
+    """Record (callee, slot, source) for every argument of every call.
+
+    ``slot`` is a position, a keyword, STAR or DOUBLE_STAR. ``source`` is
+    (enclosing function, parameter) when the argument is a bare name of a
+    parameter of an enclosing function, else None.
+    """
+
+    def __init__(self):
+        self.stack = []
+        self.records = []
+
+    def visit_FunctionDef(self, node):
+        args = node.args
+        names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        self.stack.append((node.name, names))
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def _source(self, value):
+        if isinstance(value, ast.Name):
+            for name, params in reversed(self.stack):
+                if value.id in params:
+                    return (name, value.id)
+        return None
+
+    def visit_Call(self, node):
+        func = node.func
+        callee = (func.id if isinstance(func, ast.Name) else
+                  func.attr if isinstance(func, ast.Attribute) else None)
+        if callee is not None:
+            for i, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    self.records.append((callee, STAR, None))
+                else:
+                    self.records.append((callee, i, self._source(arg)))
+            for kw in node.keywords:
+                slot = DOUBLE_STAR if kw.arg is None else kw.arg
+                self.records.append((callee, slot, self._source(kw.value)))
+        self.generic_visit(node)
+
+
+def unset_options():
+    """Sorted "function(parameter)" strings for defaults no call sets."""
+    options = _options()
+    collector = _CallCollector()
+    for filename, text in _sources():
+        collector.visit(ast.parse(text, filename=filename))
+    is_option = {(name, param) for name, params in options.items()
+                 for param, _ in params}
+    set_ = set(EXEMPT)
+    changed = True
+    while changed:
+        changed = False
+        for callee, slot, source in collector.records:
+            if callee not in options:
+                continue
+            if source in is_option and source not in set_:
+                continue
+            for param, position in options[callee]:
+                hit = (slot in (param, DOUBLE_STAR)
+                       or (position is not None
+                           and slot in (position, STAR)))
+                if hit and (callee, param) not in set_:
+                    set_.add((callee, param))
+                    changed = True
+    return sorted(f"{name}({param})" for name, param in is_option - set_)
+
+
+def test_every_option_has_a_caller():
+    unset = unset_options()
+    assert not unset, ("defaulted parameters that no call sets; make each "
+                       f"a constant: {unset}")
