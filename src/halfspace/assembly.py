@@ -835,9 +835,11 @@ def restrict(op: OperatorMatrix | FieldOperator,
             leak_norm = np.linalg.norm(rows, 2) if rows.size else 0.0
     defect = None
     if invariance_tol is not None:
-        norm = (np.linalg.norm(op.entries, 2)
-                if isinstance(op, OperatorMatrix) else op.norm())
-        defect = float(leak_norm / max(norm, 1e-300))
+        defect = 0.0
+        if leak_norm > 0:  # a zero leak needs no operator norm
+            norm = (np.linalg.norm(op.entries, 2)
+                    if isinstance(op, OperatorMatrix) else op.norm())
+            defect = float(leak_norm / max(norm, 1e-300))
         if defect > invariance_tol:
             raise SubspaceInvarianceError(
                 f"operator does not preserve subspace {basis.label!r}: "

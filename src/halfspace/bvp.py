@@ -800,15 +800,17 @@ def wellposedness_report(frame: BoundaryFrame) -> dict:
     gaps, block by block."""
     out = {label: {"cond": min(cond, COND_CAP), "capped": cond >= COND_CAP}
            for label, cond in reflection_conditions(frame).items()}
-    # restricted projections N^{+-}_A : E^+ H -> N^{+-}_A H on non-kernel part
-    Pnk = frame.Pnk_blocks
-    Eplus = (Pnk + frame.E_blocks @ Pnk) * 0.5
-    bases_of = {}  # range bases of E^+ on each partition, taken once
+    # restricted projections N^{+-}_A : E^+ H -> N^{+-}_A H on non-kernel
+    # part; E^+ H is spanned by the eigenvectors with Re lambda > 0
+    dec = frame.dec
+    plus = dec.nonkernel & (dec.eigenvalues.real > 0)
+    bases_of = {}  # orthonormal bases of E^+ H on each partition, taken once
     for name, refl in (("N_A", frame.NA_blocks), ("N", frame.N_blocks)):
-        on_refl = Eplus.regroup(refl.groups)
-        if id(on_refl) not in bases_of:
-            bases_of[id(on_refl)] = (on_refl, list(on_refl.range_bases()))
-        bases = bases_of[id(on_refl)][1]
+        V = dec.V_blocks.regroup(refl.groups)
+        if id(V) not in bases_of:
+            bases_of[id(V)] = (V, [(g, sel, np.linalg.qr(C)[0])
+                                   for g, sel, _, C in V.columns(plus)])
+        bases = bases_of[id(V)][1]
         eye = BlockDiagonal.eye(refl.groups)
         for pm, sign_ in (("+", +1.0), ("-", -1.0)):
             proj = (eye + refl * sign_) * 0.5

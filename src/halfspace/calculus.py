@@ -55,20 +55,21 @@ substitution per block.  A caller that applies many blocks to the same f
 (``bvp.SolutionField``) keeps c = ``dec.coordinates(f)`` and passes it as
 ``eig_coords``, so each block costs the one product V (S o c).
 
-Square-function norms int_0^inf ||psi_t(T) f||^2 dt/t have one
-quadrature, ``square_function``: the midpoint rule over the log-spaced
-``default_t_grid`` (40 points per decade), one block product for the whole
-grid, plus the tails beyond the grid that each t-family declares through
-its leading symbols (``FunctionDescriptor.small_t`` and ``large_t``): z and
-1/z for q_t, z for ``psi_exp``, |z| for ``psi_abs_exp``.  For self-adjoint
-injective T the exact values are ||f||^2 / 2 for q_t and ||f||^2 / 4 for
-the other two, from int_0^inf (s/(1+s^2))^2 ds/s = 1/2 and
-int_0^inf (s e^{-s})^2 ds/s = 1/4.  ``quadratic_constants`` takes the Gram
-matrix of the same quadrature for q_t, G = sum_j w_j Q_j^* Q_j with
-Q_j = V diag(s_j) V^{-1}, in its Hadamard form
-G = V^{-*} [(V^* V) o W] V^{-1}, W = sum_j w_j conj(s_j) s_j^T: one
-m x T x m product instead of two m^3 products per height, and only the
-diagonal blocks of W on the partition of V.
+Square-function norms int_0^inf ||psi_t(T) f||^2 dt/t are exact Hermitian
+forms: with c = V^{-1} f on the non-kernel indices, ``square_function`` is
+c^* [(V^* V) o K] c, one stacked product per block size, where
+K_ij = int_0^inf conj(psi_t(lambda_i)) psi_t(lambda_j) dt/t is the Gram
+kernel each t-family declares in closed form (``FunctionDescriptor.gram``).
+With p = conj|mu| and q = |nu|, both in the open right half plane, it is
+pq/(p+q)^2 for ``psi_abs_exp``, conj(mu) nu/(p+q)^2 for ``psi_exp`` and
+conj(mu) nu (log p - log q)/((p-q)(p+q)) for ``q_t`` (McIntosh 1986).  For
+self-adjoint injective T the diagonal is 1/2 for q_t and 1/4 for the other
+two, so the values are ||f||^2 / 2 and ||f||^2 / 4.  ``quadratic_constants``
+compresses the Gram matrix of q_t, G = V^{-*} [(V^* V) o K] V^{-1}, to the
+non-kernel range: with V_nk = QR the non-kernel columns of V, the
+compression is R^{-*} [(V_nk^* V_nk) o K] R^{-1}, block by block.  The q_t
+kernel has a pole where lambda is imaginary (at t = 1/|lambda|), so both
+routines raise SectorViolationError for a (near-)imaginary eigenvalue.
 """
 
 from __future__ import annotations
@@ -102,12 +103,10 @@ __all__ = [
     "semigroup_dt",
     "psi_abs_exp",
     "psi_exp",
-    "default_t_grid",
     "square_function",
     "quadratic_constants",
 ]
 
-POINTS_PER_DECADE = 40
 DEFAULT_KERNEL_TOL = 1e-10
 COND_V_CAP = 1e8
 # entries per row chunk of ``block_partition``'s label sweep (1 MB of labels)
@@ -130,17 +129,15 @@ class FunctionDescriptor:
 
     ``sign_sensitive`` marks symbols built on the holomorphic sgn, which are
     undefined on the imaginary axis.  A square-function family psi_t
-    declares its tails: ``small_t`` = g with psi_t ~ t g as t -> 0 and
-    ``large_t`` = h with psi_t ~ h / t as t -> inf, None where psi_t
-    decays faster than any power.
+    declares its Gram kernel: ``gram`` maps eigenvalue arrays (mu, nu) to
+    int_0^inf conj(psi_t(mu)) psi_t(nu) dt/t, broadcast.
     """
 
     name: str
     fn: object  # callable complex array -> complex array
     kernel_value: complex
     sign_sensitive: bool = False
-    small_t: FunctionDescriptor | None = None
-    large_t: FunctionDescriptor | None = None
+    gram: object = None  # callable (mu, nu) -> complex array
 
     def __call__(self, lam):
         return self.fn(np.asarray(lam, dtype=complex))
@@ -163,17 +160,35 @@ def resolvent(lam0: complex) -> FunctionDescriptor:
         kernel_value=1.0 / lam0)
 
 
-# leading symbols of the square-function families at t -> 0 and t -> inf
-_Z = FunctionDescriptor("z", lambda z: z, kernel_value=0.0)
-_ABS_Z = FunctionDescriptor("|z|", _holo_abs, kernel_value=0.0,
-                            sign_sensitive=True)
-_INV_Z = FunctionDescriptor("1/z", lambda z: 1.0 / np.where(z == 0, 1.0, z),
-                            kernel_value=0.0)
+def _psi_abs_exp_gram(mu, nu):
+    p, q = np.conj(_holo_abs(mu)), _holo_abs(nu)
+    return p * q / (p + q) ** 2
+
+
+def _psi_exp_gram(mu, nu):
+    p, q = np.conj(_holo_abs(mu)), _holo_abs(nu)
+    return np.conj(mu) * nu / (p + q) ** 2
+
+
+def _q_t_gram(mu, nu):
+    """conj(mu) nu (log p - log q) / ((p - q)(p + q)), p = conj|mu|, q = |nu|.
+
+    In the right half plane log p - log q = log(p/q) = 2 atanh(r) with
+    r = (p - q)/(p + q) and |r| < 1: the atanh form for |r| <= 1/2 (numpy's
+    complex log1p loses digits near p = q), the log form beyond, and the
+    limit 2 of log(p/q) / r at p = q.
+    """
+    p, q = np.conj(_holo_abs(mu)), _holo_abs(nu)
+    r = (p - q) / (p + q)
+    equal = r == 0
+    r = np.where(equal, 0.5, r)  # any |r| < 1; the quotient is replaced
+    quot = np.where(np.abs(r) <= 0.5, 2.0 * np.arctanh(r), np.log(p / q)) / r
+    return np.conj(mu) * nu * np.where(equal, 2.0, quot) / (p + q) ** 2
 
 
 def _t_family(name: str, t, fn, kernel_value: complex,
               sign_sensitive: bool, params: str = "",
-              small_t=None, large_t=None) -> FunctionDescriptor:
+              gram=None) -> FunctionDescriptor:
     """The symbol z -> fn(z, t) at one height t, or, for a 1-D array of
     heights, the family whose value at an array z is the block
     fn(z[..., None], t) = [b_{t_j}(z_i)], one column per height."""
@@ -181,18 +196,17 @@ def _t_family(name: str, t, fn, kernel_value: complex,
     if ts.ndim == 0:
         return FunctionDescriptor(f"{name}(t={t!r}{params})",
                                   lambda z: fn(z, t), kernel_value,
-                                  sign_sensitive, small_t, large_t)
+                                  sign_sensitive, gram)
     if ts.ndim != 1:
         raise ValueError("heights must be a scalar or a 1-D array")
     return FunctionDescriptor(f"{name}(t=<{ts.size} heights>{params})",
                               lambda z: fn(z[..., None], ts), kernel_value,
-                              sign_sensitive, small_t, large_t)
+                              sign_sensitive, gram)
 
 
 def q_t(t) -> FunctionDescriptor:
     return _t_family("q_t", t, lambda z, t: t * z / (1.0 + (t * z) ** 2),
-                     kernel_value=0.0, sign_sensitive=False, small_t=_Z,
-                     large_t=_INV_Z)
+                     kernel_value=0.0, sign_sensitive=False, gram=_q_t_gram)
 
 
 def chi_plus() -> FunctionDescriptor:
@@ -233,7 +247,7 @@ def psi_abs_exp(t) -> FunctionDescriptor:
         ta = t * _holo_abs(z)
         return ta * np.exp(-ta)
     return _t_family("psi_abs_exp", t, fn, kernel_value=0.0,
-                     sign_sensitive=True, small_t=_ABS_Z)
+                     sign_sensitive=True, gram=_psi_abs_exp_gram)
 
 
 def psi_exp(t) -> FunctionDescriptor:
@@ -241,7 +255,8 @@ def psi_exp(t) -> FunctionDescriptor:
     symbol."""
     return _t_family("psi_exp", t,
                      lambda z, t: t * z * np.exp(-t * _holo_abs(z)),
-                     kernel_value=0.0, sign_sensitive=True, small_t=_Z)
+                     kernel_value=0.0, sign_sensitive=True,
+                     gram=_psi_exp_gram)
 
 
 def _same_partition(a: list, b: list) -> bool:
@@ -398,18 +413,20 @@ class BlockDiagonal:
         """The singular values of all blocks, one stacked SVD per group."""
         return np.concatenate([svdvals(b).ravel() for b in self.blocks])
 
-    def range_bases(self):
-        """Orthonormal bases of the range of a projector-like matrix, block
-        by block: the left singular vectors with singular value above 1/2.
-        Yields (g, sel, U): group g, the boolean selection of its blocks
-        whose range has r columns, and their bases stacked (count, k, r),
-        one stacked SVD per group."""
-        for g, b in enumerate(self.blocks):
-            u, s, _ = np.linalg.svd(b)
-            ranks = np.sum(s > 0.5, axis=1)
+    def columns(self, keep: np.ndarray):
+        """The columns of each block that the boolean mask ``keep`` over
+        the m indices selects.  Yields (g, sel, cols, C): group g, the
+        boolean selection of its blocks with r kept columns, their indices
+        (count, r) and the columns themselves stacked (count, k, r), in
+        index order."""
+        for g, (idx, b) in enumerate(zip(self.groups, self.blocks)):
+            mask = keep[idx]
+            ranks = np.sum(mask, axis=1)
             for r in np.unique(ranks[ranks > 0]):
                 sel = ranks == r
-                yield g, sel, np.ascontiguousarray(u[sel][:, :, :r])
+                pos = np.nonzero(mask[sel])[1].reshape(-1, r)
+                yield (g, sel, np.take_along_axis(idx[sel], pos, axis=1),
+                       np.take_along_axis(b[sel], pos[:, None, :], axis=2))
 
     def dense(self) -> np.ndarray:
         """The m x m array, formed on the first call (a view of the block
@@ -827,88 +844,58 @@ def _flush_subnormals(X: np.ndarray) -> np.ndarray:
 # quadratic estimates
 # ---------------------------------------------------------------------------
 
-def default_t_grid(dec: SpectralDecomposition):
-    """Log-spaced midpoint grid covering the spectral window.
-
-    Returns (t values, log-spacing h) with t from 1e-3/max|lambda| to
-    1e3/min nonkernel |lambda|, ``POINTS_PER_DECADE`` points per decade.
-    An empty non-kernel spectrum raises ValueError.
-    """
-    t_max = 1e3 / dec.min_nonkernel()  # first: it raises when T is 0
-    t_min = 1e-3 / dec.spectral_radius()
-    n_dec = np.log10(t_max / t_min)
-    m = max(int(np.ceil(n_dec * POINTS_PER_DECADE)), 2)
-    h = np.log(t_max / t_min) / m
-    u = np.log(t_min) + (np.arange(m) + 0.5) * h
-    return np.exp(u), h
-
-
-def _tails(psi: FunctionDescriptor, ts: np.ndarray, h: float) -> list:
-    """The declared tails of the family ``psi`` beyond the grid ``ts`` as
-    (weight, symbol) pairs: int_0^{t_lo} t^2 dt/t = t_lo^2/2 for
-    ``small_t`` and int_{t_hi}^inf t^{-2} dt/t = 1/(2 t_hi^2) for
-    ``large_t``, with t_lo and t_hi the outer cell edges of the grid."""
-    out = []
-    if psi.small_t is not None:
-        out.append(((ts[0] * np.exp(-h / 2)) ** 2 / 2.0, psi.small_t))
-    if psi.large_t is not None:
-        out.append((1.0 / (2.0 * (ts[-1] * np.exp(h / 2)) ** 2),
-                    psi.large_t))
-    return out
+def _gram_kernel(dec: SpectralDecomposition, family):
+    """The Gram kernel of ``family``, once the spectrum admits it: an empty
+    non-kernel spectrum raises ValueError and a (near-)imaginary eigenvalue
+    SectorViolationError."""
+    if not np.any(dec.nonkernel):
+        raise ValueError("empty non-kernel spectrum")
+    if dec.near_imaginary.size:
+        raise SectorViolationError(
+            f"square function undefined at (near-)imaginary eigenvalue "
+            f"{dec.near_imaginary[0]!r}")
+    return family(1.0).gram  # K integrates over t: any height names it
 
 
 def square_function(dec: SpectralDecomposition, family,
                     coeffs: np.ndarray | None = None, *,
                     eig_coords: np.ndarray | None = None) -> float:
-    """int_0^inf ||psi_t(T) f||^2 dt/t: the midpoint rule on
-    ``default_t_grid`` plus the tails that ``family`` declares.
+    """int_0^inf ||psi_t(T) f||^2 dt/t = c^* [(V^* V) o K] c, exactly, with
+    c = V^{-1} f on the non-kernel indices and K the Gram kernel of
+    ``family`` (module docstring), one stacked product per block size.
 
-    ``family`` maps an array of heights to the t-family of psi_t: ``q_t``,
+    ``family`` maps heights to the t-family of psi_t: ``q_t``,
     ``psi_abs_exp`` or ``psi_exp``.  ``eig_coords`` passes V^{-1} f when the
     caller already holds it, in place of ``coeffs``.  Norms are plain
     coefficient-vector norms.
     """
-    ts, h = default_t_grid(dec)
-    psi = family(ts)
+    gram = _gram_kernel(dec, family)
     c = dec.coordinates(coeffs) if eig_coords is None else eig_coords
-    Y = apply_to_vector(dec, psi, eig_coords=c)
-    total = h * float(np.vdot(Y, Y).real)
-    for w, g in _tails(psi, ts, h):
-        y = apply_to_vector(dec, g, eig_coords=c)
-        total += w * float(np.vdot(y, y).real)
-    return total
+    c = np.where(dec.nonkernel, c, 0.0)
+    # kernel eigenvalues stand in as 1: their coordinates are zero
+    lam = np.where(dec.kernel_indices, 1.0, dec.eigenvalues)
+    V = dec.V_blocks
+    K = V.rowwise(V.groups, lambda _, mu: gram(mu[:, :, None],
+                                               mu[:, None, :]), lam)
+    return float(np.vdot(c, ((V.H @ V) * V._like(K)) @ c).real)
 
 
 def quadratic_constants(dec: SpectralDecomposition):
     """Best discrete constants (c_low, c_high) in
     c_low ||f|| <= (int ||Q_t f||^2 dt/t)^{1/2} <= c_high ||f||
-    over the non-kernel subspace, via the extreme eigenvalues of the Gram
-    matrix G = sum_j w_j Q_{t_j}^* Q_{t_j} on the grid and tails of
-    ``square_function`` for q_t, formed in its Hadamard form (module
-    docstring).
+    over the non-kernel subspace: the square roots of the extreme
+    eigenvalues of the Gram matrix of q_t compressed to that subspace,
+    R^{-*} [(V_nk^* V_nk) o K] R^{-1} with V_nk = QR (module docstring),
+    one stacked QR and eigvalsh per block size and subspace dimension.
     """
-    ts, h = default_t_grid(dec)
-    psi = q_t(ts)
-    # G = sum_j h Q_j^* Q_j with Q_j = V diag(s_j) V^{-1} is
-    # V^{-*} [(V^* V) o W] V^{-1}, W_ik = h sum_j conj(s_j(lam_i)) s_j(lam_k),
-    # block diagonal with V: only the diagonal blocks of W are formed
-    V, Vinv = dec.V_blocks, dec.Vinv_blocks
-    W = V._like(V.rowwise(
-        V.groups, lambda g, S_b: h * (S_b.conj() @ np.swapaxes(S_b, 1, 2)),
-        _symbol_values(dec, psi)))
-    for w_tail, g in _tails(psi, ts, h):
-        vals = _symbol_values(dec, g)
-        # the diagonal blocks of w_tail conj(g) g^T
-        for w, outer in zip(W.blocks, V.rowwise(
-                V.groups, lambda _, v: v.conj()[:, :, None] * v[:, None, :],
-                vals)):
-            w += w_tail * outer
-    G = Vinv.H @ (((V.H @ V) * W) @ Vinv)
-    # extreme eigenvalues of G compressed to the non-kernel subspace, one
-    # stacked eigvalsh per block size and subspace dimension
+    gram = _gram_kernel(dec, q_t)
     lo, hi = np.inf, -np.inf
-    for g, sel, U in dec.nonkernel_projector().range_bases():
-        Gr = np.conj(np.swapaxes(U, 1, 2)) @ G.blocks[g][sel] @ U
+    for _, _, cols, Vnk in dec.V_blocks.columns(dec.nonkernel):
+        lam = dec.eigenvalues[cols]
+        H = (np.conj(np.swapaxes(Vnk, 1, 2)) @ Vnk) * gram(lam[:, :, None],
+                                                           lam[:, None, :])
+        Rinv = np.linalg.inv(np.linalg.qr(Vnk, mode="r"))
+        Gr = np.conj(np.swapaxes(Rinv, 1, 2)) @ H @ Rinv
         ev = np.linalg.eigvalsh(0.5 * (Gr + np.conj(np.swapaxes(Gr, 1, 2))))
         lo, hi = min(lo, float(np.min(ev))), max(hi, float(np.max(ev)))
     return float(np.sqrt(max(lo, 0.0))), float(np.sqrt(max(hi, 0.0)))

@@ -328,7 +328,8 @@ def cmd_campaign(cfg: RunConfig, out_dir: str, seed: int, quiet: bool) -> int:
         eps_list = cfg.get_list("campaign", "eps_list",
                                 default=[1e-1, 1e-2, 1e-3])
         if not eps_list:
-            raise ConfigError(f"{cfg.path}: empty eps_list")
+            raise ConfigError(
+                f"{cfg._where('campaign', 'eps_list')}: empty eps_list")
         direction = diagnostics.smooth_real_symmetric(
             torus, seed + 1, kappa_min=-np.inf)
         delta = CoefficientField(
@@ -339,7 +340,8 @@ def cmd_campaign(cfg: RunConfig, out_dir: str, seed: int, quiet: bool) -> int:
         k_list = cfg.get_list("campaign", "k_list",
                               default=[0.0, 1.0, 2.0, 4.0, 8.0])
         if not k_list:
-            raise ConfigError(f"{cfg.path}: empty k_list")
+            raise ConfigError(
+                f"{cfg._where('campaign', 'k_list')}: empty k_list")
         n_points = cfg.get_list("campaign", "n_points", conv=int,
                                 default=[128, 256])
         where = cfg._where("campaign", "n_points")

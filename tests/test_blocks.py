@@ -17,10 +17,12 @@ from halfspace import bvp, calculus
 from halfspace.bvp import (BoundaryFrame, BoundaryInverse,
                            dirichlet_second_order_residual, nontangential_max,
                            norm_sup_t, norm_triplebar_dt,
-                           reflection_conditions, solve_kind)
+                           reflection_conditions, solve_kind,
+                           wellposedness_report)
 from halfspace.calculus import (BlockDiagonal, apply_to_vector,
-                                block_partition, default_t_grid,
-                                exp_minus_t_abs, quadratic_constants, q_t, sgn)
+                                block_partition, exp_minus_t_abs,
+                                psi_abs_exp, psi_exp, quadratic_constants,
+                                q_t, sgn, square_function)
 from halfspace.diagnostics import (block_coefficients, gaussian_data,
                                    random_accretive_constant,
                                    skew_coefficients, smooth_real_symmetric)
@@ -102,7 +104,8 @@ def test_t_family_matches_dense_product(frame):
     dec = frame.dec
     rng = np.random.default_rng(4)
     v = rng.standard_normal(dec.dim) + 1j * rng.standard_normal(dec.dim)
-    ts = default_t_grid(dec)[0][::8]
+    ts = np.geomspace(1e-3 / dec.spectral_radius(), 1e3 / dec.min_nonkernel(),
+                      40)
     S = calculus._symbol_values(dec, exp_minus_t_abs(ts))
     ref = dec.V @ (S * (dec.Vinv @ v)[:, None])
     assert _rel(apply_to_vector(dec, exp_minus_t_abs(ts), v), ref) <= RTOL
@@ -150,18 +153,28 @@ def test_reflection_conditions_match_dense_svd(frame):
             assert abs(got[f"I{sign}{label}"] - ref) <= RTOL * ref
 
 
+def _dense_hadamard(dec, family):
+    """(V^* V) o K densely, K the family's Gram kernel on the non-kernel
+    eigenvalues and zero in the kernel rows and columns."""
+    lam = np.where(dec.kernel_indices, 1.0, dec.eigenvalues)
+    nk = dec.nonkernel
+    K = family(1.0).gram(lam[:, None], lam[None, :]) * np.outer(nk, nk)
+    return (dec.V.conj().T @ dec.V) * K
+
+
+def test_square_functions_match_dense_hadamard_form(frame):
+    dec = frame.dec
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal(dec.dim) + 1j * rng.standard_normal(dec.dim)
+    c = dec.Vinv @ v
+    for family in (q_t, psi_abs_exp, psi_exp):
+        ref = np.vdot(c, _dense_hadamard(dec, family) @ c).real
+        assert abs(square_function(dec, family, v) - ref) <= RTOL * ref
+
+
 def test_quadratic_constants_match_dense_gram(frame):
     dec = frame.dec
-    ts, h = default_t_grid(dec)
-    S = calculus._symbol_values(dec, q_t(ts))
-    W = h * (S.conj() @ S.T)
-    lam_nk = np.where(dec.kernel_indices, 0.0, dec.eigenvalues)
-    inv = np.where(dec.kernel_indices, 0.0,
-                   1.0 / np.where(dec.kernel_indices, 1.0, dec.eigenvalues))
-    t_lo, t_hi = ts[0] * np.exp(-h / 2), ts[-1] * np.exp(h / 2)
-    W += (t_lo ** 2 / 2.0) * np.outer(lam_nk.conj(), lam_nk)
-    W += (1.0 / (2.0 * t_hi ** 2)) * np.outer(inv.conj(), inv)
-    G = dec.Vinv.conj().T @ (((dec.V.conj().T @ dec.V) * W) @ dec.Vinv)
+    G = dec.Vinv.conj().T @ _dense_hadamard(dec, q_t) @ dec.Vinv
     u, s, _ = np.linalg.svd(_dense_frame(frame)[1])
     U = u[:, s > 0.5]
     Gr = U.conj().T @ G @ U
@@ -347,3 +360,29 @@ def test_polished_kernel_spans_the_singular_null_space(case):
     assert np.max(np.abs(s_svd - s)) <= 1e-13 * s[0]
     assert abs(s_svd[0] / s_svd[-1] - dec.cond_V) <= \
         1e-12 * dec.cond_V * max(1.0, 1e-4 * dec.cond_V)
+
+
+def _dense_gaps(frame):
+    """The projection gaps of ``wellposedness_report`` from the dense E^+
+    and the left singular vectors of its nonzero singular values."""
+    E, Pnk = _dense_frame(frame)[:2]
+    u, s, _ = np.linalg.svd(0.5 * (Pnk + E @ Pnk))
+    U = u[:, s > 0.5]
+    eye = np.eye(frame.dec.dim)
+    out = {}
+    for name, refl in (("N_A", frame.NA), ("N", frame.N)):
+        for pm, sign_ in (("+", 1.0), ("-", -1.0)):
+            sv = np.linalg.svd(0.5 * (eye + sign_ * refl) @ U,
+                               compute_uv=False)
+            out[f"gap.{name}{pm}"] = (sv[-1], sv[0])
+    return out
+
+
+@pytest.mark.parametrize("case", CASES + VARIABLE_CASES[:3],
+                         ids=lambda c: "-".join(map(str, c)))
+def test_wellposedness_gaps_match_dense_svd_bases(case):
+    frame = (_frame if case in CASES else _variable_frame)(case)
+    got = wellposedness_report(frame)
+    for key, (smin, smax) in _dense_gaps(frame).items():
+        assert abs(got[key]["smin"] - smin) <= 1e-10 * smax, key
+        assert abs(got[key]["smax"] - smax) <= 1e-10 * smax, key

@@ -1,7 +1,10 @@
 """Tests for the dense holomorphic functional calculus."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from halfspace import calculus
 from halfspace.bvp import BoundaryInverse
@@ -9,7 +12,7 @@ from halfspace.calculus import (BlockDiagonal, IllConditionedEigenbasisError,
                                 SectorViolationError, _is_hermitian,
                                 apply_function, apply_to_vector,
                                 block_partition, chi_minus,
-                                chi_plus, decompose, default_t_grid,
+                                chi_plus, decompose,
                                 exp_minus_t_abs, psi_abs_exp, psi_exp, q_t,
                                 quadratic_constants, resolvent, sgn,
                                 square_function, svdvals)
@@ -129,7 +132,7 @@ def test_selfadjoint_quadratic_value():
     v = rng.normal(size=mat.shape[0]) + 1j * rng.normal(size=mat.shape[0])
     val = square_function(dec, q_t, v)
     ref = 0.5 * np.linalg.norm(v) ** 2
-    assert abs(val - ref) <= 1e-6 * ref
+    assert abs(val - ref) <= 1e-13 * ref
     # independent quadrature route
     val2 = selfadjoint_qe_value(mat, v)
     assert abs(val2 - ref) <= 1e-6 * ref
@@ -139,15 +142,14 @@ def test_quadratic_constants_selfadjoint():
     mat, _ = _hermitian_with_kernel(seed=9, kernel_dim=1)
     dec = decompose(mat)
     c_low, c_high = quadratic_constants(dec)
-    assert abs(c_low - 1 / np.sqrt(2)) <= 1e-3
-    assert abs(c_high - 1 / np.sqrt(2)) <= 1e-3
+    assert abs(c_low - 1 / np.sqrt(2)) <= 1e-13
+    assert abs(c_high - 1 / np.sqrt(2)) <= 1e-13
 
 
 @pytest.mark.parametrize("dim", [40, 200])
-def test_square_function_closed_forms_with_tails(dim):
+def test_square_function_closed_forms(dim):
     # Hermitian injective T with |spectrum| spanning 1e-2 .. 1e2, both signs:
-    # int (s/(1+s^2))^2 ds/s = 1/2 and int (s e^{-s})^2 ds/s = 1/4.  The bare
-    # midpoint sum misses these by about 1e-7, so every declared tail counts.
+    # int (s/(1+s^2))^2 ds/s = 1/2 and int (s e^{-s})^2 ds/s = 1/4
     rng = np.random.default_rng(dim)
     Q = np.linalg.qr(rng.normal(size=(dim, dim))
                      + 1j * rng.normal(size=(dim, dim)))[0]
@@ -158,20 +160,77 @@ def test_square_function_closed_forms_with_tails(dim):
     norm2 = np.linalg.norm(f) ** 2
     for family, exact in ((q_t, 0.5), (psi_exp, 0.25), (psi_abs_exp, 0.25)):
         got = square_function(dec, family, f)
-        assert abs(got - exact * norm2) <= 1e-9 * exact * norm2, family
+        assert abs(got - exact * norm2) <= 1e-13 * exact * norm2, family
         # eigen-coordinates in place of f give the same number
         assert square_function(dec, family,
                                eig_coords=dec.coordinates(f)) == got
 
 
-def test_default_t_grid_spans_spectrum():
-    mat, _ = _hermitian_with_kernel(seed=11, kernel_dim=1)
-    dec = decompose(mat)
-    ts, h = default_t_grid(dec)
-    assert ts[0] < 1.0 / dec.spectral_radius()
-    assert ts[-1] > 1.0 / dec.min_nonkernel()
-    assert h > 0
-    assert np.allclose(np.diff(np.log(ts)), h)
+def _quad_gram(family, mu, nu):
+    """int_0^inf conj(psi_t(mu)) psi_t(nu) dt/t by adaptive quadrature in
+    u = log t, split at the two scales -log|mu| and -log|nu|; beyond them
+    the integrand decays at least like e^{-2|u|}, below 1e-17 of its peak
+    20 units out."""
+    def integrand(u, part):
+        t = np.exp(u)
+        val = np.conj(family(t)(mu)) * family(t)(nu)
+        return val.real if part == 0 else val.imag
+    cuts = sorted([-np.log(abs(mu)), -np.log(abs(nu))])
+    edges = [cuts[0] - 20.0] + cuts + [cuts[1] + 20.0]
+    return sum(quad(integrand, a, b, args=(part,), epsabs=0.0, epsrel=1e-13,
+                    limit=400)[0] * (1j if part else 1.0)
+               for a, b in zip(edges[:-1], edges[1:]) for part in (0, 1))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("family", [q_t, psi_abs_exp, psi_exp],
+                         ids=["q_t", "psi_abs_exp", "psi_exp"])
+def test_gram_kernels_match_adaptive_quadrature(family):
+    # pairs in sectors up to 1.5 rad from the real axis (the first five at
+    # 1.5 rad), both signs, magnitudes over four decades: random, equal,
+    # with p = conj|mu| equal to q = |nu| (nu = conj mu), and with p near q
+    # (nu = +-conj(mu)(1 + delta))
+    rng = np.random.default_rng(21)
+    pairs = []
+    for i in range(15):
+        ang = rng.uniform(-1.5, 1.5, 2)
+        if i < 5:
+            ang[0] = np.copysign(1.5, ang[0])
+        mu, nu = (rng.choice([-1.0, 1.0], 2) * np.exp(rng.uniform(-4.6, 4.6, 2))
+                  * np.exp(1j * ang))
+        near = np.conj(mu) * (1.0 + 10.0 ** rng.uniform(-12, -1)
+                              * np.exp(1j * rng.uniform(0, 6.3)))
+        pairs.append((mu, (nu, mu, np.conj(mu), near, -near)[i % 5]))
+    gram = family(1.0).gram
+    for mu, nu in pairs:
+        ref = _quad_gram(family, mu, nu)
+        got = gram(np.array(mu), np.array(nu))
+        assert abs(got - ref) <= 1e-12 * abs(ref), (mu, nu)
+
+
+def test_square_functions_never_evaluate_the_symbols(monkeypatch):
+    def refuse(z):
+        raise AssertionError("symbol evaluated")
+
+    def guarded(family):
+        return lambda t: dataclasses.replace(family(t), fn=refuse)
+
+    monkeypatch.setattr(calculus, "q_t", guarded(q_t))
+    dec = decompose(_nonnormal_bisectorial())
+    v = np.ones(dec.dim, dtype=complex)
+    for family in (q_t, psi_abs_exp, psi_exp):
+        assert square_function(dec, guarded(family), v) > 0
+    assert quadratic_constants(dec)[0] > 0
+
+
+def test_square_functions_reject_an_imaginary_spectrum():
+    # the q_t Gram kernel has a pole at t = 1/|lambda| on the imaginary axis
+    dec = decompose(np.diag([3j, -2j, 0.7j, 0.0]))
+    for family in (q_t, psi_abs_exp, psi_exp):
+        with pytest.raises(SectorViolationError):
+            square_function(dec, family, np.ones(4))
+    with pytest.raises(SectorViolationError):
+        quadratic_constants(dec)
 
 
 def test_quadrature_rejects_an_empty_non_kernel_spectrum():

@@ -187,6 +187,19 @@ def test_skew_campaign_bad_n_points_exit_code(tmp_path, capsys, n_points):
     assert "camp.cfg:11: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cid,key", [("skew", "k_list"),
+                                     ("perturbation", "eps_list")])
+def test_empty_campaign_list_names_its_line(tmp_path, capsys, cid, key):
+    text = ("[torus]\nn = 1\nlength = 6.0\npoints = 32\n\n"
+            "[coefficients]\nfamily = identity\n\n[campaign]\n"
+            f"id = {cid}\n{key} =\n")
+    cfg = _write(tmp_path, "camp.cfg", text)
+    rc = main(["campaign", "--config", cfg, "--out", str(tmp_path / "o"),
+               "--quiet"])
+    assert rc == 2
+    assert f"camp.cfg:11: empty {key}" in capsys.readouterr().err
+
+
 def test_oracle_command(tmp_path):
     text = ("[torus]\nn = 1\nlength = 6.283185307179586\npoints = 64\n\n"
             "[coefficients]\nfamily = identity\n\n[problem]\ndata = mode\n")

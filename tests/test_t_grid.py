@@ -2,9 +2,10 @@
 
 Each reference below is the one-height-at-a-time loop the block products
 replaced: one symbol, one matrix-vector product and one lifted field per t,
-dense derivative matrices, roll sums for the box filter and one Gram term
-per t.  Block and loop do the same arithmetic in another order, so they
-agree to rounding.
+dense derivative matrices and roll sums for the box filter.  Block and loop
+do the same arithmetic in another order, so they agree to rounding.  The
+square functions, exact Hermitian forms in the eigen-coordinates, are
+checked against the same form built one eigenpair at a time.
 """
 
 import numpy as np
@@ -15,8 +16,7 @@ from halfspace.assembly import derivative_matrix
 from halfspace.bvp import (BoundaryFrame, SolutionField,
                            dirichlet_second_order_residual, nontangential_max,
                            norm_sup_t, norm_triplebar_dt, solve_neumann)
-from halfspace.calculus import (apply_function, apply_to_vector,
-                                default_t_grid, exp_minus_t_abs,
+from halfspace.calculus import (apply_to_vector, exp_minus_t_abs,
                                 psi_abs_exp, psi_exp, q_t,
                                 quadratic_constants, semigroup_dt,
                                 square_function)
@@ -58,46 +58,22 @@ def _nontangential_loop(sol, t_samples, c0=0.5, c1=1.0):
     return float(np.sqrt(torus.weight * np.sum(best))), wins
 
 
-def _dense_tails(dec, family):
-    """The tails of ``family`` beyond the default grid as (weight, dense
-    matrix) pairs: its leading symbols g(T) at t -> 0 and h(T) at
-    t -> inf on the non-kernel part, written out here, and no pair at an
-    end where psi_t decays faster than any power."""
-    ts, h = default_t_grid(dec)
-    t_lo, t_hi = ts[0] * np.exp(-h / 2), ts[-1] * np.exp(h / 2)
-    lam = np.where(dec.kernel_indices, 1.0, dec.eigenvalues)
-    nk = dec.nonkernel.astype(complex)
-
-    def dense(vals):
-        return (dec.V * (vals * nk)) @ dec.Vinv
-    T = dense(lam)
-    small, large = {q_t: (T, dense(1.0 / lam)),
-                    psi_abs_exp: (dense(lam * np.sign(lam.real)), None),
-                    psi_exp: (T, None)}[family]
-    return [(t_lo ** 2 / 2.0, small)] + (
-        [] if large is None else [(1.0 / (2.0 * t_hi ** 2), large)])
+def _gram_loop(dec, family):
+    """(V^* V) o K on the non-kernel indices, zero elsewhere, one eigenpair
+    (i, j) at a time: K_ij from the family's Gram kernel at the pair of
+    eigenvalues, (V^* V)_ij from the dense columns of V."""
+    gram = family(1.0).gram
+    V, lam, nk = dec.V, dec.eigenvalues, np.flatnonzero(dec.nonkernel)
+    H = np.zeros((dec.dim, dec.dim), dtype=complex)
+    for i in nk:
+        for j in nk:
+            H[i, j] = np.vdot(V[:, i], V[:, j]) * gram(lam[i], lam[j])
+    return H
 
 
 def _square_function_loop(dec, family, coeffs):
-    ts, h = default_t_grid(dec)
-    total = 0.0
-    for t in ts:
-        y = apply_to_vector(dec, family(t), coeffs)
-        total += h * float(np.vdot(y, y).real)
-    for w, g in _dense_tails(dec, family):
-        total += w * float(np.linalg.norm(g @ coeffs) ** 2)
-    return total
-
-
-def _gram_loop(dec, family):
-    ts, h = default_t_grid(dec)
-    G = np.zeros((dec.dim, dec.dim), dtype=complex)
-    for t in ts:
-        Q = apply_function(dec, family(t)).dense()
-        G += h * (Q.conj().T @ Q)
-    for w, g in _dense_tails(dec, family):
-        G += w * (g.conj().T @ g)
-    return G
+    c = dec.Vinv @ coeffs
+    return float(np.vdot(c, _gram_loop(dec, family) @ c).real)
 
 
 def _dirichlet_residual_loop(sol, t_samples):
@@ -214,13 +190,13 @@ def test_quadratic_constants_match_gram_loop(name, request):
     assert not dec.hermitian
     U = np.linalg.svd(dec.nonkernel_projector().dense())[0][:, :int(
         np.sum(dec.nonkernel))]
-    G = _gram_loop(dec, q_t)
+    G = dec.Vinv.conj().T @ _gram_loop(dec, q_t) @ dec.Vinv
     Gr = U.conj().T @ G @ U
     ev = np.sqrt(np.clip(np.linalg.eigvalsh(0.5 * (Gr + Gr.conj().T)),
                          0.0, None))
     got = quadratic_constants(dec)
-    assert _rel(got[0], ev[0]) <= 1e-12
-    assert _rel(got[1], ev[-1]) <= 1e-12
+    assert _rel(got[0], ev[0]) <= RTOL
+    assert _rel(got[1], ev[-1]) <= RTOL
 
 
 @pytest.mark.parametrize("name", ["frame_n1", "frame_n2"])
@@ -287,13 +263,13 @@ def test_norms_call_apply_to_vector_once_per_block(frame_n1, monkeypatch):
     monkeypatch.setattr(bvp, "apply_to_vector", counting)
     ts = sol.default_t_samples()
     assert len(ts) >= 50
-    assert len(default_t_grid(frame_n1.dec)[0]) >= 200
-    for norm in (lambda: norm_sup_t(sol, ts), lambda: norm_triplebar_dt(sol),
-                 lambda: nontangential_max(sol, t_samples=ts)):
+    for norm, count in ((lambda: norm_sup_t(sol, ts), 1),
+                        (lambda: nontangential_max(sol, t_samples=ts), 1),
+                        # a closed-form Hermitian form, no symbol block
+                        (lambda: norm_triplebar_dt(sol), 0)):
         calls.clear()
         norm()
-        # norm_triplebar_dt adds one call for its small-t tail
-        assert 1 <= len(calls) <= 2
+        assert len(calls) == count
 
 
 T_FAMILIES = {
@@ -308,7 +284,8 @@ T_FAMILIES = {
 def test_t_family_block_matches_per_height_closures(name, frame_n1):
     family = T_FAMILIES[name]
     dec = frame_n1.dec
-    ts, _ = default_t_grid(dec)
+    ts = np.geomspace(1e-3 / dec.spectral_radius(), 1e3 / dec.min_nonkernel(),
+                      320)
     block = family(ts)
     assert block.kernel_value == family(ts[0]).kernel_value
     assert block.sign_sensitive == family(ts[0]).sign_sensitive
