@@ -61,7 +61,7 @@ counterparts.  Physical field norms carry the weight explicitly via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -240,8 +240,19 @@ class PlaneWaveBasis:
         self.label = label
         self.gram_defect = defect
         self._frames_h = frames_h
-        self._axes = tuple(range(torus.dim_n))
         self._dim = int(np.sum(present))
+        # every frame column present: coordinates are the (P, r) slices
+        # themselves, with no zero padding to scatter into or gather from
+        self._full = bool(np.all(present))
+        # at n = 1 the one-axis transform, without fftn's per-call axis
+        # handling, a large share of the time of a one-height transform
+        if torus.dim_n == 1:
+            self._fft = partial(np.fft.fft, axis=0, norm="ortho")
+            self._ifft = partial(np.fft.ifft, axis=0, norm="ortho")
+        else:
+            axes = tuple(range(torus.dim_n))
+            self._fft = partial(np.fft.fftn, axes=axes, norm="ortho")
+            self._ifft = partial(np.fft.ifftn, axes=axes, norm="ortho")
 
     @property
     def ambient_dim(self) -> int:
@@ -254,25 +265,26 @@ class PlaneWaveBasis:
     def _spectrum(self, X: np.ndarray) -> np.ndarray:
         """Unitary FFT of a (P*d, k) block, as (P, d, k) mode slices."""
         t, k = self.torus, X.shape[1]
-        spec = np.fft.fftn(X.reshape(t.shape + (t.lambda_dim, k)),
-                           axes=self._axes, norm="ortho")
+        spec = self._fft(X.reshape(t.shape + (t.lambda_dim, k)))
         return spec.reshape(t.num_points, t.lambda_dim, k)
 
     def _field(self, spec: np.ndarray) -> np.ndarray:
         """Inverse of ``_spectrum``: (P, d, k) mode slices to (P*d, k)."""
         t, k = self.torus, spec.shape[2]
-        vals = np.fft.ifftn(spec.reshape(t.shape + (t.lambda_dim, k)),
-                            axes=self._axes, norm="ortho")
+        vals = self._ifft(spec.reshape(t.shape + (t.lambda_dim, k)))
         return vals.reshape(self.ambient_dim, k)
 
     def _gather(self, spec: np.ndarray) -> np.ndarray:
         """Frame coordinates F_p^H spec_p of every mode, in basis order."""
-        return (self._frames_h @ spec)[self.present]
+        C = self._frames_h @ spec
+        return C.reshape(self.dim, -1) if self._full else C[self.present]
 
     def _scatter(self, coords: np.ndarray) -> np.ndarray:
         """Mode slices F_p c_p of (m, k) coordinates."""
-        padded = np.zeros(self.present.shape + (coords.shape[1],),
-                          dtype=complex)
+        k = coords.shape[1]
+        if self._full:
+            return self.frames @ coords.reshape(self.present.shape + (k,))
+        padded = np.zeros(self.present.shape + (k,), dtype=complex)
         padded[self.present] = coords
         return self.frames @ padded
 

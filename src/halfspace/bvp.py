@@ -35,7 +35,13 @@ derivatives are always computed from the generator (-|T| on the Hardy
 part), never by finite differences.  A ``SolutionField`` forms its
 eigen-coordinates V^{-1} f once; every later evaluation, one height or a
 whole t-grid as one t-family block, is then the block-by-block product
-V (S o c).
+V (S o c).  The field also keeps the block of its latest grid of two or
+more heights, read-only and keyed by the heights' values, so that the sup
+and non-tangential norms, ``norms_at_ts`` and the Dirichlet residual on one
+grid evaluate e^{-t|T|} f once.  The non-tangential maximal function takes
+the Whitney-box means of all heights at once, as differences of cumulative
+sums in t over the sorted grid and in x over the periodically extended
+axes.
 
 Constant grid modes form the discrete kernel of T (the torus stand-in for
 the absence of L2 constants on R^n); boundary data is projected onto the
@@ -346,9 +352,9 @@ class BoundaryFrame:
 
 
 def _check_heights(ts: np.ndarray) -> None:
-    if not np.all(np.isfinite(ts)):
+    if not np.isfinite(ts).all():
         raise ValueError("heights must be finite")
-    if np.any(ts < 0):
+    if (ts < 0).any():
         raise ValueError("t measures distance to the boundary; t >= 0")
 
 
@@ -356,12 +362,16 @@ def _check_heights(ts: np.ndarray) -> None:
 class SolutionField:
     """Boundary trace plus semigroup evaluator for one half space.
 
-    Frozen, so that the cached ``eig_coords`` always belong to ``coords``.
+    Frozen, so that the cached ``eig_coords`` and height block always belong
+    to ``coords``.
     """
 
     frame: BoundaryFrame
     coords: np.ndarray  # trace in the restricted basis
     side: int = +1  # +1 upper half space, -1 lower
+    # (heights, read-only F block) of the latest grid of two or more heights
+    _grid_block: list = dataclass_field(default_factory=list, init=False,
+                                        repr=False, compare=False)
 
     @cached_property
     def eig_coords(self) -> np.ndarray:
@@ -373,9 +383,27 @@ class SolutionField:
 
     def coords_at_ts(self, ts) -> np.ndarray:
         """F_t for every t of ``ts`` as the columns of one m x len(ts) block,
-        from one ``apply_to_vector`` call; t = 0 gives the trace itself."""
+        from one ``apply_to_vector`` call; t = 0 gives the trace itself.
+
+        The block of the latest grid of two or more heights is kept,
+        read-only, and returned again while the grid's values repeat: the
+        norms, ``norms_at_ts`` and the Dirichlet residual on one grid share
+        one evaluation of e^{-t|T|} f.
+        """
         ts = np.asarray(ts, dtype=float)
         _check_heights(ts)
+        if ts.size < 2:
+            return self._semigroup(ts)
+        memo = self._grid_block
+        if memo and np.array_equal(memo[0], ts):
+            return memo[1]
+        block = self._semigroup(ts)
+        block.flags.writeable = False
+        memo[:] = [ts.copy(), block]
+        return block
+
+    def _semigroup(self, ts: np.ndarray) -> np.ndarray:
+        """A fresh F block for the checked heights ``ts``."""
         out = apply_to_vector(self.frame.dec, exp_minus_t_abs(ts),
                               eig_coords=self.eig_coords)
         out[:, ts == 0] = self.coords[:, None]
@@ -725,20 +753,26 @@ def norm_triplebar_dt(sol: SolutionField) -> float:
     return float(np.sqrt(sol.frame.torus.weight * total))
 
 
-def _periodic_box_mean(a: np.ndarray, win: int, axis: int) -> np.ndarray:
-    """Mean of ``a`` over the ``win`` periodic neighbours
-    i - (win - 1 - win // 2) .. i + win // 2 along ``axis``, the window of
-    sum_s roll(a, s) over s = -(win // 2) .. win - 1 - win // 2, as a
-    difference of one cumulative sum over the periodically extended axis."""
-    if win == 1:
-        return a
-    a0 = np.moveaxis(a, axis, 0)
-    N = a0.shape[0]
-    lo, hi = win - 1 - win // 2, win // 2
-    ext = a0[np.arange(-lo, N + hi) % N]
-    csum = np.concatenate([np.zeros((1,) + a0.shape[1:]),
-                           np.cumsum(ext, axis=0)])
-    return np.moveaxis((csum[win:win + N] - csum[:N]) / win, 0, axis)
+def _box_means(a: np.ndarray, wins: np.ndarray, axis: int) -> np.ndarray:
+    """Mean of each slice a[i] over the wins[i] periodic neighbours
+    j - (w - 1 - w // 2) .. j + w // 2 (w = wins[i]) of every index j along
+    ``axis`` (> 0): the window of sum_s roll(a[i], s) over
+    s = -(w // 2) .. w - 1 - w // 2.  All slices at once, as differences of
+    one cumulative sum over the periodically extended axis."""
+    a0 = np.moveaxis(a, axis, 1)
+    N = a0.shape[1]
+    lo, hi = wins - 1 - wins // 2, wins // 2
+    ext_lo = int(np.max(lo, initial=0))
+    ext = a0[:, np.arange(-ext_lo, N + int(np.max(hi, initial=0))) % N]
+    csum = np.zeros((ext.shape[0], ext.shape[1] + 1) + ext.shape[2:])
+    np.cumsum(ext, axis=1, out=csum[:, 1:])
+    at = np.arange(N) + ext_lo
+    pad = (1,) * (a0.ndim - 2)
+    upper = (at + hi[:, None] + 1).reshape((-1, N) + pad)
+    lower = (at - lo[:, None]).reshape((-1, N) + pad)
+    total = (np.take_along_axis(csum, upper, axis=1)
+             - np.take_along_axis(csum, lower, axis=1))
+    return np.moveaxis(total / wins.reshape((-1, 1) + pad), 1, axis)
 
 
 def nontangential_max(sol: SolutionField, t_samples=None) -> float:
@@ -746,7 +780,14 @@ def nontangential_max(sol: SolutionField, t_samples=None) -> float:
 
     Whitney boxes: |s - t| < t/2 in height, |y - x| <= t per axis (periodic
     distance, whole grid steps); the box average always includes the nearest
-    lattice sample.  The fields at all heights come from one block product.
+    lattice sample.  The fields at all heights are the solution's block on
+    the grid (``SolutionField.coords_at_ts``, shared with the other norms
+    on the same grid).  The box means of all heights come at once: on the
+    sorted grid each height window is a contiguous index range, summed as a
+    difference of cumulative sums taken from the largest height down (the
+    fields decay in t, so a window at large heights is not the difference
+    of two sums over the small ones), and each x-window is a difference of
+    cumulative sums over the periodically extended axis (``_box_means``).
     """
     frame = sol.frame
     torus = frame.torus
@@ -754,25 +795,29 @@ def nontangential_max(sol: SolutionField, t_samples=None) -> float:
         t_samples = sol.default_t_samples()
     if len(t_samples) == 0:
         raise ValueError("empty sample grid")
-    t_samples = np.asarray(t_samples, dtype=float)
-    _check_heights(t_samples)
-    t_samples = np.sort(t_samples)
-    vals = frame.field_values(sol.coords_at_ts(t_samples))
-    sq = np.moveaxis(np.sum(np.abs(vals) ** 2, axis=-2), -1, 0)
+    ts = np.asarray(t_samples, dtype=float)
+    vals = frame.field_values(sol.coords_at_ts(ts))
+    order = np.argsort(ts, kind="stable")
+    ts = ts[order]
+    sq = np.moveaxis(np.sum(np.abs(vals) ** 2, axis=-2), -1, 0)[order]
+    # height windows t/2 < s < 3t/2 as index ranges [lo, hi); a height whose
+    # window is empty (t = 0) takes its own sample
+    lo = np.searchsorted(ts, 0.5 * ts, side="right")
+    hi = np.searchsorted(ts, 1.5 * ts, side="left")
+    own = hi <= lo
+    lo[own] = np.flatnonzero(own)
+    hi[own] = lo[own] + 1
+    tail = np.zeros((len(ts) + 1,) + sq.shape[1:])
+    np.cumsum(sq[::-1], axis=0, out=tail[-2::-1])
+    pad = (1,) * torus.dim_n
+    avg = (tail[lo] - tail[hi]) / (hi - lo).reshape((-1,) + pad)
     dx = torus.length / torus.points_per_axis
-    best = np.zeros(torus.shape)
-    for i, t in enumerate(t_samples):
-        in_s = np.abs(t_samples - t) < 0.5 * t
-        if not np.any(in_s):
-            in_s[i] = True
-        avg = sq[in_s].mean(axis=0)
-        half_w = max(int(np.floor(t / dx)), 0)
-        win = min(2 * half_w + 1, torus.points_per_axis)
-        for ax in range(torus.dim_n):
-            avg = _periodic_box_mean(avg, win, ax)
-        best = np.maximum(best, avg)
-    nt = np.sqrt(best)
-    return float(np.sqrt(torus.weight * np.sum(nt ** 2)))
+    wins = np.minimum(2 * np.floor(ts / dx) + 1,
+                      torus.points_per_axis).astype(int)
+    for ax in range(torus.dim_n):
+        avg = _box_means(avg, wins, ax + 1)
+    best = np.max(avg, axis=0, initial=0.0)
+    return float(np.sqrt(torus.weight * np.sum(best)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ kernel polish (right null bases of the blocks of T) and
 one scipy use is ``svdvals``'s retry with LAPACK's QR-based ``gesvd`` driver
 when numpy's SVD fails to converge; scipy is imported there, on first use.
 
-V and V^{-1} stay on that partition (``BlockDiagonal``: the index groups and
-one stacked (count, k, k) array per block size), and so does every matrix
+V and V^{-1} stay on that partition (``BlockDiagonal``: the index groups, a
+``Partition`` that also keeps each group's row selector, and one stacked
+(count, k, k) array per block size), and so does every matrix
 formed from them: ``apply_function``, the kernel and non-kernel projectors,
 and the products of ``apply_to_vector`` and ``quadratic_constants`` are
 block by block.  A matrix that is one block is the single (1, m, m) group,
@@ -57,7 +58,8 @@ substitution per block.  A caller that applies many blocks to the same f
 
 Square-function norms int_0^inf ||psi_t(T) f||^2 dt/t are exact Hermitian
 forms: with c = V^{-1} f on the non-kernel indices, ``square_function`` is
-c^* [(V^* V) o K] c, one stacked product per block size, where
+c^* [(V^* V) o K] c, one stacked product per block size (V^* V is formed
+once per decomposition, ``SpectralDecomposition.V_gram``), where
 K_ij = int_0^inf conj(psi_t(lambda_i)) psi_t(lambda_j) dt/t is the Gram
 kernel each t-family declares in closed form (``FunctionDescriptor.gram``).
 With p = conj|mu| and q = |nu|, both in the open right half plane, it is
@@ -83,6 +85,7 @@ from .assembly import OperatorMatrix
 
 __all__ = [
     "block_partition",
+    "Partition",
     "gather_blocks",
     "svdvals",
     "DeflatedInverse",
@@ -150,7 +153,7 @@ def _holo_sign(lam: np.ndarray) -> np.ndarray:
 
 def _holo_abs(lam: np.ndarray) -> np.ndarray:
     """|z| := z sgn(z), the holomorphic branch of sqrt(z^2)."""
-    return lam * _holo_sign(lam)
+    return np.where(lam.real > 0, lam, -lam)
 
 
 def resolvent(lam0: complex) -> FunctionDescriptor:
@@ -279,6 +282,25 @@ def _rows(idx: np.ndarray):
     return idx.ravel()
 
 
+class Partition(list):
+    """The index groups of a block-diagonal partition, as ``block_partition``
+    returns them: a list of (count, size) index arrays, one row per block.
+
+    The partition also keeps ``rows``, the row selector of each group
+    (``_rows``), formed on first use and shared by every matrix and solve
+    on the partition.  The groups are not to be changed after that use.
+    """
+
+    @classmethod
+    def of(cls, groups: list) -> "Partition":
+        """``groups`` itself when it is a ``Partition``, else wrapped."""
+        return groups if isinstance(groups, cls) else cls(groups)
+
+    @cached_property
+    def rows(self) -> list:
+        return [_rows(idx) for idx in self]
+
+
 class BlockDiagonal:
     """A block-diagonal m x m matrix held as its blocks: the index groups of
     ``block_partition`` and one stacked (count, k, k) array per group.
@@ -295,7 +317,7 @@ class BlockDiagonal:
     __array_ufunc__ = None  # ndarray operators defer to the methods here
 
     def __init__(self, groups: list, blocks: list):
-        self.groups = groups
+        self.groups = Partition.of(groups)
         self.blocks = blocks
         self.dim = sum(idx.size for idx in groups)
         self._dense = None
@@ -393,13 +415,14 @@ class BlockDiagonal:
         """``fn(g, rows)`` for every group g of the partition ``groups``,
         with ``rows`` the rows of ``x`` on the group's indices stacked as
         (count, k, ...): a list of the results, or with ``out`` the results
-        put back into the rows of one array like ``x``.  A whole partition
+        put back into the rows of one array like ``x``.  The row selectors
+        are the partition's own (``Partition.rows``).  A whole partition
         passes ``x[None]`` itself."""
         x = np.asarray(x)
         if _is_whole(groups):
             parts = [fn(0, x[None])]
             return parts[0][0] if out else parts
-        rows = [_rows(idx) for idx in groups]
+        rows = Partition.of(groups).rows
         parts = [fn(g, x[r].reshape(idx.shape + x.shape[1:]))
                  for g, (idx, r) in enumerate(zip(groups, rows))]
         if not out:
@@ -493,6 +516,11 @@ class SpectralDecomposition:
             blocks.append(P)
         return self.V_blocks._like(blocks)
 
+    @cached_property
+    def V_gram(self) -> BlockDiagonal:
+        """V^* V block by block, formed once for the square functions."""
+        return self.V_blocks.H @ self.V_blocks
+
     def nonkernel_projector(self) -> BlockDiagonal:
         return (self.V_blocks * self.nonkernel.astype(complex)) \
             @ self.Vinv_blocks
@@ -509,8 +537,9 @@ class SpectralDecomposition:
 
 def block_partition(mat: np.ndarray, *more: np.ndarray) -> list:
     """The connected blocks of the exact nonzero pattern of a square matrix
-    (mat != 0 or mat^T != 0), grouped by size: a list of (count, size) index
-    arrays, one row per block, ascending indices, sizes ascending.  With
+    (mat != 0 or mat^T != 0), grouped by size: a ``Partition``, the list of
+    (count, size) index arrays, one row per block, ascending indices, sizes
+    ascending.  With
     ``more`` matrices of the same size, the pattern is the union of all
     their patterns: the finest partition they are all block diagonal on.
 
@@ -543,7 +572,7 @@ def block_partition(mat: np.ndarray, *more: np.ndarray) -> list:
     block = np.unique(label, return_inverse=True)[1]
     size = np.bincount(block)[block]
     order = np.lexsort((block, size))
-    groups, start = [], 0
+    groups, start = Partition(), 0
     for s, n in zip(*np.unique(size, return_counts=True)):
         groups.append(order[start:start + n].reshape(-1, s))
         start += n
@@ -877,7 +906,7 @@ def square_function(dec: SpectralDecomposition, family,
     V = dec.V_blocks
     K = V.rowwise(V.groups, lambda _, mu: gram(mu[:, :, None],
                                                mu[:, None, :]), lam)
-    return float(np.vdot(c, ((V.H @ V) * V._like(K)) @ c).real)
+    return float(np.vdot(c, (dec.V_gram * V._like(K)) @ c).real)
 
 
 def quadratic_constants(dec: SpectralDecomposition):

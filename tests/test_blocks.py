@@ -19,7 +19,7 @@ from halfspace.bvp import (BoundaryFrame, BoundaryInverse,
                            norm_sup_t, norm_triplebar_dt,
                            reflection_conditions, solve_kind,
                            wellposedness_report)
-from halfspace.calculus import (BlockDiagonal, apply_to_vector,
+from halfspace.calculus import (BlockDiagonal, Partition, apply_to_vector,
                                 block_partition, exp_minus_t_abs,
                                 psi_abs_exp, psi_exp, quadratic_constants,
                                 q_t, sgn, square_function)
@@ -260,6 +260,46 @@ def test_block_diagonal_algebra_matches_dense():
     assert a.regroup(a.groups) is a
     with pytest.raises(ValueError, match="partitions"):
         a @ a.regroup(coarse)
+
+
+def test_rowwise_with_the_partition_plan_matches_fancy_indexing():
+    # per-mode (contiguous ranges: slices), whole, and permuted indices
+    # (the flat-index rows)
+    rng = np.random.default_rng(3)
+    perm = rng.permutation(12)
+    partitions = {
+        "per-mode": [np.arange(2).reshape(2, 1),
+                     np.arange(2, 12).reshape(5, 2)],
+        "whole": [np.arange(12)[None]],
+        "non-contiguous": [perm[:8].reshape(4, 2), perm[8:].reshape(2, 2)],
+    }
+    x = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+    for name, groups in partitions.items():
+        blocks = [rng.standard_normal(idx.shape + idx.shape[1:])
+                  for idx in groups]
+        part = Partition.of(groups)
+        assert Partition.of(part) is part and part.rows is part.rows
+        if name == "non-contiguous":
+            assert not any(isinstance(r, slice) for r in part.rows)
+        elif name == "per-mode":
+            assert all(isinstance(r, slice) for r in part.rows)
+
+        def fn(g, rows):
+            return blocks[g] @ rows
+
+        ref = np.empty_like(x)
+        for g, idx in enumerate(groups):
+            ref[idx.ravel()] = fn(g, x[idx]).reshape(-1, 3)
+        for _ in range(2):  # the plan is built on the first call
+            got = BlockDiagonal.rowwise(part, fn, x, out=True)
+            assert np.array_equal(got, ref), name
+            parts = BlockDiagonal.rowwise(part, fn, x)
+            for g, idx in enumerate(groups):
+                assert np.array_equal(parts[g].reshape(idx.shape + (3,)),
+                                      fn(g, x[idx])), name
+        op = BlockDiagonal(groups, blocks)
+        assert op.groups.rows is (op @ op).groups.rows
+        assert np.array_equal(op @ x, ref), name
 
 
 # -- variable coefficients: boundary inverses and the kernel polish ------------

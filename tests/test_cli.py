@@ -83,6 +83,24 @@ def test_solve_command_deterministic(tmp_path):
     assert (out1 / "norms.csv").read_text() == (out2 / "norms.csv").read_text()
 
 
+def test_solve_command_evaluates_its_sample_grid_once(tmp_path, monkeypatch):
+    # sup_t, nontangential and the samples.csv norms share one height block
+    from halfspace import bvp, calculus
+    calls = []
+    real = calculus.apply_to_vector
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(calculus, "apply_to_vector", counting)
+    monkeypatch.setattr(bvp, "apply_to_vector", counting)
+    cfg = _write(tmp_path, "solve.cfg", SOLVE_CFG)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 0
+    assert len(calls) == 1
+
+
 def test_config_error_exit_code(tmp_path):
     bad = _write(tmp_path, "bad.cfg", "[torus]\nn = 1\npoints = oops\n")
     rc = main(["solve", "--config", bad, "--out", str(tmp_path / "o"),

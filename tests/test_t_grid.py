@@ -136,11 +136,14 @@ def _rel(a, b):
 def test_box_mean_matches_roll_sum(n, N):
     rng = np.random.default_rng(N + n)
     a = rng.uniform(0.0, 2.0, (N,) * n)
-    for win in (1, 2, 3, 5, N - 1, N):
-        for axis in range(n):
-            got = bvp._periodic_box_mean(a, win, axis)
+    wins = np.array([1, 2, 3, 5, N - 1, N])
+    # one slice per window, all windows in one call
+    stack = np.broadcast_to(a, wins.shape + a.shape)
+    for axis in range(n):
+        got = bvp._box_means(stack, wins, axis + 1)
+        for w, win in enumerate(wins):
             ref = _roll_box_mean(a, win, axis)
-            assert np.allclose(got, ref, rtol=RTOL, atol=0.0), (win, axis)
+            assert np.allclose(got[w], ref, rtol=RTOL, atol=0.0), (win, axis)
 
 
 @pytest.mark.parametrize("name", ["frame_n1", "frame_n2"])
@@ -152,6 +155,21 @@ def test_nontangential_max_matches_roll_sum_loop(name, request):
     # the default samples reach windows as wide as the (even) grid
     assert frame.torus.points_per_axis in wins and 1 in wins
     assert _rel(nontangential_max(sol, t_samples=ts), ref) <= RTOL
+
+
+@pytest.mark.parametrize("name", ["frame_n1", "frame_n2"])
+def test_nontangential_max_on_unsorted_grid_matches_loop(name, request):
+    frame = request.getfixturevalue(name)
+    sol = _solution(frame)
+    ts = sol.default_t_samples()
+    # every third default height, reversed, with two zeros, a repeated
+    # height and one whose x-window is the whole grid, shuffled
+    grid = np.concatenate([ts[::3][::-1], [0.0, ts[7], ts[7], 0.0,
+                                           frame.torus.length]])
+    np.random.default_rng(11).shuffle(grid)
+    ref, wins = _nontangential_loop(sol, grid)
+    assert frame.torus.points_per_axis in wins and 1 in wins
+    assert _rel(nontangential_max(sol, t_samples=grid), ref) <= RTOL
 
 
 @pytest.mark.parametrize("name", ["frame_n1", "frame_n2"])
@@ -263,13 +281,52 @@ def test_norms_call_apply_to_vector_once_per_block(frame_n1, monkeypatch):
     monkeypatch.setattr(bvp, "apply_to_vector", counting)
     ts = sol.default_t_samples()
     assert len(ts) >= 50
-    for norm, count in ((lambda: norm_sup_t(sol, ts), 1),
-                        (lambda: nontangential_max(sol, t_samples=ts), 1),
-                        # a closed-form Hermitian form, no symbol block
-                        (lambda: norm_triplebar_dt(sol), 0)):
-        calls.clear()
-        norm()
-        assert len(calls) == count
+
+    def all_norms(sol, ts):
+        norm_sup_t(sol, ts)
+        nontangential_max(sol, t_samples=ts)
+        # a closed-form Hermitian form, no symbol block
+        norm_triplebar_dt(sol)
+        sol.norms_at_ts(ts)
+
+    # the three norms and norms_at_ts on one grid share one block
+    all_norms(sol, ts)
+    all_norms(sol, list(ts))
+    assert len(calls) == 1
+    # a new grid is evaluated once more, and so is a new SolutionField
+    all_norms(sol, ts[::2])
+    assert len(calls) == 2
+    all_norms(SolutionField(frame_n1, sol.coords), ts[::2])
+    assert len(calls) == 3
+
+
+def test_height_block_is_read_only_and_keyed_by_values(frame_n1):
+    sol = _solution(frame_n1)
+    ts = np.array([0.0, 0.1, 0.5, 2.0])
+    block = sol.coords_at_ts(ts)
+    ref = block.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        block[:, 1] = 0.0
+    assert np.array_equal(sol.coords_at_ts(ts), ref)
+    assert np.array_equal(block[:, 0], sol.coords)
+    # a single height is evaluated afresh and is the caller's to change
+    col = sol.coords_at_t(0.5)
+    col[:] = 0.0
+    assert np.array_equal(sol.coords_at_ts(ts), ref)
+    # changing the caller's grid array in place changes the key
+    ts[1] = 0.3
+    fresh = SolutionField(frame_n1, sol.coords).coords_at_ts(ts)
+    assert np.array_equal(sol.coords_at_ts(ts), fresh)
+    assert not np.array_equal(fresh, ref)
+
+
+def test_V_gram_is_formed_once_and_matches_a_fresh_product(frame_n1):
+    dec = frame_n1.dec
+    gram = dec.V_gram
+    assert dec.V_gram is gram
+    fresh = dec.V.conj().T @ dec.V
+    assert np.linalg.norm(gram.dense() - fresh) <= \
+        1e-14 * np.linalg.norm(fresh)
 
 
 T_FAMILIES = {
