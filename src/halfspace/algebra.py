@@ -26,16 +26,11 @@ __all__ = [
     "sigma_count",
     "basis_element",
     "scalar",
-    "vector",
     "wedge",
     "hook",
     "mu",
     "mu_star",
     "m_op",
-    "normal_part",
-    "tangential_part",
-    "reflection_N",
-    "inner",
     "dot",
     "degree_part",
     "mask_degrees",
@@ -128,17 +123,6 @@ def scalar(dim_n: int, value=1.0) -> MultiVector:
     return MultiVector(dim_n, c)
 
 
-def vector(dim_n: int, components) -> MultiVector:
-    """The 1-vector with the given n+1 components along e_0, ..., e_n."""
-    components = np.asarray(components, dtype=complex)
-    if components.shape != (dim_n + 1,):
-        raise ValueError(f"expected {dim_n + 1} components")
-    c = np.zeros(lambda_dim(dim_n), dtype=complex)
-    for i, v in enumerate(components):
-        c[1 << i] = v
-    return MultiVector(dim_n, c)
-
-
 # ---------------------------------------------------------------------------
 # products
 # ---------------------------------------------------------------------------
@@ -206,29 +190,6 @@ def mu_star(f: MultiVector) -> MultiVector:
 def m_op(f: MultiVector) -> MultiVector:
     """m := mu + mu*; satisfies m^2 = I."""
     return mu(f) + mu_star(f)
-
-
-def normal_part(f: MultiVector) -> MultiVector:
-    """Restriction to basis subsets containing index 0."""
-    mask = normal_mask(f.dim_n)
-    return MultiVector(f.dim_n, np.where(mask, f.coeffs, 0.0))
-
-
-def tangential_part(f: MultiVector) -> MultiVector:
-    """Restriction to basis subsets not containing index 0."""
-    mask = normal_mask(f.dim_n)
-    return MultiVector(f.dim_n, np.where(mask, 0.0, f.coeffs))
-
-
-def reflection_N(f: MultiVector) -> MultiVector:
-    """N := tangential - normal part (reflection in the boundary)."""
-    return tangential_part(f) - normal_part(f)
-
-
-def inner(f: MultiVector, g: MultiVector) -> complex:
-    """Sesquilinear scalar product, conjugate-linear in the second slot."""
-    _check_same_dim(f, g)
-    return complex(np.sum(f.coeffs * np.conj(g.coeffs)))
 
 
 def dot(f: MultiVector, g: MultiVector) -> complex:

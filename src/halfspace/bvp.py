@@ -27,10 +27,10 @@ the connected blocks of T and itself; every boundary operator is formed,
 factored and solved block by block on the partition of its reflection
 (``BoundaryInverse``: singular values alone for the cutoff, condition
 number and null count, then one deflated inverse per block and no
-singular vectors), and the Hardy defect, kernel fraction, reflection
-conditions and well-posedness gaps are taken per block.  The dense frame
-matrices (``frame.E``, ``frame.Pnk``, ``frame.PK``, ``frame.E_solve``,
-``frame.N``, ``frame.NA``) are views formed on first access.  Time
+singular vectors), and the Hardy defect, kernel fraction and reflection
+conditions are taken per block.  The dense frame matrices (``frame.E``,
+``frame.Pnk``, ``frame.PK``, ``frame.E_solve``, ``frame.N``, ``frame.NA``)
+are views formed on first access.  Time
 derivatives are always computed from the generator (-|T| on the Hardy
 part), never by finite differences.  A ``SolutionField`` forms its
 eigen-coordinates V^{-1} f once; every later evaluation, one height or a
@@ -86,8 +86,6 @@ __all__ = [
     "norm_triplebar_dt",
     "nontangential_max",
     "reflection_conditions",
-    "wellposedness_report",
-    "dirichlet_values",
     "dirichlet_second_order_residual",
 ]
 
@@ -578,11 +576,6 @@ def solve_dirichlet(A, data, torus: Torus | None = None,
     return sol, report
 
 
-def dirichlet_values(sol: SolutionField, t: float) -> np.ndarray:
-    """U_t(x): the e_0 component of the interior field."""
-    return sol.at_t(t).component(1)
-
-
 def dirichlet_second_order_residual(sol: SolutionField, t_samples) -> float:
     """max over sampled t of ||div_{t,x} A grad_{t,x} U|| relative to the
     size of its constituent terms.
@@ -836,32 +829,4 @@ def reflection_conditions(frame: BoundaryFrame) -> dict:
             sv = op.svdvals()
             out[f"I{sign_}E{name}"] = float(np.max(sv)
                                            / max(np.min(sv), 1e-300))
-    return out
-
-
-def wellposedness_report(frame: BoundaryFrame) -> dict:
-    """Condition numbers of the four boundary operators (capped at
-    ``COND_CAP``) plus the restricted Hardy-to-normal/tangential projection
-    gaps, block by block."""
-    out = {label: {"cond": min(cond, COND_CAP), "capped": cond >= COND_CAP}
-           for label, cond in reflection_conditions(frame).items()}
-    # restricted projections N^{+-}_A : E^+ H -> N^{+-}_A H on non-kernel
-    # part; E^+ H is spanned by the eigenvectors with Re lambda > 0
-    dec = frame.dec
-    plus = dec.nonkernel & (dec.eigenvalues.real > 0)
-    bases_of = {}  # orthonormal bases of E^+ H on each partition, taken once
-    for name, refl in (("N_A", frame.NA_blocks), ("N", frame.N_blocks)):
-        V = dec.V_blocks.regroup(refl.groups)
-        if id(V) not in bases_of:
-            bases_of[id(V)] = (V, [(g, sel, np.linalg.qr(C)[0])
-                                   for g, sel, _, C in V.columns(plus)])
-        bases = bases_of[id(V)][1]
-        eye = BlockDiagonal.eye(refl.groups)
-        for pm, sign_ in (("+", +1.0), ("-", -1.0)):
-            proj = (eye + refl * sign_) * 0.5
-            svals = [np.linalg.svd(proj.blocks[g][sel] @ U, compute_uv=False)
-                     for g, sel, U in bases]
-            out[f"gap.{name}{pm}"] = {
-                "smin": min((float(np.min(s)) for s in svals), default=0.0),
-                "smax": max((float(np.max(s)) for s in svals), default=0.0)}
     return out

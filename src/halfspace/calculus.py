@@ -41,9 +41,9 @@ tests, oracles and diagnostics.
 Eigenvalues close to zero (relative threshold ``DEFAULT_KERNEL_TOL``) form
 the discrete kernel, the stand-in for the missing constants of the continuum
 problem.  Each symbol declares its kernel value explicitly: sgn and the
-spectral projections vanish there, the semigroup and resolvent-type
-symbols are one.  Symbols built on the holomorphic sgn are undefined on the
-imaginary axis and say so through ``sign_sensitive``.
+square-function families vanish there, the semigroup is one.  Symbols
+built on the holomorphic sgn are undefined on the imaginary axis and say so
+through ``sign_sensitive``.
 
 A whole grid of heights is evaluated in eigen-coordinates as one block
 product: with c = V^{-1} f computed once and S the m x T matrix of symbol
@@ -97,10 +97,7 @@ __all__ = [
     "sector_half_angle",
     "sector_margin",
     "apply_function",
-    "resolvent",
     "q_t",
-    "chi_plus",
-    "chi_minus",
     "sgn",
     "exp_minus_t_abs",
     "semigroup_dt",
@@ -156,13 +153,6 @@ def _holo_abs(lam: np.ndarray) -> np.ndarray:
     return np.where(lam.real > 0, lam, -lam)
 
 
-def resolvent(lam0: complex) -> FunctionDescriptor:
-    return FunctionDescriptor(
-        f"resolvent({lam0!r})",
-        lambda z: 1.0 / (lam0 - z),
-        kernel_value=1.0 / lam0)
-
-
 def _psi_abs_exp_gram(mu, nu):
     p, q = np.conj(_holo_abs(mu)), _holo_abs(nu)
     return p * q / (p + q) ** 2
@@ -210,18 +200,6 @@ def _t_family(name: str, t, fn, kernel_value: complex,
 def q_t(t) -> FunctionDescriptor:
     return _t_family("q_t", t, lambda z, t: t * z / (1.0 + (t * z) ** 2),
                      kernel_value=0.0, sign_sensitive=False, gram=_q_t_gram)
-
-
-def chi_plus() -> FunctionDescriptor:
-    return FunctionDescriptor(
-        "chi_plus", lambda z: (1.0 + _holo_sign(z)) / 2.0, kernel_value=0.0,
-        sign_sensitive=True)
-
-
-def chi_minus() -> FunctionDescriptor:
-    return FunctionDescriptor(
-        "chi_minus", lambda z: (1.0 - _holo_sign(z)) / 2.0, kernel_value=0.0,
-        sign_sensitive=True)
 
 
 def sgn() -> FunctionDescriptor:
@@ -309,8 +287,8 @@ class BlockDiagonal:
     same partition; ``+``, ``-``, ``.H`` and ``*`` (by a scalar, by a
     length-m vector that scales the columns, or entrywise by a block matrix
     on the same partition) work block by block.  A matrix that is one block
-    (``whole``; as a rule for variable coefficients) is the single
-    (1, m, m) group, and each operation is then the plain dense one.
+    (as a rule for variable coefficients) is the single (1, m, m) group,
+    and each operation is then the plain dense one.
     ``dense()`` scatters the blocks into an m x m array, once, on request.
     """
 
@@ -340,10 +318,6 @@ class BlockDiagonal:
         return cls(groups, [np.broadcast_to(np.eye(idx.shape[1]), idx.shape
                                             + (idx.shape[1],))
                             for idx in groups])
-
-    @property
-    def whole(self) -> bool:
-        return _is_whole(self.groups)
 
     @property
     def shape(self) -> tuple:

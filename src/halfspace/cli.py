@@ -277,14 +277,25 @@ def cmd_solve(cfg: RunConfig, out_dir: str, seed: int, quiet: bool) -> int:
         frame_kwargs["invariance_tol"] = cfg.get_float(
             "tolerances", "invariance_tol")
     if kind == "transmission":
+        # the datum is the gradient of the scalar profile, a 1-vector field
         degree = cfg.get_int("problem", "degree", default=1)
+        if degree != 1:
+            raise ConfigError(
+                f"{cfg._where('problem', 'degree')}: transmission data is a "
+                f"1-vector field, so 'degree' must be 1, got {degree}")
+        alpha_plus = cfg.get_complex("problem", "alpha_plus", default=2.0 + 0j)
+        alpha_minus = cfg.get_complex("problem", "alpha_minus",
+                                      default=1.0 + 0j)
+        if alpha_plus == alpha_minus:
+            key = ("alpha_minus" if cfg.has("problem", "alpha_minus")
+                   else "alpha_plus")
+            raise ConfigError(
+                f"{cfg._where('problem', key)}: 'alpha_plus' and "
+                f"'alpha_minus' must differ, both are {alpha_plus}")
         frame = BoundaryFrame(B, degree=degree, **frame_kwargs)
         g = gradient_of(torus, build_scalar_data(cfg, torus))
         (sol, sol_minus), report = solve_transmission(
-            B, degree,
-            cfg.get_complex("problem", "alpha_plus", default=2.0 + 0j),
-            cfg.get_complex("problem", "alpha_minus", default=1.0 + 0j),
-            g, frame=frame)
+            B, degree, alpha_plus, alpha_minus, g, frame=frame)
     else:
         frame = BoundaryFrame(B, **frame_kwargs)
         sol, report = solve_kind(kind, frame, build_scalar_data(cfg, torus))

@@ -27,24 +27,16 @@ __all__ = [
     "Torus",
     "Field",
     "CoefficientField",
-    "fourier_forward",
-    "fourier_inverse",
     "d_op",
-    "d_star_op",
     "d_columns",
     "d_star_columns",
     "partial_columns",
     "gradient_of",
-    "underline_d",
-    "underline_d_star_B",
     "inner_product",
     "norm",
-    "apply_coeff",
     "identity_coefficients",
     "vector_block_coefficients",
-    "field_from_function",
     "field_to_csv",
-    "field_from_csv",
 ]
 
 
@@ -148,10 +140,6 @@ class Field:
         return cls(torus, np.asarray(vec, dtype=complex).reshape(
             torus.shape + (torus.lambda_dim,)))
 
-    @classmethod
-    def zero(cls, torus: Torus) -> "Field":
-        return cls(torus, np.zeros(torus.shape + (torus.lambda_dim,), dtype=complex))
-
 
 def _check_same_torus(f, g) -> None:
     if f.torus != g.torus:
@@ -161,17 +149,6 @@ def _check_same_torus(f, g) -> None:
 # ---------------------------------------------------------------------------
 # transforms and derivatives
 # ---------------------------------------------------------------------------
-
-def fourier_forward(f: Field) -> Field:
-    """Componentwise forward DFT over the grid axes (numpy convention)."""
-    axes = tuple(range(f.torus.dim_n))
-    return Field(f.torus, np.fft.fftn(f.values, axes=axes))
-
-
-def fourier_inverse(f: Field) -> Field:
-    axes = tuple(range(f.torus.dim_n))
-    return Field(f.torus, np.fft.ifftn(f.values, axes=axes))
-
 
 @lru_cache(maxsize=None)
 def _derivative_symbol(torus: Torus, kind: str) -> np.ndarray:
@@ -222,33 +199,11 @@ def d_op(f: Field) -> Field:
     return Field(f.torus, d_columns(f.torus, f.values[..., None])[..., 0])
 
 
-def d_star_op(f: Field) -> Field:
-    """Interior derivative d* f = -sum_j e_j _| (d/dx_j f), j = 1..n."""
-    return Field(f.torus,
-                 d_star_columns(f.torus, f.values[..., None])[..., 0])
-
-
 def gradient_of(torus: Torus, scalar: np.ndarray) -> Field:
     """Tangential gradient d(psi) of a scalar potential, as a vector Field."""
     vals = np.zeros(torus.shape + (torus.lambda_dim,), dtype=complex)
     vals[..., 0] = scalar
     return d_op(Field(torus, vals))
-
-
-def underline_d(f: Field) -> Field:
-    """The rotated nilpotent derivative i*m(d f)."""
-    df = d_op(f)
-    m = algebra.m_matrix(f.torus.dim_n)
-    return Field(f.torus, 1j * (df.values @ m.T))
-
-
-def underline_d_star_B(f: Field, B: "CoefficientField") -> Field:
-    """B^{-1} (i m d*) B f, the coefficient-twisted interior counterpart."""
-    Bf = apply_coeff(B, f)
-    ds = d_star_op(Bf)
-    m = algebra.m_matrix(f.torus.dim_n)
-    mid = Field(f.torus, 1j * (ds.values @ m.T))
-    return apply_coeff(B.inverse(), mid)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +255,6 @@ class CoefficientField:
         self.kappa = float(np.min(np.linalg.eigvalsh(herm)))
         self.sup_norm = float(np.max(np.linalg.svd(flat, compute_uv=False)))
 
-    def inverse(self) -> "CoefficientField":
-        return CoefficientField(self.torus, np.linalg.inv(self.maps),
-                                _skip_check=True)
-
     def adjoint(self) -> "CoefficientField":
         """Pointwise hermitian adjoint B*(x)."""
         return CoefficientField(
@@ -318,13 +269,6 @@ class CoefficientField:
         n = self.torus.dim_n
         idx = [1 << i for i in range(n + 1)]
         return self.maps[..., idx, :][..., :, idx]
-
-
-def apply_coeff(B: CoefficientField, f: Field) -> Field:
-    if B.torus != f.torus:
-        raise ValueError("coefficient and field tori differ")
-    out = np.einsum("...ij,...j->...i", B.maps, f.values)
-    return Field(f.torus, out)
 
 
 def identity_coefficients(torus: Torus) -> CoefficientField:
@@ -357,21 +301,8 @@ def vector_block_coefficients(torus: Torus, A: np.ndarray) -> CoefficientField:
 
 
 # ---------------------------------------------------------------------------
-# construction and CSV interchange
+# CSV output
 # ---------------------------------------------------------------------------
-
-def field_from_function(torus: Torus, fn) -> Field:
-    """Sample fn(x) -> coefficient array (or MultiVector) on the grid."""
-    values = np.zeros(torus.shape + (torus.lambda_dim,), dtype=complex)
-    coords = torus.coordinates()
-    for idx in np.ndindex(*torus.shape):
-        x = np.array([c[idx] for c in coords])
-        v = fn(x)
-        if isinstance(v, algebra.MultiVector):
-            v = v.coeffs
-        values[idx] = v
-    return Field(torus, values)
-
 
 def field_to_csv(f: Field, path) -> None:
     """Write a field as CSV: x-coordinate columns, then Re/Im per mask.
@@ -395,30 +326,3 @@ def field_to_csv(f: Field, path) -> None:
                 z = f.values[idx + (mask,)]
                 row += [repr(float(z.real)), repr(float(z.imag))]
             writer.writerow(row)
-
-
-def field_from_csv(torus: Torus, path) -> Field:
-    """Read a field written by :func:`field_to_csv`; grid must match."""
-    n = torus.dim_n
-    d = torus.lambda_dim
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        expected = [f"x{j}" for j in range(n)]
-        for mask in range(d):
-            bits = mask_label(n, mask)
-            expected += [f"re_{bits}", f"im_{bits}"]
-        if header != expected:
-            raise ValueError("CSV header does not match the expected field format")
-        rows = list(reader)
-    if len(rows) != torus.num_points:
-        raise ValueError(
-            f"expected {torus.num_points} rows, found {len(rows)}")
-    values = np.zeros(torus.shape + (d,), dtype=complex)
-    for row, idx in zip(rows, np.ndindex(*torus.shape)):
-        nums = [float(v) for v in row]
-        for mask in range(d):
-            re = nums[n + 2 * mask]
-            im = nums[n + 2 * mask + 1]
-            values[idx + (mask,)] = re + 1j * im
-    return Field(torus, values)

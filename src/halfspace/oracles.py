@@ -98,7 +98,7 @@ def symbol_sign(M: SymbolMatrix) -> np.ndarray:
 
 
 def symbol_hardy(A_const: np.ndarray, xi):
-    """Spectral projections (chi_plus, chi_minus) of the mode symbol."""
+    """Spectral projections chi_+ and chi_- of the mode symbol."""
     return symbol_hardy_from_matrix(symbol_matrix(A_const, xi).entries)
 
 

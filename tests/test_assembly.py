@@ -22,7 +22,6 @@ from halfspace.diagnostics import (block_coefficients,
                                    skew_coefficients, smooth_real_symmetric)
 from halfspace.grid import (CoefficientField, Field, Torus,
                             identity_coefficients, inner_product,
-                            underline_d, underline_d_star_B,
                             vector_block_coefficients)
 
 
@@ -341,10 +340,14 @@ def test_hodge_split_matches_dense_null_spaces(n, N, name):
     assert _rel(f2.flatten(), v2) <= 1e-10
     assert _rel(const.flatten(), const_vec) <= 1e-10
     assert abs(split - ref_split) <= 1e-10 * ref_split
-    # each part lies in its null space, and both are mean free
-    assert np.linalg.norm(underline_d(f1).values) <= \
+    # each part lies in its null space (of i m d and of B^{-1} i m d* B),
+    # and both are mean free
+    m = m_full_matrix(torus)
+    Bm = assembly.coefficient_matrix(B)
+    assert np.linalg.norm(m @ d_matrix(torus) @ f1.flatten()) <= \
         1e-12 * np.linalg.norm(f1.values)
-    assert np.linalg.norm(underline_d_star_B(f2, B).values) <= \
+    assert np.linalg.norm(np.linalg.solve(
+        Bm, m @ d_star_matrix(torus) @ Bm @ f2.flatten())) <= \
         1e-12 * np.linalg.norm(f2.values)
     for part in (f1, f2):
         mean = part.values.reshape(-1, torus.lambda_dim).mean(axis=0)

@@ -7,11 +7,10 @@ import pytest
 import scipy.linalg
 
 from halfspace.bvp import (SCALAR_KINDS, BoundaryFrame, SolutionField,
-                           WellPosednessError, dirichlet_values,
-                           nontangential_max, norm_sup_t, norm_triplebar_dt,
+                           WellPosednessError, nontangential_max, norm_sup_t, norm_triplebar_dt,
                            solve_dirichlet, solve_kind, solve_neumann,
                            solve_neu_perp, solve_regularity,
-                           solve_transmission, wellposedness_report)
+                           solve_transmission)
 from halfspace.diagnostics import (gaussian_data, mode_data,
                                    random_accretive_constant,
                                    smooth_real_symmetric)
@@ -106,7 +105,7 @@ def test_dirichlet_interior_residual(smooth_frame):
     sol, report = solve_dirichlet(None, gaussian_data(frame.torus),
                                   frame=frame)
     assert report.second_order_residual <= 1e-6
-    u0 = dirichlet_values(sol, 1e-9)
+    u0 = sol.at_t(1e-9).component(1)
     trace = sol.trace_field().component(1)
     assert np.allclose(u0, trace, atol=1e-6 * max(np.max(np.abs(trace)), 1))
 
@@ -119,7 +118,7 @@ def test_dirichlet_identity_matches_poisson(identity_frame):
     sol, report = solve_dirichlet(None, u, frame=frame)
     t = 0.6
     ref = np.exp(-3 * t) * u
-    got = dirichlet_values(sol, t).real
+    got = sol.at_t(t).component(1).real
     assert np.allclose(got, ref, atol=1e-9)
 
 
@@ -149,16 +148,6 @@ def test_transmission_degenerate_lambda_rejected(smooth_frame):
         solve_transmission(B, 1, a_plus, a_minus, g, frame=frame)
     with pytest.raises(ValueError):
         solve_transmission(B, 1, 1.0, 1.0, g, frame=frame)
-
-
-def test_wellposedness_report(smooth_frame):
-    rep = wellposedness_report(smooth_frame)
-    for label in ("I-EN_A", "I+EN_A", "I-EN", "I+EN"):
-        entry = rep[label]
-        assert np.isfinite(entry["cond"])
-        assert not entry["capped"]
-    for key in ("gap.N_A+", "gap.N+"):
-        assert 0.0 < rep[key]["smin"] <= rep[key]["smax"]
 
 
 def test_report_serialization(smooth_frame):

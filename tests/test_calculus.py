@@ -8,13 +8,13 @@ from scipy.integrate import quad
 
 from halfspace import calculus
 from halfspace.bvp import BoundaryInverse
-from halfspace.calculus import (BlockDiagonal, IllConditionedEigenbasisError,
+from halfspace.calculus import (BlockDiagonal, FunctionDescriptor,
+                                IllConditionedEigenbasisError,
                                 SectorViolationError, _is_hermitian,
                                 apply_function, apply_to_vector,
-                                block_partition, chi_minus,
-                                chi_plus, decompose,
+                                block_partition, decompose,
                                 exp_minus_t_abs, psi_abs_exp, psi_exp, q_t,
-                                quadratic_constants, resolvent, sgn,
+                                quadratic_constants, sgn,
                                 square_function, svdvals)
 from halfspace.oracles import brute_resolvent, selfadjoint_qe_value
 
@@ -38,12 +38,18 @@ def _nonnormal_bisectorial(seed=1, dim=10):
     return V @ np.diag(lam) @ np.linalg.inv(V)
 
 
+def _chi(sign: float) -> FunctionDescriptor:
+    """The spectral projection chi_+ (sign = 1) or chi_- (sign = -1)."""
+    return FunctionDescriptor("chi", lambda z: (1.0 + sign * sgn()(z)) / 2.0,
+                              kernel_value=0.0, sign_sensitive=True)
+
+
 def test_sign_function_idempotent_projections():
     mat, _ = _hermitian_with_kernel()
     dec = decompose(mat)
     E = apply_function(dec, sgn()).dense()
-    Pp = apply_function(dec, chi_plus()).dense()
-    Pm = apply_function(dec, chi_minus()).dense()
+    Pp = apply_function(dec, _chi(1.0)).dense()
+    Pm = apply_function(dec, _chi(-1.0)).dense()
     Pnk = dec.nonkernel_projector().dense()
     assert np.allclose(Pp @ Pp, Pp, atol=1e-10)
     assert np.allclose(Pm @ Pm, Pm, atol=1e-10)
@@ -64,7 +70,9 @@ def test_resolvent_against_direct_and_brute():
     mat = _nonnormal_bisectorial()
     lam0 = 0.7j
     dec = decompose(mat)
-    R_spec = apply_function(dec, resolvent(lam0)).dense()
+    resolvent = FunctionDescriptor("resolvent", lambda z: 1.0 / (lam0 - z),
+                                   kernel_value=1.0 / lam0)
+    R_spec = apply_function(dec, resolvent).dense()
     R_dir = brute_resolvent(mat, lam0, np.eye(mat.shape[0]))
     assert np.allclose(R_spec, R_dir, atol=1e-9 * np.linalg.norm(R_dir, 2))
     v = np.arange(mat.shape[0], dtype=complex)

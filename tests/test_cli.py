@@ -160,6 +160,24 @@ def test_unknown_coefficient_family_exit_code(tmp_path):
     assert rc == 2
 
 
+# SOLVE_CFG has 12 lines; the appended keys land on lines 13 and 14
+@pytest.mark.parametrize("keys,line", [
+    pytest.param("degree = 5", 13, id="degree-5"),
+    pytest.param("degree = 0", 13, id="degree-0"),
+    pytest.param("degree = 2", 13, id="degree-2"),
+    pytest.param("alpha_plus = 1.5\nalpha_minus = 1.5", 14,
+                 id="equal-weights"),
+    pytest.param("alpha_plus = 1", 13, id="alpha_plus-equals-default")])
+def test_transmission_config_errors_exit_2_with_their_line(tmp_path, capsys,
+                                                            keys, line):
+    text = SOLVE_CFG.replace("kind = neumann", "kind = transmission")
+    cfg = _write(tmp_path, "tr.cfg", text + keys + "\n")
+    rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
+               "--quiet"])
+    assert rc == 2
+    assert f"tr.cfg:{line}: " in capsys.readouterr().err
+
+
 def test_campaign_command(tmp_path):
     text = """\
 [torus]

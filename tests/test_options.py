@@ -1,4 +1,6 @@
-"""Every defaulted parameter of a public function has a caller that sets it.
+"""Every option and every exported name has a caller.
+
+Every defaulted parameter of a public function has a caller that sets it.
 
 A default that no call ever overrides is a constant spelled as an option:
 it doubles the configurations a reader must consider and none of them is
@@ -11,6 +13,12 @@ passing every positional parameter and one with ``**kwargs`` every
 parameter. A call that only forwards an option of its own enclosing
 function (``f(tol=tol)``) sets the callee's option only if that enclosing
 option is itself set somewhere.
+
+Every name in a module's ``__all__`` has a caller outside the tests: a
+public name only the tests use is code the program does not need. The
+second scan looks for a use of the name as a name, an attribute or an
+import in ``src/``, ``bench/`` or the README's python example, outside the
+name's own definition; ``oracles``, the test-oracle module, is exempt.
 """
 
 import ast
@@ -71,8 +79,8 @@ def _options():
     return options
 
 
-def _sources():
-    for top in ("src", "bench", "tests"):
+def _sources(tops=("src", "bench", "tests")):
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             yield str(path), path.read_text()
     readme = (ROOT / "README.md").read_text()
@@ -155,3 +163,76 @@ def test_every_option_has_a_caller():
     unset = unset_options()
     assert not unset, ("defaulted parameters that no call sets; make each "
                        f"a constant: {unset}")
+
+
+# ``oracles`` is the independent test-oracle module: the tests are its
+# callers by design.
+EXPORT_EXEMPT_MODULES = {"oracles"}
+
+
+def _exports():
+    """Yield (module file, name) for every name in a module's ``__all__``."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in EXPORT_EXEMPT_MODULES:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)):
+                for elt in node.value.elts:
+                    yield path.name, elt.value
+
+
+class _ReferenceCollector(ast.NodeVisitor):
+    """Record (name, file, owner) for every use of a name as a name, an
+    attribute or an import; ``owner`` is the module-level def or class the
+    use sits in (None outside one)."""
+
+    def __init__(self):
+        self.filename = None
+        self.owner = None
+        self.records = set()
+
+    def visit_file(self, filename, tree):
+        self.filename = filename
+        for node in tree.body:
+            is_def = isinstance(node, FUNCTIONS + (ast.ClassDef,))
+            self.owner = node.name if is_def else None
+            self.visit(node)
+
+    def _add(self, name):
+        self.records.add((name, self.filename, self.owner))
+
+    def visit_Name(self, node):
+        self._add(node.id)
+
+    def visit_Attribute(self, node):
+        self._add(node.attr)
+        self.generic_visit(node)
+
+    def visit_alias(self, node):
+        for part in node.name.split("."):
+            self._add(part)
+
+
+def unreferenced_exports():
+    """Sorted "module.name" strings for exports nothing outside the tests
+    uses, apart from the name's own definition."""
+    collector = _ReferenceCollector()
+    for filename, text in _sources(("src", "bench")):
+        collector.visit_file(filename, ast.parse(text, filename=filename))
+    missing = []
+    for module, name in _exports():
+        own = (str(PACKAGE / module), name)
+        if not any(n == name and (f, o) != own
+                   for n, f, o in collector.records):
+            missing.append(f"{module[:-3]}.{name}")
+    return sorted(missing)
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    missing = unreferenced_exports()
+    assert not missing, ("names in __all__ that only the tests use; give "
+                         f"each a caller, move it to its test or delete it: "
+                         f"{missing}")
