@@ -29,19 +29,18 @@ factored and solved block by block on the partition of its reflection
 number and null count, then one deflated inverse per block and no
 singular vectors), and the Hardy defect, kernel fraction and reflection
 conditions are taken per block.  The dense frame matrices (``frame.E``,
-``frame.Pnk``, ``frame.PK``, ``frame.E_solve``, ``frame.N``, ``frame.NA``)
-are views formed on first access.  Time
-derivatives are always computed from the generator (-|T| on the Hardy
-part), never by finite differences.  A ``SolutionField`` forms its
-eigen-coordinates V^{-1} f once; every later evaluation, one height or a
-whole t-grid as one t-family block, is then the block-by-block product
-V (S o c).  The field also keeps the block of its latest grid of two or
-more heights, read-only and keyed by the heights' values, so that the sup
-and non-tangential norms, ``norms_at_ts`` and the Dirichlet residual on one
-grid evaluate e^{-t|T|} f once.  The non-tangential maximal function takes
-the Whitney-box means of all heights at once, as differences of cumulative
-sums in t over the sorted grid and in x over the periodically extended
-axes.
+``frame.Pnk``, ``frame.N``, ``frame.NA``) are views formed on first
+access.  Time derivatives are always computed from the generator (-|T|
+on the Hardy part), never by finite differences.  A ``SolutionField``
+forms its eigen-coordinates V^{-1} f once; every later evaluation, one
+height or a whole t-grid as one t-family block, is then the block-by-block
+product V (S o c).  The field also keeps the block of its latest grid of
+two or more heights, read-only and keyed by the heights' values, so that
+the sup and non-tangential norms, ``norms_at_ts`` and the Dirichlet
+residual on one grid evaluate e^{-t|T|} f once.  The non-tangential
+maximal function takes the Whitney-box means of all heights at once, as
+differences of cumulative sums in t over the sorted grid and in x over the
+periodically extended axes.
 
 Constant grid modes form the discrete kernel of T (the torus stand-in for
 the absence of L2 constants on R^n); boundary data is projected onto the
@@ -220,8 +219,7 @@ class BoundaryFrame:
     matrices are held as blocks: ``E_blocks``, ``Pnk_blocks``, ``PK_blocks``
     and ``E_solve_blocks`` on the partition ``groups`` of T, ``N_blocks``
     and ``NA_blocks`` on the connected blocks of T and the reflection;
-    ``E``, ``Pnk``, ``PK``, ``E_solve``, ``N`` and ``NA`` are their dense
-    views.
+    ``E``, ``Pnk``, ``N`` and ``NA`` are the dense views of four of them.
     """
 
     def __init__(self, B: CoefficientField, degree: int = 1,
@@ -242,7 +240,7 @@ class BoundaryFrame:
         self.T = restrict(TB_operator(B), self.basis,
                           invariance_tol=invariance_tol)
         self.invariance_defect = self.T.invariance_defect
-        self.dec = decompose(self.T, (B.kappa, B.sup_norm))
+        self.dec = decompose(self.T)
         # E, P_nk, P_K and E_solve are held on the partition of T (that of
         # V); each reflection on the connected blocks of T and itself, the
         # partition its boundary operators are factored on.  The steps
@@ -275,16 +273,8 @@ class BoundaryFrame:
         return self.E_blocks.dense()
 
     @property
-    def E_solve(self) -> np.ndarray:
-        return self.E_solve_blocks.dense()
-
-    @property
     def Pnk(self) -> np.ndarray:
         return self.Pnk_blocks.dense()
-
-    @property
-    def PK(self) -> np.ndarray:
-        return self.PK_blocks.dense()
 
     @property
     def N(self) -> np.ndarray:
@@ -418,12 +408,6 @@ class SolutionField:
 
     def trace_field(self) -> Field:
         return self.frame.to_field(self.coords)
-
-    def dt_coords_at_t(self, t: float) -> np.ndarray:
-        """Exact d/dt F_t = -|T| F_t through the semigroup generator."""
-        _check_heights(np.asarray(t, dtype=float))
-        return apply_to_vector(self.frame.dec, semigroup_dt(t, 1),
-                               eig_coords=self.eig_coords)
 
     def hardy_defect(self) -> float:
         """Relative size of the Hardy component for the wrong half space

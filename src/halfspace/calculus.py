@@ -34,9 +34,9 @@ formed from them: ``apply_function``, the kernel and non-kernel projectors,
 and the products of ``apply_to_vector`` and ``quadratic_constants`` are
 block by block.  A matrix that is one block is the single (1, m, m) group,
 so a frame whose T is one block (smooth variable coefficients) makes the
-same dense calls as a plain matrix would.  Dense m x m arrays (``dec.V``,
-``dec.Vinv``, ``BlockDiagonal.dense()``) are views formed on request, for
-tests, oracles and diagnostics.
+same dense calls as a plain matrix would.  The dense m x m array of a
+``BlockDiagonal`` (``dense()``, e.g. ``dec.V_blocks.dense()``) is a view
+formed on request, for tests, oracles and diagnostics.
 
 Eigenvalues close to zero (relative threshold ``DEFAULT_KERNEL_TOL``) form
 the discrete kernel, the stand-in for the missing constants of the continuum
@@ -46,15 +46,15 @@ built on the holomorphic sgn are undefined on the imaginary axis and say so
 through ``sign_sensitive``.
 
 A whole grid of heights is evaluated in eigen-coordinates as one block
-product: with c = V^{-1} f computed once and S the m x T matrix of symbol
-values S_ij = b_j(lambda_i), the columns b_j(T) f are V (S o c)
+product: with c = V^{-1} f (``dec.coordinates(f)``) and S the m x T matrix
+of symbol values S_ij = b_j(lambda_i), the columns b_j(T) f are V (S o c)
 (``apply_to_vector`` with a t-family or a sequence of symbols).  The
 t-families (``exp_minus_t_abs``, ``semigroup_dt``, ``psi_abs_exp``,
 ``psi_exp``, ``q_t``) take a whole array of heights and evaluate S
 as one outer-product block, with one sign-sensitivity check and one kernel
-substitution per block.  A caller that applies many blocks to the same f
-(``bvp.SolutionField``) keeps c = ``dec.coordinates(f)`` and passes it as
-``eig_coords``, so each block costs the one product V (S o c).
+substitution per block.  ``apply_to_vector`` takes c itself, so a caller
+that applies many blocks to the same f (``bvp.SolutionField``) forms c once
+and each block costs the one product V (S o c).
 
 Square-function norms int_0^inf ||psi_t(T) f||^2 dt/t are exact Hermitian
 forms: with c = V^{-1} f on the non-kernel indices, ``square_function`` is
@@ -439,28 +439,18 @@ class BlockDiagonal:
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigendecomposition of a bisectorial operator matrix, with V and
-    V^{-1} held block by block (``BlockDiagonal``); ``V`` and ``Vinv`` are
-    their dense views."""
+    V^{-1} held block by block (``BlockDiagonal``)."""
 
     eigenvalues: np.ndarray
     V_blocks: BlockDiagonal
     Vinv_blocks: BlockDiagonal
     cond_V: float
     kernel_indices: np.ndarray  # boolean mask over eigenvalue positions
-    omega: float
     hermitian: bool
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
-
-    @property
-    def V(self) -> np.ndarray:
-        return self.V_blocks.dense()
-
-    @property
-    def Vinv(self) -> np.ndarray:
-        return self.Vinv_blocks.dense()
 
     @property
     def nonkernel(self) -> np.ndarray:
@@ -573,14 +563,11 @@ def _scatter_blocks(groups: list, blocks: list, m: int) -> np.ndarray:
 
 
 def decompose(T: OperatorMatrix | np.ndarray,
-              B_constants: tuple | None = None,
               cond_cap: float = COND_V_CAP) -> SpectralDecomposition:
-    """Eigendecomposition with kernel and sector classification, one
+    """Eigendecomposition with kernel classification, one
     connected block of T at a time (``block_partition``); V and V^{-1} are
     kept on that partition.
 
-    ``B_constants`` is the pair (kappa, sup_norm) of the coefficients that
-    built T; it sets the sector half-angle omega = arccos(kappa/(2 sup_norm)).
     Hermitian matrices (relative defect <= 1e-10) get a unitary eigenbasis.
     The rules are those of the dense factorization: the kernel threshold is
     relative to the largest |lambda|, the kernel polish compares with
@@ -626,13 +613,9 @@ def decompose(T: OperatorMatrix | np.ndarray,
                 f"{cond_cap:.1e}", cond_V)
         Vinv = BlockDiagonal(groups, [np.linalg.inv(V_b) for V_b in vecs])
         V = BlockDiagonal(groups, vecs)
-    if B_constants is not None:
-        omega = sector_half_angle(*B_constants)
-    else:
-        omega = np.pi / 2
     return SpectralDecomposition(
         eigenvalues=lam, V_blocks=V, Vinv_blocks=Vinv, cond_V=cond_V,
-        kernel_indices=kernel, omega=omega, hermitian=hermitian)
+        kernel_indices=kernel, hermitian=hermitian)
 
 
 def _polish_kernel(groups, subs, vecs, lam, kernel) -> None:
@@ -816,20 +799,19 @@ def apply_function(dec: SpectralDecomposition,
     return (dec.V_blocks * vals) @ dec.Vinv_blocks
 
 
-def apply_to_vector(dec: SpectralDecomposition, b, vec: np.ndarray | None = None,
-                    *, eig_coords: np.ndarray | None = None) -> np.ndarray:
-    """b(T) vec without forming the full matrix.
+def apply_to_vector(dec: SpectralDecomposition, b,
+                    eig_coords: np.ndarray) -> np.ndarray:
+    """b(T) f from the eigen-coordinates c = V^{-1} f
+    (``dec.coordinates(f)``), as the one product V (S o c) with
+    S_i = b(lambda_i), without forming the full matrix.
 
     ``b`` may also be a t-family or a sequence of symbols b_1 .. b_T: the
-    result is then the m x T block whose column j is b_j(T) vec, formed as
-    one product V (S o c) with c = V^{-1} vec and S_ij = b_j(lambda_i).
-    ``eig_coords`` passes c when the caller already holds it, in place of
-    ``vec``.
+    result is then the m x T block whose column j is b_j(T) f, with
+    S_ij = b_j(lambda_i).
     """
-    c = dec.coordinates(vec) if eig_coords is None else eig_coords
     S = _symbol_values(dec, b)
     return dec.V_blocks @ _flush_subnormals(
-        S * c if S.ndim == 1 else S * c[:, None])
+        S * eig_coords if S.ndim == 1 else S * eig_coords[:, None])
 
 
 def _flush_subnormals(X: np.ndarray) -> np.ndarray:

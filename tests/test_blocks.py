@@ -53,18 +53,25 @@ def _rel(a, b):
     return np.linalg.norm(np.asarray(a) - b) / max(np.linalg.norm(b), 1e-300)
 
 
+def _dense_V(dec):
+    """The dense V and V^{-1}."""
+    return dec.V_blocks.dense(), dec.Vinv_blocks.dense()
+
+
 def _dense_function(dec, b):
     """b(T) as the dense product V diag(b(lambda)) V^{-1}."""
-    return (dec.V * calculus._symbol_values(dec, b)) @ dec.Vinv
+    V, Vinv = _dense_V(dec)
+    return (V * calculus._symbol_values(dec, b)) @ Vinv
 
 
 def _dense_frame(frame):
     """E, P_nk, P_K and E_solve from the dense V and V^{-1}."""
     dec = frame.dec
+    V, Vinv = _dense_V(dec)
     E = _dense_function(dec, sgn())
     K = dec.kernel_indices
-    PK = dec.V[:, K] @ dec.Vinv[K]
-    Pnk = (dec.V * dec.nonkernel) @ dec.Vinv
+    PK = V[:, K] @ Vinv[K]
+    Pnk = (V * dec.nonkernel) @ Vinv
     return E, Pnk, PK, E + PK
 
 
@@ -87,8 +94,9 @@ def test_frame_matrices_are_per_mode_blocks(frame):
         assert sum(idx.shape[0] for idx in mat.groups) > 1  # not one block
         assert max(idx.shape[1] for idx in mat.groups) <= 3
     E, Pnk, PK, E_solve = _dense_frame(frame)
-    for got, ref in ((frame.E, E), (frame.Pnk, Pnk), (frame.PK, PK),
-                     (frame.E_solve, E_solve)):
+    for got, ref in ((frame.E, E), (frame.Pnk, Pnk),
+                     (frame.PK_blocks.dense(), PK),
+                     (frame.E_solve_blocks.dense(), E_solve)):
         assert isinstance(got, np.ndarray)
         assert _rel(got, ref) <= RTOL
     rng = np.random.default_rng(3)
@@ -96,7 +104,7 @@ def test_frame_matrices_are_per_mode_blocks(frame):
         frame.dec.dim)
     assert _rel(frame.E_blocks @ v, E @ v) <= RTOL
     assert _rel(frame.Pnk_blocks @ v, Pnk @ v) <= RTOL
-    assert _rel(frame.dec.coordinates(v), frame.dec.Vinv @ v) <= RTOL
+    assert _rel(frame.dec.coordinates(v), _dense_V(frame.dec)[1] @ v) <= RTOL
 
 
 def test_t_family_matches_dense_product(frame):
@@ -106,8 +114,10 @@ def test_t_family_matches_dense_product(frame):
     ts = np.geomspace(1e-3 / dec.spectral_radius(), 1e3 / dec.min_nonkernel(),
                       40)
     S = calculus._symbol_values(dec, exp_minus_t_abs(ts))
-    ref = dec.V @ (S * (dec.Vinv @ v)[:, None])
-    assert _rel(apply_to_vector(dec, exp_minus_t_abs(ts), v), ref) <= RTOL
+    V, Vinv = _dense_V(dec)
+    ref = V @ (S * (Vinv @ v)[:, None])
+    got = apply_to_vector(dec, exp_minus_t_abs(ts), dec.coordinates(v))
+    assert _rel(got, ref) <= RTOL
 
 
 def test_solves_match_dense_pseudo_inverse(frame, monkeypatch):
@@ -158,14 +168,15 @@ def _dense_hadamard(dec, family):
     lam = np.where(dec.kernel_indices, 1.0, dec.eigenvalues)
     nk = dec.nonkernel
     K = family(1.0).gram(lam[:, None], lam[None, :]) * np.outer(nk, nk)
-    return (dec.V.conj().T @ dec.V) * K
+    V = dec.V_blocks.dense()
+    return (V.conj().T @ V) * K
 
 
 def test_square_functions_match_dense_hadamard_form(frame):
     dec = frame.dec
     rng = np.random.default_rng(4)
     v = rng.standard_normal(dec.dim) + 1j * rng.standard_normal(dec.dim)
-    c = dec.Vinv @ v
+    c = dec.Vinv_blocks.dense() @ v
     for family in (q_t, psi_abs_exp, psi_exp):
         ref = np.vdot(c, _dense_hadamard(dec, family) @ c).real
         assert abs(square_function(dec, family, v) - ref) <= RTOL * ref
@@ -173,7 +184,8 @@ def test_square_functions_match_dense_hadamard_form(frame):
 
 def test_quadratic_constants_match_dense_gram(frame):
     dec = frame.dec
-    G = dec.Vinv.conj().T @ _dense_hadamard(dec, q_t) @ dec.Vinv
+    Vinv = dec.Vinv_blocks.dense()
+    G = Vinv.conj().T @ _dense_hadamard(dec, q_t) @ Vinv
     u, s, _ = np.linalg.svd(_dense_frame(frame)[1])
     U = u[:, s > 0.5]
     Gr = U.conj().T @ G @ U
@@ -381,7 +393,8 @@ def test_polished_kernel_spans_the_singular_null_space(case):
     assert k == frame.torus.dim_n + 1
     _, _, vh = np.linalg.svd(T)
     null = vh[-k:].conj().T
-    VK = dec.V[:, K]
+    V = dec.V_blocks.dense()
+    VK = V[:, K]
     assert _rel(VK.conj().T @ VK, np.eye(k)) <= 1e-14
     # sines of the principal angles between the two k-dimensional spaces
     sines = np.linalg.svd(VK - null @ (null.conj().T @ VK), compute_uv=False)
@@ -391,9 +404,9 @@ def test_polished_kernel_spans_the_singular_null_space(case):
     # unitary: the singular values of V agree to rounding (Weyl), and so
     # does cond(V), to 1e-12 relative up to cond(V) = 1e4; past that the
     # rounding of the smallest singular value is amplified by cond(V)
-    V_svd = dec.V.copy()
+    V_svd = V.copy()
     V_svd[:, K] = null
-    s = np.linalg.svd(dec.V, compute_uv=False)
+    s = np.linalg.svd(V, compute_uv=False)
     s_svd = np.linalg.svd(V_svd, compute_uv=False)
     assert np.max(np.abs(s_svd - s)) <= 1e-13 * s[0]
     assert abs(s_svd[0] / s_svd[-1] - dec.cond_V) <= \

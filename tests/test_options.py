@@ -1,4 +1,4 @@
-"""Every option and every exported name has a caller.
+"""Every option, every exported name and every public member has a caller.
 
 Every defaulted parameter of a public function has a caller that sets it.
 
@@ -19,6 +19,12 @@ public name only the tests use is code the program does not need. The
 second scan looks for a use of the name as a name, an attribute or an
 import in ``src/``, ``bench/`` or the README's python example, outside the
 name's own definition; ``oracles``, the test-oracle module, is exempt.
+
+The same rule holds for members. The third scan lists the public methods,
+properties and annotated (dataclass) fields of every class in the
+non-exempt modules and looks for a read of each as an attribute in
+``src/``, ``bench/`` or the README's python example, outside the member's
+own definition.
 """
 
 import ast
@@ -236,3 +242,63 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert not missing, ("names in __all__ that only the tests use; give "
                          f"each a caller, move it to its test or delete it: "
                          f"{missing}")
+
+
+def _members():
+    """Yield (module file, class, name) for every public method, property
+    and annotated (dataclass) field of a class in the non-exempt modules."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in EXPORT_EXEMPT_MODULES:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, FUNCTIONS):
+                    name = item.name
+                elif (isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield path.name, node.name, name
+
+
+def _attribute_reads():
+    """(attribute, owner) for every attribute read in ``src/``, ``bench/``
+    and the README's python example; ``owner`` is (file, class, member) for
+    a read inside a class-level definition, else None."""
+    reads = set()
+    for filename, text in _sources(("src", "bench")):
+        for top in ast.parse(text, filename=filename).body:
+            is_class = isinstance(top, ast.ClassDef)
+            for item in top.body if is_class else [top]:
+                owner = ((filename, top.name, getattr(item, "name", None))
+                         if is_class else None)
+                for node in ast.walk(item):
+                    if (isinstance(node, ast.Attribute)
+                            and isinstance(node.ctx, ast.Load)):
+                        reads.add((node.attr, owner))
+    return reads
+
+
+def unread_members():
+    """Sorted "module.Class.member" strings for public members nothing
+    outside the tests reads as an attribute, apart from the member's own
+    definition."""
+    reads = _attribute_reads()
+    missing = []
+    for module, cls, name in _members():
+        own = (str(PACKAGE / module), cls, name)
+        if not any(attr == name and owner != own for attr, owner in reads):
+            missing.append(f"{module[:-3]}.{cls}.{name}")
+    return sorted(missing)
+
+
+def test_every_member_has_a_reader_outside_the_tests():
+    missing = unread_members()
+    assert not missing, ("public methods, properties and fields that only "
+                         f"the tests read; delete them or give each a "
+                         f"reader: {missing}")

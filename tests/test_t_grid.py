@@ -63,7 +63,8 @@ def _gram_loop(dec, family):
     (i, j) at a time: K_ij from the family's Gram kernel at the pair of
     eigenvalues, (V^* V)_ij from the dense columns of V."""
     gram = family(1.0).gram
-    V, lam, nk = dec.V, dec.eigenvalues, np.flatnonzero(dec.nonkernel)
+    V, lam = dec.V_blocks.dense(), dec.eigenvalues
+    nk = np.flatnonzero(dec.nonkernel)
     H = np.zeros((dec.dim, dec.dim), dtype=complex)
     for i in nk:
         for j in nk:
@@ -72,7 +73,7 @@ def _gram_loop(dec, family):
 
 
 def _square_function_loop(dec, family, coeffs):
-    c = dec.Vinv @ coeffs
+    c = dec.Vinv_blocks.dense() @ coeffs
     return float(np.vdot(c, _gram_loop(dec, family) @ c).real)
 
 
@@ -86,7 +87,8 @@ def _dirichlet_residual_loop(sol, t_samples):
     for t in t_samples:
         U = sol.at_t(t).component(1).reshape(-1)
         Ut, Utt = (frame.to_field(apply_to_vector(
-            frame.dec, semigroup_dt(t, k), sol.coords)).component(1)
+            frame.dec, semigroup_dt(t, k), frame.dec.coordinates(sol.coords)))
+            .component(1)
             .reshape(-1) for k in (1, 2))
         dt_g0 = A[:, 0, 0] * Utt + sum(A[:, 0, j + 1] * (Dx[j] @ Ut)
                                       for j in range(n))
@@ -177,8 +179,9 @@ def test_norms_match_per_height_loops(name, request):
     frame = request.getfixturevalue(name)
     sol = _solution(frame)
     ts = sol.default_t_samples()
+    c = frame.dec.coordinates(sol.coords)
     ref_sup = max(frame.phys_norm(apply_to_vector(
-        frame.dec, exp_minus_t_abs(t), sol.coords)) for t in ts)
+        frame.dec, exp_minus_t_abs(t), c)) for t in ts)
     assert _rel(norm_sup_t(sol, ts), ref_sup) <= RTOL
     refs = {}
     for family in (q_t, psi_abs_exp, psi_exp):
@@ -191,15 +194,15 @@ def test_norms_match_per_height_loops(name, request):
 
 def test_block_apply_to_vector_matches_per_symbol(frame_n1):
     dec = frame_n1.dec
-    v = _solution(frame_n1).coords
+    c = dec.coordinates(_solution(frame_n1).coords)
     symbols = [exp_minus_t_abs(0.3), semigroup_dt(0.7, 2), q_t(1.5),
                calculus.sgn()]
-    block = apply_to_vector(dec, symbols, v)
+    block = apply_to_vector(dec, symbols, c)
     assert block.shape == (dec.dim, len(symbols))
     for j, b in enumerate(symbols):
-        col = apply_to_vector(dec, b, v)
+        col = apply_to_vector(dec, b, c)
         assert np.linalg.norm(block[:, j] - col) <= RTOL * np.linalg.norm(col)
-    assert apply_to_vector(dec, [], v).shape == (dec.dim, 0)
+    assert apply_to_vector(dec, [], c).shape == (dec.dim, 0)
 
 
 @pytest.mark.parametrize("name", ["frame_n1", "frame_n2"])
@@ -208,7 +211,8 @@ def test_quadratic_constants_match_gram_loop(name, request):
     assert not dec.hermitian
     U = np.linalg.svd(dec.nonkernel_projector().dense())[0][:, :int(
         np.sum(dec.nonkernel))]
-    G = dec.Vinv.conj().T @ _gram_loop(dec, q_t) @ dec.Vinv
+    Vinv = dec.Vinv_blocks.dense()
+    G = Vinv.conj().T @ _gram_loop(dec, q_t) @ Vinv
     Gr = U.conj().T @ G @ U
     ev = np.sqrt(np.clip(np.linalg.eigvalsh(0.5 * (Gr + Gr.conj().T)),
                          0.0, None))
@@ -254,8 +258,7 @@ def test_block_path_rejects_non_finite_t(frame_n1, bad):
     for evaluate in (sol.coords_at_ts, sol.norms_at_ts,
                      lambda ts: norm_sup_t(sol, ts),
                      lambda ts: nontangential_max(sol, t_samples=ts),
-                     lambda ts: dirichlet_second_order_residual(sol, ts),
-                     lambda ts: sol.dt_coords_at_t(ts[0])):
+                     lambda ts: dirichlet_second_order_residual(sol, ts)):
         with pytest.raises(ValueError, match="finite"):
             evaluate(ts)
 
@@ -324,7 +327,8 @@ def test_V_gram_is_formed_once_and_matches_a_fresh_product(frame_n1):
     dec = frame_n1.dec
     gram = dec.V_gram
     assert dec.V_gram is gram
-    fresh = dec.V.conj().T @ dec.V
+    V = dec.V_blocks.dense()
+    fresh = V.conj().T @ V
     assert np.linalg.norm(gram.dense() - fresh) <= \
         1e-14 * np.linalg.norm(fresh)
 
@@ -382,11 +386,12 @@ def test_at_t_loop_forms_eigen_coordinates_once(frame_n1, monkeypatch):
                         counting)
     ts = np.exp(np.linspace(np.log(0.01), np.log(10.0), 60))
     fields = [sol.at_t(t) for t in ts]
-    sol.dt_coords_at_t(0.5)
+    dirichlet_second_order_residual(sol, [0.5])
     sol.coords_at_ts(ts)
     assert len(calls) == 1
+    c = frame_n1.dec.coordinates(coords)
     for t, field in zip(ts[::7], fields[::7]):
         ref = frame_n1.to_field(apply_to_vector(frame_n1.dec,
-                                                exp_minus_t_abs(t), coords))
+                                                exp_minus_t_abs(t), c))
         assert np.linalg.norm(field.values - ref.values) <= \
             RTOL * np.linalg.norm(ref.values)
