@@ -28,13 +28,16 @@ factored and solved block by block on the partition of its reflection
 (``BoundaryInverse``: singular values alone for the cutoff, condition
 number and null count, then one deflated inverse per block and no
 singular vectors), and the Hardy defect, kernel fraction and reflection
-conditions are taken per block.  The dense frame matrices (``frame.E``,
-``frame.Pnk``, ``frame.N``, ``frame.NA``) are views formed on first
-access.  Time derivatives are always computed from the generator (-|T|
-on the Hardy part), never by finite differences.  A ``SolutionField``
-forms its eigen-coordinates V^{-1} f once; every later evaluation, one
-height or a whole t-grid as one t-family block, is then the block-by-block
-product V (S o c).  The field also keeps the block of its latest grid of
+conditions are taken per block.  Every solve with a boundary operator goes
+through ``BoundaryFrame.invert``, which factors each operator once per
+frame (once per lambda for transmission) and serves every later solve,
+vector or column block, from that factorization.  The dense frame
+matrices (``frame.E``, ``frame.Pnk``, ``frame.N``, ``frame.NA``) are views
+formed on first access.  Time derivatives are always computed from the
+generator (-|T| on the Hardy part), never by finite differences.  A
+``SolutionField`` forms its eigen-coordinates V^{-1} f once; every later
+evaluation, one height or a whole t-grid as one t-family block, is then
+the block-by-block product V (S o c).  The field also keeps the block of its latest grid of
 two or more heights, read-only and keyed by the heights' values, so that
 the sup and non-tangential norms, ``norms_at_ts`` and the Dirichlet
 residual on one grid evaluate e^{-t|T|} f once.  The non-tangential
@@ -213,13 +216,15 @@ class BoundaryFrame:
     """Assembled boundary machinery for one coefficient field and subspace.
 
     Builds (once) the restricted Dirac operator, its spectral decomposition,
-    the Cauchy reflection E, and the two boundary reflections, and factors
-    each boundary operator the first time a solve needs it.  All solves
-    and campaigns for the same coefficients share a frame.  The frame
-    matrices are held as blocks: ``E_blocks``, ``Pnk_blocks``, ``PK_blocks``
-    and ``E_solve_blocks`` on the partition ``groups`` of T, ``N_blocks``
-    and ``NA_blocks`` on the connected blocks of T and the reflection;
-    ``E``, ``Pnk``, ``N`` and ``NA`` are the dense views of four of them.
+    the Cauchy reflection E, and the two boundary reflections; ``invert``
+    factors each boundary operator the first time a solve needs it and
+    keeps the factorization, one per operator and, for transmission, one
+    per lambda.  All solves and campaigns for the same coefficients share a
+    frame.  The frame matrices are held as blocks: ``E_blocks``,
+    ``Pnk_blocks``, ``PK_blocks`` and ``E_solve_blocks`` on the partition
+    ``groups`` of T, ``N_blocks`` and ``NA_blocks`` on the connected blocks
+    of T and the reflection; ``E``, ``Pnk``, ``N`` and ``NA`` are the dense
+    views of four of them.
     """
 
     def __init__(self, B: CoefficientField, degree: int = 1,
@@ -229,7 +234,6 @@ class BoundaryFrame:
                 f"coefficients are not accretive (kappa = {B.kappa:.3e})")
         self.B = B
         self.torus = B.torus
-        self.degree = degree
         if degree == 1:
             self.basis = hat_h1_basis(self.torus)
         else:
@@ -240,7 +244,7 @@ class BoundaryFrame:
         self.T = restrict(TB_operator(B), self.basis,
                           invariance_tol=invariance_tol)
         self.invariance_defect = self.T.invariance_defect
-        self.dec = decompose(self.T)
+        self.dec = decompose(self.T.entries)
         # E, P_nk, P_K and E_solve are held on the partition of T (that of
         # V); each reflection on the connected blocks of T and itself, the
         # partition its boundary operators are factored on.  The steps
@@ -298,22 +302,22 @@ class BoundaryFrame:
         return (E_solve + refl if kind == "regularity"
                 else E_solve - refl), label
 
-    def factor(self, kind: str) -> BoundaryInverse:
-        """The inverse of the boundary operator of ``kind``, factored once
-        per frame and shared by the kinds with the same operator
-        (neu_perp and dirichlet both invert E - N).  The operator is formed
-        only when its factorization is not cached yet."""
-        label = _boundary_label(kind)
-        if label not in self._inverses:
-            op, _ = self.boundary_operator(kind)
-            self._inverses[label] = BoundaryInverse(op, label, self.kernel_dim)
-        return self._inverses[label]
+    def invert(self, kind: str, rhs: np.ndarray, lam: complex | None = None):
+        """Minimum-norm solve with the boundary operator of ``kind`` (at
+        ``lam`` for transmission) for a vector or right-hand-side columns.
 
-    def invert(self, op: BlockDiagonal, rhs: np.ndarray, label: str):
-        """Minimum-norm solve of an arbitrary boundary operator, factored
-        afresh on every call (see ``BoundaryInverse``)."""
-        inv = BoundaryInverse(op, label, self.kernel_dim)
-        return inv.solve(rhs), inv.cond, inv.null_dim
+        The operator is formed and factored (``BoundaryInverse``) only on
+        the first call for its label and ``lam``; the factorization is kept
+        for the life of the frame, so neu_perp and dirichlet share E - N and
+        transmission keeps one per lambda.  Returns the solution and the
+        ``BoundaryInverse``, which carries ``label``, ``cond`` and
+        ``null_dim``."""
+        key = (_boundary_label(kind), lam)
+        if key not in self._inverses:
+            op, label = self.boundary_operator(kind, lam)
+            self._inverses[key] = BoundaryInverse(op, label, self.kernel_dim)
+        inv = self._inverses[key]
+        return inv.solve(rhs), inv
 
     # -- field/coordinate plumbing ----------------------------------------
 
@@ -448,9 +452,7 @@ def _e0_field(torus: Torus, scalar: np.ndarray) -> Field:
 def _finish_solve(frame: BoundaryFrame, kind: str, formula: str,
                   rhs_field: Field, compare, mean_loss: float = 0.0) -> tuple:
     rhs_coords, data_loss = frame.to_coords(rhs_field)
-    inv = frame.factor(kind)
-    sol_coords = inv.solve(2.0 * rhs_coords)
-    label, cond, null_dim = inv.label, inv.cond, inv.null_dim
+    sol_coords, inv = frame.invert(kind, 2.0 * rhs_coords)
     sol = SolutionField(frame, sol_coords)
     g_eff = frame.to_field(rhs_coords)
     resid = compare(sol.trace_field(), g_eff)
@@ -459,13 +461,13 @@ def _finish_solve(frame: BoundaryFrame, kind: str, formula: str,
                             / scale)
     report = SolveReport(
         formula=formula,
-        condition_numbers={label: cond},
+        condition_numbers={inv.label: inv.cond},
         boundary_residual=resid,
         data_projection_loss=float(np.hypot(data_loss, mean_loss)),
         trace_kernel_fraction=kernel_fraction,
         hardy_defect=sol.hardy_defect(),
         invariance_defect=frame.invariance_defect,
-        extra={"null_dim": null_dim},
+        extra={"null_dim": inv.null_dim},
     )
     return sol, report
 
@@ -646,14 +648,13 @@ def solve_transmission(B: CoefficientField, degree: int, alpha_plus: complex,
             f"transmission datum is outside the constrained degree-{degree} "
             f"space (relative distance {g_loss:.3e})")
     margin = abs(lam ** 2 + 1.0)
-    op, label = frame.boundary_operator("transmission", lam=lam)
     if margin < 1e-12:
         raise WellPosednessError(
             f"spectral point lambda = {lam!r} is degenerate "
             f"(|lambda^2 + 1| = {margin:.3e})", np.inf)
     E_solve = frame.E_solve_blocks
     rhs = (2.0 / (alpha_plus - alpha_minus)) * (E_solve @ g_coords)
-    f_coords, cond, null_dim = frame.invert(op, rhs, label)
+    f_coords, inv = frame.invert("transmission", rhs, lam)
     f_plus = 0.5 * (f_coords + E_solve @ f_coords)
     f_minus = 0.5 * (f_coords - E_solve @ f_coords)
     sol_p = SolutionField(frame, f_plus, side=+1)
@@ -678,7 +679,7 @@ def solve_transmission(B: CoefficientField, degree: int, alpha_plus: complex,
                 _rel(np.linalg.norm(j2), j2_scale))
     report = SolveReport(
         formula="(lambda - E N_B) f = 2/(a+ - a-) E g",
-        condition_numbers={label: cond},
+        condition_numbers={inv.label: inv.cond},
         boundary_residual=resid,
         data_projection_loss=float(g_loss),
         trace_kernel_fraction=float(
@@ -688,7 +689,7 @@ def solve_transmission(B: CoefficientField, degree: int, alpha_plus: complex,
                          sol_m.hardy_defect() if np.linalg.norm(f_minus) > 0 else 0.0),
         invariance_defect=frame.invariance_defect,
         extra={"lambda": lam, "degeneracy_margin": margin,
-               "null_dim": null_dim},
+               "null_dim": inv.null_dim},
     )
     return (sol_p, sol_m), report
 

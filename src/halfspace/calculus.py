@@ -81,8 +81,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .assembly import OperatorMatrix
-
 __all__ = [
     "block_partition",
     "Partition",
@@ -562,7 +560,7 @@ def _scatter_blocks(groups: list, blocks: list, m: int) -> np.ndarray:
     return out
 
 
-def decompose(T: OperatorMatrix | np.ndarray,
+def decompose(T: np.ndarray,
               cond_cap: float = COND_V_CAP) -> SpectralDecomposition:
     """Eigendecomposition with kernel classification, one
     connected block of T at a time (``block_partition``); V and V^{-1} are
@@ -574,12 +572,9 @@ def decompose(T: OperatorMatrix | np.ndarray,
     ||T||_2, and cond(V) is the largest singular value of any block over
     the smallest, the 2-norm condition number of the block-diagonal V.
     """
-    mat = T.entries if isinstance(T, OperatorMatrix) else np.asarray(
-        T, dtype=complex)
-    m = mat.shape[0]
-    groups = block_partition(mat)
-    subs = [gather_blocks(mat, idx) for idx in groups]
-    hermitian = _is_hermitian(BlockDiagonal(groups, subs))
+    blocks = BlockDiagonal.of(T)
+    m, groups, subs = blocks.dim, blocks.groups, blocks.blocks
+    hermitian = _is_hermitian(blocks)
     lam = np.empty(m, dtype=complex)
     vecs = []
     for idx, sub in zip(groups, subs):
@@ -843,20 +838,18 @@ def _gram_kernel(dec: SpectralDecomposition, family):
 
 
 def square_function(dec: SpectralDecomposition, family,
-                    coeffs: np.ndarray | None = None, *,
-                    eig_coords: np.ndarray | None = None) -> float:
+                    eig_coords: np.ndarray) -> float:
     """int_0^inf ||psi_t(T) f||^2 dt/t = c^* [(V^* V) o K] c, exactly, with
     c = V^{-1} f on the non-kernel indices and K the Gram kernel of
     ``family`` (module docstring), one stacked product per block size.
 
     ``family`` maps heights to the t-family of psi_t: ``q_t``,
-    ``psi_abs_exp`` or ``psi_exp``.  ``eig_coords`` passes V^{-1} f when the
-    caller already holds it, in place of ``coeffs``.  Norms are plain
+    ``psi_abs_exp`` or ``psi_exp``.  ``eig_coords`` are the eigen-coordinates
+    V^{-1} f (``SpectralDecomposition.coordinates``).  Norms are plain
     coefficient-vector norms.
     """
     gram = _gram_kernel(dec, family)
-    c = dec.coordinates(coeffs) if eig_coords is None else eig_coords
-    c = np.where(dec.nonkernel, c, 0.0)
+    c = np.where(dec.nonkernel, eig_coords, 0.0)
     # kernel eigenvalues stand in as 1: their coordinates are zero
     lam = np.where(dec.kernel_indices, 1.0, dec.eigenvalues)
     V = dec.V_blocks

@@ -358,8 +358,7 @@ def _solution_operators(frame: BoundaryFrame) -> dict:
     eye = np.eye(frame.dec.dim)
     out = {}
     for kind in ("neumann", "regularity", "neu_perp"):
-        op, label = frame.boundary_operator(kind)
-        out[kind] = 2.0 * frame.invert(op, eye, label)[0]
+        out[kind] = 2.0 * frame.invert(kind, eye)[0]
     return out
 
 

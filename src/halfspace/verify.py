@@ -223,7 +223,7 @@ def check_quadratic(points: int = 64, value_tol: float = 1e-4):
         dec = frame.dec
         coords = frame.Pnk @ (rng.standard_normal(dec.dim)
                               + 1j * rng.standard_normal(dec.dim))
-        qn = np.sqrt(square_function(dec, q_t, coords))
+        qn = np.sqrt(square_function(dec, q_t, dec.coordinates(coords)))
         ref = oracles.selfadjoint_qe_value(frame.T.entries, coords)
         err = abs(qn ** 2 - ref) / max(abs(ref), 1e-300)
         out.append(_entry(f"quadratic.value.{label}", err, value_tol))

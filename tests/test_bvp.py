@@ -14,8 +14,8 @@ from halfspace.bvp import (SCALAR_KINDS, BoundaryFrame, SolutionField,
                            solve_neu_perp, solve_regularity,
                            solve_transmission)
 from halfspace.calculus import apply_to_vector, semigroup_dt
-from halfspace.diagnostics import (gaussian_data, mode_data,
-                                   random_accretive_constant,
+from halfspace.diagnostics import (_solution_operators, gaussian_data,
+                                   mode_data, random_accretive_constant,
                                    smooth_real_symmetric)
 from halfspace.grid import (Field, Torus, d_op, identity_coefficients,
                             vector_block_coefficients)
@@ -265,11 +265,24 @@ def test_boundary_factorization_cached_per_kind(monkeypatch):
     solve_neu_perp(None, phi, frame=frame)
     solve_dirichlet(None, phi, frame=frame)
     assert len(calls) == 2 and len(formed) == 2
+    solve_regularity(None, _gradient_data(torus, phi), frame=frame)
+    assert len(calls) == 3 and len(formed) == 3
     ref, ref_report = solve_neumann(None, phi, frame=fresh)
-    assert len(calls) == 3
+    assert len(calls) == 4
     assert np.linalg.norm(second.coords - ref.coords) <= 1e-12 * np.linalg.norm(
         ref.coords)
     assert report.condition_numbers == ref_report.condition_numbers
+    # the campaigns' solution operators reuse the solves' factorizations
+    _solution_operators(frame)
+    assert len(calls) == 4 and len(formed) == 3
+    # transmission factors lambda - E N_B once per lambda
+    g = frame.to_field(frame.to_coords(_gradient_data(torus, phi))[0])
+    _, once = solve_transmission(B, 1, 2.0, 1.0, g, frame=frame)
+    _, twice = solve_transmission(B, 1, 2.0, 1.0, g, frame=frame)
+    assert len(calls) == 5 and len(formed) == 4
+    assert twice.to_text() == once.to_text()
+    solve_transmission(B, 1, 3.0, 1.0, g, frame=frame)
+    assert len(calls) == 6 and len(formed) == 5
 
 
 def test_constant_frame_factors_one_stacked_svd_per_block_size(monkeypatch):
@@ -292,7 +305,7 @@ def test_constant_frame_factors_one_stacked_svd_per_block_size(monkeypatch):
         sizes = [idx.shape[1] for idx in block_partition(op)]
         assert max(sizes) <= 2, kind
         calls.clear()
-        inv = frame.factor(kind)
+        _, inv = frame.invert(kind, np.zeros(op.dim))
         assert len(calls) <= len(sizes), kind
         assert all(len(shape) == 3 for shape in calls), kind
         dense = real_svd(op, compute_uv=False)

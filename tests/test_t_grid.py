@@ -186,7 +186,7 @@ def test_norms_match_per_height_loops(name, request):
     refs = {}
     for family in (q_t, psi_abs_exp, psi_exp):
         refs[family] = _square_function_loop(frame.dec, family, sol.coords)
-        got = square_function(frame.dec, family, sol.coords)
+        got = square_function(frame.dec, family, sol.eig_coords)
         assert _rel(got, refs[family]) <= RTOL
     assert _rel(norm_triplebar_dt(sol),
                 np.sqrt(frame.torus.weight * refs[psi_abs_exp])) <= RTOL
