@@ -21,7 +21,9 @@ and the interior extension is always the semigroup F_t = e^{-t|T|} f applied
 through the spectral decomposition.  The decomposition factors T one
 connected block at a time (``calculus.block_partition``): per Fourier mode
 for constant coefficients, and as a rule the whole matrix for variable
-ones.  The frame keeps E, P_nk, P_K and E_solve as blocks
+ones; block coefficients, for which T anticommutes with the diagonal N,
+through the half-size eigenproblem of XY (``calculus.decompose``).  The
+frame keeps E, P_nk, P_K and E_solve as blocks
 (``calculus.BlockDiagonal``) on the partition of T, and N and N_A each on
 the connected blocks of T and itself; every boundary operator is formed,
 factored and solved block by block on the partition of its reflection
@@ -212,6 +214,16 @@ def _boundary_label(kind: str) -> str:
     return _BOUNDARY_LABELS[kind]
 
 
+def _grading(refl: np.ndarray) -> np.ndarray | None:
+    """The signs s of the diagonal of a restricted reflection N when
+    |N - diag(s)| <= 1e-13 entrywise (N is diagonal with entries +-1 up to
+    rounding), else None."""
+    signs = np.sign(np.diagonal(refl).real)
+    defect = np.abs(refl)
+    np.fill_diagonal(defect, np.abs(np.diagonal(refl) - signs))
+    return signs if np.max(defect, initial=0.0) <= 1e-13 else None
+
+
 class BoundaryFrame:
     """Assembled boundary machinery for one coefficient field and subspace.
 
@@ -244,7 +256,12 @@ class BoundaryFrame:
         self.T = restrict(TB_operator(B), self.basis,
                           invariance_tol=invariance_tol)
         self.invariance_defect = self.T.invariance_defect
-        self.dec = decompose(self.T.entries)
+        # N is restricted first: where it is diagonal (the plane-wave
+        # basis), its signs grade T, and block coefficients, for which T
+        # anticommutes with N, are factored through the half-size
+        # eigenproblem of XY (``calculus.decompose``)
+        refl = restrict(reflection_operator(self.torus), self.basis).entries
+        self.dec = decompose(self.T.entries, grading=_grading(refl))
         # E, P_nk, P_K and E_solve are held on the partition of T (that of
         # V); each reflection on the connected blocks of T and itself, the
         # partition its boundary operators are factored on.  The steps
@@ -252,8 +269,7 @@ class BoundaryFrame:
         # the build is not raised.
         self.groups = self.dec.V_blocks.groups
         self.E_blocks = calculus.apply_function(self.dec, sgn())
-        self.N_blocks = self._reflection_blocks(
-            restrict(reflection_operator(self.torus), self.basis).entries)
+        self.N_blocks = self._reflection_blocks(refl)
         self.NA_blocks = self._reflection_blocks(
             restrict(NB_operator(B), self.basis).entries)
         self.Pnk_blocks = self.dec.nonkernel_projector()

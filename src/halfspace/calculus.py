@@ -16,14 +16,29 @@ block, the plain dense factorization; coefficients that vary along one axis
 only leave the modes of the other axis uncoupled.  The kernel, polish and
 conditioning rules are the global ones.
 
+Block coefficients take a second route through the same decomposition.
+For them T anticommutes with the reflection N, which the plane-wave basis
+makes diagonal (``bvp.BoundaryFrame`` passes its signs as ``grading``), so
+T = [[0, X], [Y, 0]] in the split by the sign of N and T^2 = diag(XY, YX)
+(the paper's block case; XY is the Kato square-root operator).  One
+``eig`` of the smaller of XY and YX, half the size of T, gives the pairs
+lambda = +-sqrt(mu), v = [u; +-Y u / lambda]; the kernel is null(Y) +
+null(X), found from their singular values and ``DeflatedInverse`` rather
+than by a cut on sqrt(mu), and one first-order refinement against T itself
+restores the digits that squaring costs the small eigenpairs.  V^{-1} and
+cond(V) come from the halves.  There is no kernel polish on this route:
+its kernel eigenvalues are exactly zero and its kernel columns orthonormal
+by construction.
+
 Null spaces of at most n + 1 dimensions (the kernel of T, the null
 directions of the boundary operators) are found without singular vectors:
 ``svdvals`` gives the singular values alone, one stacked call per block
 size, and ``DeflatedInverse`` inverts each block with its known null count
 deflated by a fixed random rank-r term, which yields orthonormal left and
 right null bases and the truncated pseudo-inverse up to rounding.  The
-kernel polish (right null bases of the blocks of T) and
-``bvp.BoundaryInverse`` share it, and both run on numpy alone.  The module's
+kernel polish (right null bases of the blocks of T), the graded route (of
+X and Y) and ``bvp.BoundaryInverse`` share it, and all run on numpy
+alone.  The module's
 one scipy use is ``svdvals``'s retry with LAPACK's QR-based ``gesvd`` driver
 when numpy's SVD fails to converge; scipy is imported there, on first use.
 
@@ -107,6 +122,8 @@ __all__ = [
 
 DEFAULT_KERNEL_TOL = 1e-10
 COND_V_CAP = 1e8
+# ||TN + NT||_F / ||T||_F at or below which T counts as graded (TN = -NT)
+_GRADED_TOL = 1e-13
 # entries per row chunk of ``block_partition``'s label sweep (1 MB of labels)
 _PARTITION_CHUNK = 1 << 18
 
@@ -560,21 +577,30 @@ def _scatter_blocks(groups: list, blocks: list, m: int) -> np.ndarray:
     return out
 
 
-def decompose(T: np.ndarray,
-              cond_cap: float = COND_V_CAP) -> SpectralDecomposition:
+def decompose(T: np.ndarray, cond_cap: float = COND_V_CAP,
+              grading: np.ndarray | None = None) -> SpectralDecomposition:
     """Eigendecomposition with kernel classification, one
     connected block of T at a time (``block_partition``); V and V^{-1} are
     kept on that partition.
 
     Hermitian matrices (relative defect <= 1e-10) get a unitary eigenbasis.
-    The rules are those of the dense factorization: the kernel threshold is
-    relative to the largest |lambda|, the kernel polish compares with
-    ||T||_2, and cond(V) is the largest singular value of any block over
-    the smallest, the 2-norm condition number of the block-diagonal V.
+    Otherwise, when ``grading`` (the +-1 diagonal of a reflection N) is
+    given and T anticommutes with N up to rounding (``_is_graded``), every
+    block is factored through the half-size eigenproblem of
+    ``_graded_eig``; else by ``eig`` with the kernel polish.  On the ``eig``
+    route the rules are those of the dense factorization: the kernel
+    threshold is relative to the largest |lambda| and the kernel polish
+    compares with ||T||_2.  On both routes cond(V) is the largest singular
+    value of any block over the smallest, the 2-norm condition number of
+    the block-diagonal V.
     """
     blocks = BlockDiagonal.of(T)
     m, groups, subs = blocks.dim, blocks.groups, blocks.blocks
     hermitian = _is_hermitian(blocks)
+    if not hermitian and grading is not None and _is_graded(blocks,
+                                                            grading):
+        lam, vecs, inverses, kernel, sv = _graded_eig(groups, subs, grading)
+        return _finish(groups, lam, vecs, inverses, kernel, sv, cond_cap)
     lam = np.empty(m, dtype=complex)
     vecs = []
     for idx, sub in zip(groups, subs):
@@ -590,27 +616,249 @@ def decompose(T: np.ndarray,
               else np.ones(lam.shape, dtype=bool))
     if hermitian:
         V = BlockDiagonal(groups, vecs)
-        Vinv = V.H
-        cond_V = 1.0
-    else:
-        if np.any(kernel):
-            _polish_kernel(groups, subs, vecs, lam, kernel)
-        # The conditioning verdict is taken on the polished basis: a
-        # near-degenerate zero cluster can make eig's raw basis look
-        # arbitrarily ill conditioned even when the polished basis is fine.
-        sv = [np.linalg.svd(V_b, compute_uv=False) for V_b in vecs]
-        s_max = max(float(np.max(s)) for s in sv)
-        s_min = min(float(np.min(s)) for s in sv)
-        cond_V = s_max / s_min if s_min > 0 else np.inf
-        if not cond_V <= cond_cap:
-            raise IllConditionedEigenbasisError(
-                f"calculus.decompose: cond(V) = {cond_V:.3e} > cap "
-                f"{cond_cap:.1e}", cond_V)
-        Vinv = BlockDiagonal(groups, [np.linalg.inv(V_b) for V_b in vecs])
-        V = BlockDiagonal(groups, vecs)
+        return SpectralDecomposition(
+            eigenvalues=lam, V_blocks=V, Vinv_blocks=V.H, cond_V=1.0,
+            kernel_indices=kernel, hermitian=True)
+    if np.any(kernel):
+        _polish_kernel(groups, subs, vecs, lam, kernel)
+    # The conditioning verdict is taken on the polished basis: a
+    # near-degenerate zero cluster can make eig's raw basis look
+    # arbitrarily ill conditioned even when the polished basis is fine.
+    sv = [np.linalg.svd(V_b, compute_uv=False) for V_b in vecs]
+    return _finish(groups, lam, vecs, None, kernel, sv, cond_cap)
+
+
+def _finish(groups, lam, vecs, inverses, kernel, sv,
+            cond_cap) -> SpectralDecomposition:
+    """The non-Hermitian decomposition from the stacked blocks of V (and of
+    V^{-1}, or None to invert them) and the singular values ``sv`` of V,
+    once cond(V) is within ``cond_cap``."""
+    s_max = max(float(np.max(s, initial=0.0)) for s in sv)
+    s_min = min(float(np.min(s, initial=np.inf)) for s in sv)
+    cond_V = s_max / s_min if s_min > 0 else np.inf
+    if not cond_V <= cond_cap:
+        raise IllConditionedEigenbasisError(
+            f"calculus.decompose: cond(V) = {cond_V:.3e} > cap "
+            f"{cond_cap:.1e}", cond_V)
+    if inverses is None:
+        inverses = [np.linalg.inv(V_b) for V_b in vecs]
     return SpectralDecomposition(
-        eigenvalues=lam, V_blocks=V, Vinv_blocks=Vinv, cond_V=cond_V,
-        kernel_indices=kernel, hermitian=hermitian)
+        eigenvalues=lam, V_blocks=BlockDiagonal(groups, vecs),
+        Vinv_blocks=BlockDiagonal(groups, inverses), cond_V=cond_V,
+        kernel_indices=kernel, hermitian=False)
+
+
+def _is_graded(T: BlockDiagonal, grading: np.ndarray) -> bool:
+    """Whether TN = -NT up to rounding for N = diag(grading):
+    ||TN + NT||_F <= ``_GRADED_TOL`` ||T||_F.  (TN + NT is twice the
+    entries of T between indices of equal sign, the N-diagonal
+    sub-blocks.)"""
+    defect = fro = 0.0
+    for idx, sub in zip(T.groups, T.blocks):
+        s = grading[idx]
+        defect += np.linalg.norm(sub * (s[:, None, :] + s[:, :, None])) ** 2
+        fro += np.linalg.norm(sub) ** 2
+    return bool(defect <= _GRADED_TOL ** 2 * fro)
+
+
+def _graded_eig(groups, subs, grading):
+    """The eigendecomposition of T = [[0, X], [Y, 0]] (rows and columns
+    split by the sign of ``grading``, the smaller side first, p <= q), one
+    half-size ``eig`` per block.
+
+    With XY u = mu u and mu != 0, T has the eigenpairs lambda = +-sqrt(mu),
+    v = [u; +-w], w = Y u / lambda.  The kernel of T is null(Y) + null(X),
+    each found as the right null basis of ``DeflatedInverse`` with its
+    count of singular values at or below DEFAULT_KERNEL_TOL ||T||_2; the
+    rank r of Y picks the r largest |mu| (no cut is made on mu, whose
+    rounding is eps ||T||^2).  Kernel eigenvalues are exactly 0 and the
+    kernel columns orthonormal; T is not diagonalizable when X and Y have
+    different ranks (IllConditionedEigenbasisError).
+
+    Squaring costs the small eigenpairs digits, which one first-order
+    refinement against T itself restores (``_refine_graded``).  With
+    P = [U, K_Y] and Q = [W, K_X] (the half columns of the pairs, then the
+    null bases), V = diag(P, Q) S, where S pairs the columns of P and Q
+    into [u; w], [u; -w] and keeps the null ones.  S S^H is diagonal
+    (2 on pair coordinates, 1 on null ones), so V^{-1} = S^{-1} diag(P^{-1},
+    Q^{-1}) and the singular values of V are those of P and Q with their
+    pair columns scaled by sqrt(2): two half-size inverses and SVDs.
+
+    Returns the eigenvalues, the stacked blocks of V and of V^{-1} per
+    group, the kernel mask and the singular values of V.
+    """
+    m = sum(idx.size for idx in groups)
+    pieces = []
+    for g, (idx, sub) in enumerate(zip(groups, subs)):
+        # blocks whose rows have the same sign pattern share one stack
+        patterns, which = np.unique(grading[idx] > 0, axis=0,
+                                    return_inverse=True)
+        for u, pattern in enumerate(patterns):
+            a, b = np.flatnonzero(pattern), np.flatnonzero(~pattern)
+            if a.size > b.size:
+                a, b = b, a
+            sel = which.ravel() == u
+            blk = sub[sel]
+            pieces.append((g, sel, a, b, blk[:, a[:, None], b],
+                           blk[:, b[:, None], a]))
+    # X and Y squared with their right null spaces and singular values:
+    # padded by zero rows, or the R factor of a tall one
+    squares = [(_square(X), _square(Y)) for *_, X, Y in pieces]
+    svals = [(svdvals(X2), svdvals(Y2)) for X2, Y2 in squares]
+    norm_T = max(max(float(np.max(s, initial=0.0)) for s in pair)
+                 for pair in svals)
+    cut = DEFAULT_KERNEL_TOL * norm_T
+    lam = np.empty(m, dtype=complex)
+    kernel = np.empty(m, dtype=bool)
+    vecs, inverses = [None] * len(subs), [None] * len(subs)
+    sv = []
+    for (g, sel, a, b, X, Y), (X2, Y2), (sX, sY) in zip(pieces, squares,
+                                                         svals):
+        p, q = a.size, b.size
+        null_X = np.sum(sX <= cut, axis=1)
+        null_Y = np.sum(sY <= cut, axis=1)
+        r = p - null_Y
+        if np.any(q - null_X != r):
+            raise IllConditionedEigenbasisError(
+                "calculus.decompose: graded T is not diagonalizable "
+                "(X and Y have different ranks)", np.inf)
+        pair = np.arange(p) < r[:, None]  # (count, p): column j < r_b
+        pair_q = np.arange(q) < r[:, None]
+        mu, U = np.linalg.eig(X @ Y)
+        order = np.argsort(-np.abs(mu), axis=1, kind="stable")
+        mu = np.take_along_axis(mu, order, axis=1)
+        U = np.take_along_axis(U, order[:, None, :], axis=2)
+        lam_h = np.where(pair, np.sqrt(mu), 0.0)
+        W = (Y @ U) / np.where(pair, lam_h, 1.0)[:, None, :]
+        K_Y = _null_basis(Y2, null_Y, norm_T)
+        K_X = _null_basis(X2, null_X, norm_T)
+        P = _splice(U, K_Y, r, p)
+        Q = _splice(W, K_X, r, q)
+        P, Q, lam_h = _refine_graded(X, Y, P, Q, lam_h, pair, pair_q)
+        # unit eigenvectors [u; w]; the null columns are unit already
+        scale = np.where(pair, np.sqrt(
+            np.sum(np.abs(P) ** 2, axis=1)
+            + np.sum(np.abs(Q[:, :, :p]) ** 2, axis=1)), 1.0)[:, None, :]
+        P = P / scale
+        Q[:, :, :p] /= scale
+        P_inv, Q_inv = np.linalg.inv(P), np.linalg.inv(Q)
+        sv.append(svdvals(P * np.where(pair, np.sqrt(2.0), 1.0)[:, None, :]))
+        sv.append(svdvals(Q * np.where(pair_q, np.sqrt(2.0), 1.0)[:, None, :]))
+        # columns (eigenvalue positions): p slots [u; w] or [k_Y; 0], then
+        # q slots [u; -w] or [0; k_X]; rows in the block's own order; the
+        # pair slots are the first r of each, and r <= p <= q
+        V_b = np.zeros(P.shape[:1] + (p + q, p + q), dtype=complex)
+        V_b[:, a, :p] = P
+        V_b[:, b, :p] = Q[:, :, :p] * pair[:, None, :]
+        V_b[:, a, p:2 * p] = P * pair[:, None, :]
+        V_b[:, b, p:] = Q * np.where(pair_q, -1.0, 1.0)[:, None, :]
+        W_b = np.zeros_like(V_b)
+        W_b[:, :p, a] = P_inv * np.where(pair, 0.5, 1.0)[:, :, None]
+        W_b[:, :p, b] = 0.5 * Q_inv[:, :p] * pair[:, :, None]
+        W_b[:, p:2 * p, a] = 0.5 * P_inv * pair[:, :, None]
+        W_b[:, p:, b] = Q_inv * np.where(pair_q, -0.5, 1.0)[:, :, None]
+        _put(vecs, g, sel, V_b)
+        _put(inverses, g, sel, W_b)
+        lam_b = np.zeros(pair.shape[:1] + (p + q,), dtype=complex)
+        lam_b[:, :p], lam_b[:, p:2 * p] = lam_h, -lam_h
+        pos = groups[g][sel]
+        lam[pos] = lam_b
+        kernel[pos] = np.concatenate([~pair, ~pair_q], axis=1)
+    return lam, vecs, inverses, kernel, sv
+
+
+def _put(stacks: list, g: int, sel: np.ndarray, blocks: np.ndarray) -> None:
+    """Set the blocks ``sel`` of group g of ``stacks`` (None until the
+    first call): the stack itself when it is all of the group."""
+    if stacks[g] is None:
+        if sel.all():
+            stacks[g] = blocks
+            return
+        stacks[g] = np.empty((sel.size,) + blocks.shape[1:], dtype=complex)
+    stacks[g][sel] = blocks
+
+
+def _refine_graded(X, Y, P, Q, lam, pair, pair_q):
+    """One first-order refinement of the graded eigenbasis V = diag(P, Q) S
+    (``_graded_eig``) against T = [[0, X], [Y, 0]] itself.
+
+    In the coordinates of P and Q, V^{-1} T V = S^{-1} [[0, F], [G, 0]] S
+    with F = P^{-1} X Q and G = Q^{-1} Y P, whose entries give, for the
+    eigenvector [u_j; w_j] of lambda_j, the coupling to [u_i; +-w_i]
+    ((F_ij +- G_ij) / 2) and to the null columns (F and G on the null
+    rows).  The refined eigenvalue is the diagonal (F_jj + G_jj) / 2, and
+    each coupling over the eigenvalue gap, (lambda_j - lambda_i),
+    (lambda_j + lambda_i) or lambda_j, is added to the column: the
+    refinement V (I + Delta) of the whole V, formed on the halves so that
+    the pairs stay [u; +-w].  A coupling larger than half its gap (a
+    cluster, within which any basis serves) is not added.  The null
+    columns are kept as they are.
+    """
+    p = P.shape[1]
+    F = np.linalg.solve(P, X @ Q[:, :, :p])  # the columns of the pairs
+    G = np.linalg.solve(Q, Y @ P)
+    G_top = G[:, :p]
+    to_pair = pair[:, None, :]  # column j is a pair
+    both = pair[:, :, None] & to_pair
+    eye = np.eye(p, dtype=bool)
+    lam_i, lam_j = lam[:, :, None], lam[:, None, :]
+    d_plus = _over_gap(0.5 * (F + G_top), lam_j - lam_i, both & ~eye)
+    d_minus = _over_gap(0.5 * (F - G_top), lam_j + lam_i, both)
+    C_a = eye + d_plus + d_minus + _over_gap(F, lam_j, ~pair[:, :, None]
+                                             & to_pair)
+    C_b = _over_gap(G, lam_j, ~pair_q[:, :, None] & to_pair)
+    C_b[:, :p] += eye + d_plus - d_minus
+    P = np.where(to_pair, P @ C_a, P)
+    Q = np.concatenate([np.where(to_pair, Q @ C_b, Q[:, :, :p]),
+                        Q[:, :, p:]], axis=2)
+    lam = np.where(pair, 0.5 * (np.diagonal(F, axis1=1, axis2=2)
+                                + np.diagonal(G_top, axis1=1, axis2=2)), 0.0)
+    return P, Q, lam
+
+
+def _over_gap(coupling: np.ndarray, gap: np.ndarray,
+              mask: np.ndarray) -> np.ndarray:
+    """coupling / gap where ``mask`` holds and the coupling is less than
+    half the gap in modulus, else 0."""
+    use = mask & (np.abs(coupling) < 0.5 * np.abs(gap))
+    return np.where(use, coupling / np.where(use, gap, 1.0), 0.0)
+
+
+def _square(A: np.ndarray) -> np.ndarray:
+    """A stack of s x t blocks made square with the same right null space
+    and singular values: padded by zero rows (s < t), or the R factor of
+    its QR factorization (s > t)."""
+    s, t = A.shape[1:]
+    if s < t:
+        return np.concatenate([A, np.zeros((A.shape[0], t - s, t),
+                                           dtype=A.dtype)], axis=1)
+    if s > t:
+        return np.linalg.qr(A, mode="r")
+    return A
+
+
+def _null_basis(A: np.ndarray, counts: np.ndarray,
+                scale: float) -> np.ndarray:
+    """Orthonormal right null bases of a square stack with the given null
+    counts (``DeflatedInverse``), columns past each count zero."""
+    if not np.any(counts):
+        return np.zeros(A.shape[:2] + (0,), dtype=complex)
+    return DeflatedInverse(A, counts, scale).right
+
+
+def _splice(head: np.ndarray, tail: np.ndarray, r: np.ndarray,
+            width: int) -> np.ndarray:
+    """Per block b, columns 0 .. r_b - 1 of ``head`` followed by columns
+    0, 1, .. of ``tail``: a (count, rows, width) stack."""
+    out = np.zeros(head.shape[:2] + (width,), dtype=complex)
+    cols = min(head.shape[2], width)
+    out[:, :, :cols] = head[:, :, :cols]
+    shift = np.arange(width) - r[:, None]  # (count, width)
+    if tail.shape[2]:
+        taken = np.take_along_axis(
+            tail, np.clip(shift, 0, tail.shape[2] - 1)[:, None, :], axis=2)
+        out = np.where((shift >= 0)[:, None, :], taken, out)
+    return out
 
 
 def _polish_kernel(groups, subs, vecs, lam, kernel) -> None:

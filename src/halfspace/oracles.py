@@ -119,10 +119,11 @@ def symbol_hardy_from_matrix(M: np.ndarray):
     return chi_p, chi_m
 
 
-def _symbol_function(M: np.ndarray, fn) -> np.ndarray:
-    """fn(M) for a diagonalizable 2x2 matrix via its eigen pairs."""
+def _eigen_symbol(M: np.ndarray):
+    """The eigen pairs of a diagonalizable 2x2 matrix as (lambda, V, V^{-1}),
+    from which fn(M) = (V * fn(lambda)) @ V^{-1}."""
     lam, V = np.linalg.eig(M)
-    return (V * fn(lam)) @ np.linalg.inv(V)
+    return lam, V, np.linalg.inv(V)
 
 
 def transversality_discriminant(A_const: np.ndarray, xi) -> complex:
@@ -179,31 +180,35 @@ def perturbed_reflection_2x2(A_const: np.ndarray, dim_n: int, xi) -> np.ndarray:
 class ConstantSolution:
     """Per-mode solution of a constant-coefficient boundary value problem.
 
-    Holds the mode coordinates of the boundary trace and evaluates the
-    interior field by the per-mode semigroup factor.
+    Holds the mode coordinates of the boundary trace and each mode's symbol
+    as its eigen pairs (lambda, V, V^{-1}), taken once by
+    ``constant_solver``, and evaluates the interior field by the per-mode
+    semigroup factor (V * e^{-t|lambda|}) @ V^{-1}, with no eigensolve per
+    height.
     """
 
     def __init__(self, torus: Torus, mode_data: dict, scalar: bool = False):
         self.torus = torus
-        self.mode_data = mode_data  # mode index tuple -> (M, f_hat coords)
+        # mode index tuple -> ((lambda, V, V^{-1}), f_hat coords, columns)
+        self.mode_data = mode_data
         self.scalar = scalar
 
     def _mode_field(self, coords_fn) -> Field:
         torus = self.torus
         d = torus.lambda_dim
         spec = np.zeros(torus.shape + (d,), dtype=complex)
-        for kidx, (M, fh, cols) in self.mode_data.items():
-            spec[kidx] += cols @ coords_fn(M, fh)
+        for kidx, (symbol, fh, cols) in self.mode_data.items():
+            spec[kidx] += cols @ coords_fn(symbol, fh)
         vals = np.fft.ifftn(spec, axes=tuple(range(torus.dim_n)))
         return Field(torus, vals)
 
     def trace(self) -> Field:
-        return self._mode_field(lambda M, fh: fh)
+        return self._mode_field(lambda symbol, fh: fh)
 
     def at_t(self, t: float) -> Field:
-        def evolve(M, fh):
-            E_t = _symbol_function(M.entries,
-                                   lambda lam: np.exp(-t * lam * np.sign(lam.real)))
+        def evolve(symbol, fh):
+            lam, V, V_inv = symbol
+            E_t = (V * np.exp(-t * lam * np.sign(lam.real))) @ V_inv
             return E_t @ fh
         return self._mode_field(evolve)
 
@@ -257,7 +262,7 @@ def constant_solver(A_const: np.ndarray, torus: Torus, kind: str,
         else:
             raise ValueError(f"unknown problem kind {kind!r}")
         cols = _mode_basis_columns(n, xi)
-        mode_data[kidx] = (M, fh, cols)
+        mode_data[kidx] = (_eigen_symbol(M.entries), fh, cols)
     return ConstantSolution(torus, mode_data, scalar=(kind == "dirichlet"))
 
 

@@ -413,3 +413,194 @@ def test_polished_kernel_spans_the_singular_null_space(case):
     assert np.max(np.abs(s_svd - s)) <= 1e-13 * s[0]
     assert abs(s_svd[0] / s_svd[-1] - dec.cond_V) <= \
         1e-12 * dec.cond_V * max(1.0, 1e-4 * dec.cond_V)
+
+
+def _spy_graded(monkeypatch):
+    """Record the calls of the graded route of ``calculus.decompose``."""
+    calls = []
+    real = calculus._graded_eig
+    monkeypatch.setattr(calculus, "_graded_eig",
+                        lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def _spectra_distance(a, b):
+    """The Hausdorff distance of two finite point sets in the plane."""
+    d = np.abs(a[:, None] - b[None, :])
+    return max(np.max(np.min(d, axis=1)), np.max(np.min(d, axis=0)))
+
+
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 8)])
+def test_graded_block_frame_matches_the_eig_route(monkeypatch, n, N):
+    # block coefficients: T anticommutes with the diagonal N, and the frame
+    # factors T through the half-size eigenproblem of XY; the plain eig
+    # route (with its kernel polish) is the reference
+    graded = _spy_graded(monkeypatch)
+    torus = Torus(n, 2 * np.pi, N)
+    B = block_coefficients(torus, 3)
+    frame = BoundaryFrame(B)
+    assert graded == [1]
+    monkeypatch.setattr(bvp, "_grading", lambda refl: None)
+    plain = BoundaryFrame(B)
+    assert graded == [1]
+    dec, ref = frame.dec, plain.dec
+    lam_max = ref.spectral_radius()
+    assert _spectra_distance(dec.eigenvalues, ref.eigenvalues) \
+        <= 1e-11 * lam_max
+    assert _rel(frame.E, plain.E) <= 1e-11
+    # a generic f: at t = 10 its kernel part, which the semigroup keeps,
+    # is most of e^{-t|T|} f
+    f = np.random.default_rng(4).standard_normal(dec.dim) + 0j
+    for t in (0.1, 1.0, 10.0):
+        got = apply_to_vector(dec, exp_minus_t_abs(t), dec.coordinates(f))
+        want = apply_to_vector(ref, exp_minus_t_abs(t), ref.coordinates(f))
+        assert _rel(got, want) <= 1e-11, t
+    scalar = gaussian_data(torus)
+    for kind in bvp.SCALAR_KINDS:
+        got, _ = solve_kind(kind, frame, scalar)
+        want, _ = solve_kind(kind, plain, scalar)
+        assert _rel(got.coords, want.coords) <= 1e-11, kind
+    T = frame.T.entries
+    E = frame.E
+    assert np.linalg.norm(E @ E - frame.Pnk, 2) <= 1e-12
+    assert np.linalg.norm(E @ T - T @ E, 2) <= 1e-12 * np.linalg.norm(T, 2)
+    assert frame.kernel_dim == n + 1
+    assert np.all(dec.eigenvalues[dec.kernel_indices] == 0.0)
+    assert dec.cond_V <= 10.0
+    s = np.linalg.svd(dec.V_blocks.dense(), compute_uv=False)
+    assert abs(s[0] / s[-1] - dec.cond_V) <= 1e-12 * dec.cond_V
+    V, Vinv = _dense_V(dec)
+    assert _rel(V @ Vinv, np.eye(dec.dim)) <= 1e-14
+
+
+def test_graded_decompose_of_unbalanced_rank_deficient_blocks(monkeypatch):
+    # graded blocks [[0, X], [Y, 0]] of unequal halves on permuted indices,
+    # with rank-deficient X and Y of equal rank: the padded and the QR-
+    # squared null bases, stacks of several sign patterns, and the kernel
+    # dimensions p + q - 2 rank
+    rng = np.random.default_rng(11)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def graded_block(p, q, rank):
+        X = cplx(p, rank) @ cplx(rank, q)
+        Y = cplx(q, rank) @ cplx(rank, p)
+        return np.block([[np.zeros((p, p)), X], [Y, np.zeros((q, q))]])
+
+    shapes = [(2, 3, 2), (3, 2, 2), (2, 3, 2), (3, 4, 2), (1, 4, 1), (0, 1, 0)]
+    m = sum(p + q for p, q, _ in shapes)
+    perm = rng.permutation(m)
+    mat = np.zeros((m, m), dtype=complex)
+    grading = np.empty(m)
+    start = 0
+    for p, q, rank in shapes:
+        idx = perm[start:start + p + q]
+        mat[np.ix_(idx, idx)] = graded_block(p, q, rank)
+        grading[idx] = np.r_[np.ones(p), -np.ones(q)]
+        start += p + q
+    calls = _spy_graded(monkeypatch)
+    dec = calculus.decompose(mat, grading=grading)
+    assert calls == [1]
+    kernel_dim = sum(p + q - 2 * rank for p, q, rank in shapes)
+    assert int(np.sum(dec.kernel_indices)) == kernel_dim
+    assert np.all(dec.eigenvalues[dec.kernel_indices] == 0.0)
+    V, Vinv = _dense_V(dec)
+    assert _rel(V @ Vinv, np.eye(m)) <= 1e-13
+    assert _rel(mat @ V, V * dec.eigenvalues) <= 1e-13
+    VK = V[:, dec.kernel_indices]
+    assert _rel(VK.conj().T @ VK, np.eye(kernel_dim)) <= 1e-14
+    ref = calculus.decompose(mat)
+    assert _spectra_distance(dec.eigenvalues, ref.eigenvalues) \
+        <= 1e-12 * ref.spectral_radius()
+    assert _rel(calculus.apply_function(dec, sgn()).dense(),
+                calculus.apply_function(ref, sgn()).dense()) <= 1e-12
+    s = np.linalg.svd(V, compute_uv=False)
+    assert abs(s[0] / s[-1] - dec.cond_V) <= 1e-12 * dec.cond_V
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_graded_decompose_with_a_double_eigenvalue(monkeypatch, exact):
+    # XY = diag(1, 1, 4, 9) in one connected block, exactly (X unit upper
+    # bidiagonal, Y = X^{-1} D in integers) or up to rounding (X = I, Y a
+    # random similarity of D): the refinement leaves the coupling inside
+    # the cluster, whose gap is zero or rounding, alone
+    D = np.diag([1.0, 1.0, 4.0, 9.0])
+    if exact:
+        X = np.eye(4) + np.eye(4, k=1)
+        Y = np.triu((-1.0) ** (np.arange(4)[None, :] - np.arange(4)[:, None])
+                    ) @ D
+    else:
+        rng = np.random.default_rng(3)
+        S = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        X, Y = np.eye(4), S @ D @ np.linalg.inv(S)
+    assert not exact or np.array_equal(X @ Y, D)
+    mat = np.block([[np.zeros((4, 4)), X], [Y, np.zeros((4, 4))]])
+    assert [idx.shape for idx in block_partition(mat)] == [(1, 8)]
+    grading = np.r_[np.ones(4), -np.ones(4)]
+    calls = _spy_graded(monkeypatch)
+    dec = calculus.decompose(mat, grading=grading)
+    assert calls == [1]
+    assert not np.any(dec.kernel_indices)
+    assert _spectra_distance(dec.eigenvalues, np.array(
+        [1, 1, -1, -1, 2, -2, 3, -3])) <= 1e-13
+    V, Vinv = _dense_V(dec)
+    assert _rel(V @ Vinv, np.eye(8)) <= 1e-13
+    assert _rel(mat @ V, V * dec.eigenvalues) <= 1e-13
+    ref = calculus.decompose(mat)
+    assert _rel(calculus.apply_function(dec, sgn()).dense(),
+                calculus.apply_function(ref, sgn()).dense()) <= 1e-12
+
+
+def test_graded_decompose_rejects_unequal_ranks():
+    # X invertible and Y of rank one: 0 is an eigenvalue of algebraic
+    # multiplicity 2 with one eigenvector, and T has no eigenbasis
+    X = np.array([[1.0, 2.0], [0.5, 1j]])
+    Y = np.outer([1.0, 2.0j], [0.5, 1.0])
+    mat = np.block([[np.zeros((2, 2)), X], [Y, np.zeros((2, 2))]])
+    with pytest.raises(calculus.IllConditionedEigenbasisError,
+                       match="not diagonalizable"):
+        calculus.decompose(mat, grading=np.r_[1.0, 1.0, -1.0, -1.0])
+
+
+@pytest.mark.parametrize("n, N, family", [
+    (1, 32, "constant"), (2, 8, "constant"), (1, 32, "skew_k4"),
+    (1, 32, "smooth_symmetric"), (2, 8, "smooth_symmetric")])
+def test_other_families_never_take_the_graded_route(monkeypatch, n, N,
+                                                    family):
+    # only block coefficients anticommute with N; every other family keeps
+    # eig (or eigh), bit for bit the same as without a grading
+    graded = _spy_graded(monkeypatch)
+    torus = Torus(n, 2 * np.pi, N)
+    B = {"constant": lambda: vector_block_coefficients(
+             torus, random_accretive_constant(1, n)),
+         "skew_k4": lambda: skew_coefficients(torus, 4.0),
+         "smooth_symmetric": lambda: smooth_real_symmetric(torus, 3)}[family]()
+    frame = BoundaryFrame(B)
+    assert graded == []
+    ref = calculus.decompose(frame.T.entries)
+    assert np.array_equal(frame.dec.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(frame.dec.V_blocks.dense(), ref.V_blocks.dense())
+    assert frame.dec.cond_V == ref.cond_V
+
+
+def test_non_graded_matrix_ignores_the_grading(monkeypatch):
+    # a non-Hermitian matrix whose N-diagonal sub-blocks do not vanish
+    graded = _spy_graded(monkeypatch)
+    rng = np.random.default_rng(5)
+    mat = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    grading = np.r_[np.ones(6), -np.ones(6)]
+    dec = calculus.decompose(mat, grading=grading)
+    ref = calculus.decompose(mat)
+    assert graded == []
+    assert np.array_equal(dec.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(dec.V_blocks.dense(), ref.V_blocks.dense())
+    # a rounding-level same-sign part is still graded, a larger one is not
+    pos = grading > 0
+    odd = np.where(pos[:, None] != pos[None, :], mat, 0.0)
+    calculus.decompose(odd + 1e-15 * np.where(pos[:, None] == pos[None, :],
+                                              mat, 0.0), grading=grading)
+    assert graded == [1]
+    calculus.decompose(odd + 1e-9 * np.where(pos[:, None] == pos[None, :],
+                                             mat, 0.0), grading=grading)
+    assert graded == [1]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from halfspace import calculus
 from halfspace.bvp import (SCALAR_KINDS, BoundaryFrame, SolutionField,
                            WellPosednessError,
                            dirichlet_second_order_residual,
@@ -14,8 +15,9 @@ from halfspace.bvp import (SCALAR_KINDS, BoundaryFrame, SolutionField,
                            solve_neu_perp, solve_regularity,
                            solve_transmission)
 from halfspace.calculus import apply_to_vector, semigroup_dt
-from halfspace.diagnostics import (_solution_operators, gaussian_data,
-                                   mode_data, random_accretive_constant,
+from halfspace.diagnostics import (_solution_operators, block_coefficients,
+                                   gaussian_data, mode_data,
+                                   random_accretive_constant,
                                    smooth_real_symmetric)
 from halfspace.grid import (Field, Torus, d_op, identity_coefficients,
                             vector_block_coefficients)
@@ -317,7 +319,8 @@ def test_constant_frame_factors_one_stacked_svd_per_block_size(monkeypatch):
 def test_variable_frame_and_solves_call_no_scipy_lapack(monkeypatch):
     # numpy and scipy each load their own OpenBLAS, and the idle threads of
     # one pool spin against the other's calls: the frame build (with the
-    # kernel polish) and the boundary factorizations stay on numpy
+    # kernel polish, or the graded half-size route of block coefficients)
+    # and the boundary factorizations stay on numpy
     def refuse(*args, **kwargs):
         raise AssertionError("scipy.linalg routine called")
 
@@ -326,10 +329,16 @@ def test_variable_frame_and_solves_call_no_scipy_lapack(monkeypatch):
         if callable(obj) and not isinstance(obj, type):
             monkeypatch.setattr(scipy.linalg, name, refuse)
     monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", refuse)
+    graded = []
+    monkeypatch.setattr(calculus, "_graded_eig", lambda *a, _f=(
+        calculus._graded_eig): graded.append(1) or _f(*a))
     torus = Torus(1, 2 * np.pi, 32)
-    frame = BoundaryFrame(smooth_real_symmetric(torus, seed=3))
-    assert not frame.dec.hermitian and frame.kernel_dim == 2
     scalar = gaussian_data(torus)
-    for kind in SCALAR_KINDS:
-        _, report = solve_kind(kind, frame, scalar)
-        assert report.boundary_residual <= 1e-8, kind
+    for B in (smooth_real_symmetric(torus, seed=3),
+              block_coefficients(torus, 3)):
+        frame = BoundaryFrame(B)
+        assert not frame.dec.hermitian and frame.kernel_dim == 2
+        for kind in SCALAR_KINDS:
+            _, report = solve_kind(kind, frame, scalar)
+            assert report.boundary_residual <= 1e-8, kind
+    assert graded == [1]  # the block frame took the graded route

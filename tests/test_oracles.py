@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from halfspace.grid import Torus
+from halfspace.diagnostics import gaussian_data, random_accretive_constant
+from halfspace.grid import Field, Torus
 from halfspace.oracles import (cauchy_extension_line, constant_solver,
                                hat_h1_mode_count, skew_block_constants,
                                perturbed_reflection_2x2, poisson_factor,
@@ -84,6 +85,35 @@ def test_constant_solver_dirichlet_poisson_semigroup():
     t = 0.7
     ref = np.exp(-2 * t) * np.sin(2 * x) + 0.3 * np.exp(-5 * t) * np.cos(5 * x)
     assert np.allclose(sol.scalar_at_t(t).real, ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("n, N", [(1, 32), (2, 8)])
+def test_constant_solution_takes_one_eigensolve_per_mode(monkeypatch, n, N):
+    # at_t evaluates the stored eigen pairs of each mode's symbol: no eig or
+    # inv per height, and the values of the per-height route bit for bit
+    torus = Torus(n, 2 * np.pi, N)
+    A = random_accretive_constant(1, n)
+    sol = constant_solver(A, torus, "neumann", gaussian_data(torus))
+    ks = np.fft.fftfreq(N, d=1.0 / N)
+    ts = (0.0, 0.3, 2.0)
+    expected = []
+    for t in ts:
+        spec = np.zeros(torus.shape + (torus.lambda_dim,), dtype=complex)
+        for kidx, (_, fh, cols) in sol.mode_data.items():
+            xi = 2.0 * np.pi * ks[list(kidx)] / torus.length
+            lam, V = np.linalg.eig(symbol_matrix(A, xi).entries)
+            E_t = (V * np.exp(-t * lam * np.sign(lam.real))) @ np.linalg.inv(V)
+            spec[kidx] += cols @ (E_t @ fh)
+        expected.append(Field(torus, np.fft.ifftn(spec, axes=tuple(range(n)))))
+    calls = []
+    for name in ("eig", "inv", "eigvals"):
+        routine = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=routine, _n=name,
+                            **k: calls.append(_n) or _f(*a, **k))
+    got = [sol.at_t(t) for t in ts]
+    assert calls == []
+    for g, e in zip(got, expected):
+        assert np.array_equal(g.values, e.values)
 
 
 def test_constant_solver_rejects_bad_input():
