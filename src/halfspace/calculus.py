@@ -577,7 +577,7 @@ def _scatter_blocks(groups: list, blocks: list, m: int) -> np.ndarray:
     return out
 
 
-def decompose(T: np.ndarray, cond_cap: float = COND_V_CAP,
+def decompose(T: np.ndarray,
               grading: np.ndarray | None = None) -> SpectralDecomposition:
     """Eigendecomposition with kernel classification, one
     connected block of T at a time (``block_partition``); V and V^{-1} are
@@ -600,7 +600,7 @@ def decompose(T: np.ndarray, cond_cap: float = COND_V_CAP,
     if not hermitian and grading is not None and _is_graded(blocks,
                                                             grading):
         lam, vecs, inverses, kernel, sv = _graded_eig(groups, subs, grading)
-        return _finish(groups, lam, vecs, inverses, kernel, sv, cond_cap)
+        return _finish(groups, lam, vecs, inverses, kernel, sv)
     lam = np.empty(m, dtype=complex)
     vecs = []
     for idx, sub in zip(groups, subs):
@@ -625,21 +625,20 @@ def decompose(T: np.ndarray, cond_cap: float = COND_V_CAP,
     # near-degenerate zero cluster can make eig's raw basis look
     # arbitrarily ill conditioned even when the polished basis is fine.
     sv = [np.linalg.svd(V_b, compute_uv=False) for V_b in vecs]
-    return _finish(groups, lam, vecs, None, kernel, sv, cond_cap)
+    return _finish(groups, lam, vecs, None, kernel, sv)
 
 
-def _finish(groups, lam, vecs, inverses, kernel, sv,
-            cond_cap) -> SpectralDecomposition:
+def _finish(groups, lam, vecs, inverses, kernel, sv) -> SpectralDecomposition:
     """The non-Hermitian decomposition from the stacked blocks of V (and of
     V^{-1}, or None to invert them) and the singular values ``sv`` of V,
-    once cond(V) is within ``cond_cap``."""
+    once cond(V) is within ``COND_V_CAP``."""
     s_max = max(float(np.max(s, initial=0.0)) for s in sv)
     s_min = min(float(np.min(s, initial=np.inf)) for s in sv)
     cond_V = s_max / s_min if s_min > 0 else np.inf
-    if not cond_V <= cond_cap:
+    if not cond_V <= COND_V_CAP:
         raise IllConditionedEigenbasisError(
             f"calculus.decompose: cond(V) = {cond_V:.3e} > cap "
-            f"{cond_cap:.1e}", cond_V)
+            f"{COND_V_CAP:.1e}", cond_V)
     if inverses is None:
         inverses = [np.linalg.inv(V_b) for V_b in vecs]
     return SpectralDecomposition(

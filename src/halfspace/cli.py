@@ -191,23 +191,36 @@ def build_torus(cfg: RunConfig) -> Torus:
 def build_coefficients(cfg: RunConfig, torus: Torus,
                        seed: int) -> CoefficientField:
     family = cfg.get("coefficients", "family", default="identity")
+    seed = cfg.get_int("coefficients", "seed", default=seed)
+    if seed < 0:
+        raise ConfigError(
+            f"{cfg._where('coefficients', 'seed')}: 'seed' must be "
+            f"non-negative, got {seed}")
     if family == "identity":
         return identity_coefficients(torus)
     if family == "skew":
         k = cfg.get_float("coefficients", "k", required=True)
-        return diagnostics.skew_coefficients(torus, k)
+        try:
+            return diagnostics.skew_coefficients(torus, k)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{cfg._where('coefficients', 'family')}: {exc}") from None
     if family == "block":
-        return diagnostics.block_coefficients(
-            torus, cfg.get_int("coefficients", "seed", default=seed))
+        return diagnostics.block_coefficients(torus, seed)
     if family == "smooth_symmetric":
-        return diagnostics.smooth_real_symmetric(
-            torus, cfg.get_int("coefficients", "seed", default=seed),
-            kappa_min=cfg.get_float("coefficients", "kappa_min", default=0.3))
-    if family == "constant":
-        entries = cfg.get_list("coefficients", "entries")
+        key = "kappa_min"
+        kappa_min = cfg.get_float("coefficients", key, default=0.3)
+        try:
+            B = diagnostics.smooth_real_symmetric(torus, seed,
+                                                  kappa_min=kappa_min)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{cfg._where('coefficients', key)}: {exc}") from None
+    elif family == "constant":
+        key = "entries"
+        entries = cfg.get_list("coefficients", key)
         if entries is None:
-            A = diagnostics.random_accretive_constant(
-                cfg.get_int("coefficients", "seed", default=seed), torus.dim_n)
+            A = diagnostics.random_accretive_constant(seed, torus.dim_n)
         else:
             dim = torus.dim_n + 1
             if len(entries) != 2 * dim * dim:
@@ -217,11 +230,17 @@ def build_coefficients(cfg: RunConfig, torus: Torus,
             vals = np.asarray(entries).reshape(dim * dim, 2)
             A = (vals[:, 0] + 1j * vals[:, 1]).reshape(dim, dim)
         try:
-            return vector_block_coefficients(torus, A)
+            B = vector_block_coefficients(torus, A)
         except ValueError as exc:
             raise ConfigError(f"{cfg.path}: bad constant matrix: {exc}") \
                 from None
-    raise ConfigError(f"{cfg.path}: unknown coefficient family {family!r}")
+    else:
+        raise ConfigError(f"{cfg.path}: unknown coefficient family {family!r}")
+    if not B.is_accretive():
+        raise ConfigError(
+            f"{cfg._where('coefficients', key)}: the coefficients are not "
+            f"accretive (kappa = {B.kappa:.3e})")
+    return B
 
 
 def build_scalar_data(cfg: RunConfig, torus: Torus) -> np.ndarray:
@@ -458,6 +477,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error(f"argument --seed: must be non-negative, got {args.seed}")
 
     try:
         if args.command == "verify":

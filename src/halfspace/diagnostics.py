@@ -120,7 +120,10 @@ class CampaignResult:
 def smooth_real_symmetric(torus: Torus, seed: int,
                           kappa_min: float = 0.3) -> CoefficientField:
     """I plus two low Fourier modes of random real symmetric matrices,
-    rescaled so the accretivity constant is at least kappa_min."""
+    rescaled so the accretivity constant is at least kappa_min, which the
+    modes (of mean zero) allow only up to 1."""
+    if kappa_min > 1.0:
+        raise ValueError(f"kappa_min must be at most 1, got {kappa_min}")
     rng = np.random.default_rng(seed)
     n = torus.dim_n
     dim = n + 1
@@ -241,8 +244,7 @@ def _hook_e0(vals: np.ndarray, n: int) -> np.ndarray:
 
 
 def rellich_campaign(B: CoefficientField, seed: int = 0,
-                     num_fields: int = 100,
-                     tol: float = 1e-7) -> CampaignResult:
+                     num_fields: int = 100) -> CampaignResult:
     """Hardy-trace Rellich identities for symmetric coefficients.
 
     For f in either Hardy subspace of the constrained space checks
@@ -307,6 +309,7 @@ def rellich_campaign(B: CoefficientField, seed: int = 0,
             "balance_error": float(err_cor),
         })
     gate = not exploratory
+    tol = 1e-7
     result.check("max_rellich_error", worst_main, tol,
                  ok=(worst_main <= tol) if gate else True,
                  note="descriptive" if exploratory else "")
@@ -316,10 +319,11 @@ def rellich_campaign(B: CoefficientField, seed: int = 0,
     return result
 
 
-def block_campaign(B: CoefficientField, tol: float = 1e-9) -> CampaignResult:
+def block_campaign(B: CoefficientField) -> CampaignResult:
     """Block-coefficient identities: E and N_B anticommute, N_B = N, and the
     closed-form inverse (lambda - E N)^{-1} = (lambda - N E)/(lambda^2 + 1)
     at lambda = 1, -1 and 2.2i."""
+    tol = 1e-9
     torus = B.torus
     result = CampaignResult(
         "block", {"n": torus.dim_n, "N": torus.points_per_axis}, None)
@@ -521,9 +525,10 @@ def hodge_campaign(B: CoefficientField, seed: int = 0) -> CampaignResult:
     return result
 
 
-def duality_campaign(B: CoefficientField, tol: float = 1e-9) -> CampaignResult:
+def duality_campaign(B: CoefficientField) -> CampaignResult:
     """Adjoint identities in the coefficient pairing: (T_B)' = -T_{B*},
     N' = N, and the hat reflection pairs with the hut reflection of B*."""
+    tol = 1e-9
     torus = B.torus
     result = CampaignResult(
         "duality", {"n": torus.dim_n, "N": torus.points_per_axis}, None)

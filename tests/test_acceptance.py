@@ -1,8 +1,9 @@
 """Acceptance gate: the full verification battery at its stated sizes.
 
-Each test runs one family of checks through an independent oracle or
-property route and requires every gating row to pass at its stated
-tolerance.  The rows are (name, measured value, tolerance, passed).
+Each test calls one ``verify.check_*`` family with no arguments, so at the
+full sizes and tolerances its defaults declare (its docstring says what it
+measures), and requires every gating row to pass.  The rows are
+(name, measured value, tolerance, passed).
 """
 
 from halfspace import verify
@@ -16,76 +17,48 @@ def _assert_all(rows):
 
 
 def test_01_exterior_algebra_identities():
-    # anticommutativity, associativity, derivation, m^2 = {mu, mu*} = I
-    # on 1000 random complex multivectors for n in {1, 2}
-    _assert_all(verify.check_algebra(samples=1000, tol=1e-12))
+    _assert_all(verify.check_algebra())
 
 
 def test_02_symbol_oracle_equivalence():
-    # constant A in {identity, random accretive complex}, n=1, N=256:
-    # grid solves match the per-mode closed form in trace and at 10 heights
-    _assert_all(verify.check_symbol_oracle(points=256, tol=1e-9, num_t=10))
+    _assert_all(verify.check_symbol_oracle())
 
 
 def test_03_explicit_half_plane_kernel():
-    # regularity solve for A = I with a Gaussian datum on L=16, N=512
-    # matches the explicit Cauchy-type line integral at 20 interior points
-    _assert_all(verify.check_example_kernel(length=16.0, points=512,
-                                            sample_points=20, tol=1e-3))
+    _assert_all(verify.check_example_kernel())
 
 
 def test_04_spectral_sector_localization():
-    # non-kernel eigenvalues lie inside the double sector of half-angle
-    # arccos(kappa / (2 sup-norm)) for five coefficient families
-    _assert_all(verify.check_sector(points=128, tol_const=1e-8,
-                                    tol_var=1e-2))
+    _assert_all(verify.check_sector())
 
 
 def test_05_rellich_identities():
-    # 100 Hardy-projected random fields, smooth real symmetric A with
-    # kappa >= 0.3: both Rellich identities and the normal/tangential balance
-    _assert_all(verify.check_rellich(points=64, fields=100, tol=1e-7))
+    _assert_all(verify.check_rellich())
 
 
 def test_06_block_coefficient_identities():
-    # reflection anticommutation, perturbed reflection collapse, and the
-    # closed-form resolvent of the composed operator
-    _assert_all(verify.check_block(points=64, tol=1e-9))
+    _assert_all(verify.check_block())
 
 
 def test_07_quadratic_estimate_selfadjoint_value():
-    # square-function value equals half the squared norm; both extremal
-    # constants equal 1/sqrt(2)
-    _assert_all(verify.check_quadratic(points=64, value_tol=1e-4))
+    _assert_all(verify.check_quadratic())
 
 
 def test_08_perturbation_stability():
-    # coefficient perturbations at eps in {1e-1, 1e-2, 1e-3}: lower
-    # square-function constant stays above half its unperturbed value and
-    # Lipschitz ratios stay within a 3x spread
-    _assert_all(verify.check_perturbation(points=32,
-                                          eps_list=(1e-1, 1e-2, 1e-3)))
+    _assert_all(verify.check_perturbation())
 
 
 def test_09_wellposedness_landscape():
-    # skew family scan: Cauchy reflection stays at norm one while a
-    # boundary-operator condition number grows in k and under refinement
-    _assert_all(verify.check_skew(k_list=(0.0, 1.0, 2.0, 4.0, 8.0),
-                                  n_points=(128, 256)))
+    _assert_all(verify.check_skew())
 
 
 def test_10_solution_norm_equivalences():
-    # interior sup, square-function, and non-tangential maximal norms are
-    # all comparable to the trace norm and stable under grid doubling
-    _assert_all(verify.check_norm_equivalences(points=64))
+    _assert_all(verify.check_norm_equivalences())
 
 
 def test_11_duality_adjoints():
-    # duality-pairing adjoints of the Dirac operator and both reflections
-    _assert_all(verify.check_duality(points=32, tol=1e-9))
+    _assert_all(verify.check_duality())
 
 
 def test_12_dirichlet_interior_residual():
-    # second-order interior residual for a smooth symmetric solve, and the
-    # per-mode Poisson factor for the identity coefficients
-    _assert_all(verify.check_dirichlet(points=64, residual_tol=1e-6))
+    _assert_all(verify.check_dirichlet())

@@ -127,12 +127,13 @@ def test_sector_violation_detected():
 
 
 def test_ill_conditioned_eigenbasis_rejected():
-    # a nearly defective matrix has an exploding eigenbasis condition number
-    eps = 1e-14
+    # a nearly defective matrix has an exploding eigenbasis condition number:
+    # about 1e9 here, above the cap of 1e8
+    eps = 1e-18
     mat = np.array([[1.0, 1.0], [eps, 1.0]])
     with pytest.raises(IllConditionedEigenbasisError,
                        match=r"^calculus\.decompose: cond\(V\) = .* > cap"):
-        decompose(mat, cond_cap=1e6)
+        decompose(mat)
 
 
 def test_selfadjoint_quadratic_value():

@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 import halfspace
+from halfspace import verify
 from halfspace.cli import ConfigError, main, parse_config
+
+# the verify.check_* names, in definition order
+CHECKS = [name for name in vars(verify) if name.startswith("check_")]
 
 SOLVE_CFG = """\
 [torus]
@@ -178,6 +182,41 @@ def test_transmission_config_errors_exit_2_with_their_line(tmp_path, capsys,
     assert f"tr.cfg:{line}: " in capsys.readouterr().err
 
 
+# a value the family builder rejects names its key's line: `family` is on
+# line 7 of this config and the key after it on line 8
+@pytest.mark.parametrize("n,keys,line", [
+    pytest.param(2, "family = skew\nk = 1", 7, id="skew-on-n2"),
+    pytest.param(1, "family = block\nseed = -1", 8, id="negative-seed"),
+    pytest.param(1, "family = smooth_symmetric\nkappa_min = 5", 8,
+                 id="kappa_min-above-1"),
+    pytest.param(1, "family = smooth_symmetric\nkappa_min = -5", 8,
+                 id="smooth-not-accretive"),
+    pytest.param(1, "family = constant\nentries = 1 0 0 0 0 0 -1 0", 8,
+                 id="constant-not-accretive")])
+def test_coefficient_builder_errors_exit_2_with_their_line(tmp_path, capsys,
+                                                           n, keys, line):
+    text = (f"[torus]\nn = {n}\nlength = 6.0\npoints = 8\n\n"
+            f"[coefficients]\n{keys}\n\n"
+            "[problem]\nkind = neumann\ndata = gaussian\n")
+    cfg = _write(tmp_path, "coef.cfg", text)
+    rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
+               "--quiet"])
+    assert rc == 2
+    assert f"coef.cfg:{line}: " in capsys.readouterr().err
+
+
+def test_negative_seed_exits_2_naming_the_option(tmp_path, capsys):
+    text = ("[torus]\nn = 1\nlength = 6.0\npoints = 16\n\n"
+            "[coefficients]\nfamily = identity\n\n[campaign]\nid = hodge\n")
+    cfg = _write(tmp_path, "camp.cfg", text)
+    with pytest.raises(SystemExit) as exit_:
+        main(["campaign", "--config", cfg, "--out", str(tmp_path / "o"),
+              "--seed", "-3", "--quiet"])
+    assert exit_.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_campaign_command(tmp_path):
     text = """\
 [torus]
@@ -248,6 +287,40 @@ def test_oracle_command(tmp_path):
     header, body = rows[0], rows[1:]
     dev_col = header.index("relative_deviation")
     assert all(float(r[dev_col]) <= 1e-9 for r in body)
+
+
+def _stub_checks(monkeypatch, failing=None):
+    """Replace every ``verify.check_*`` by a stub that records its call and
+    returns one row named after it, failed for the family ``failing``."""
+    calls = []
+    for name in CHECKS:
+        def stub(*args, name=name, **kwargs):
+            calls.append(name)
+            return [(name, 0.5, 1.0, name != failing)]
+        monkeypatch.setattr(verify, name, stub)
+    return calls
+
+
+def test_run_all_calls_every_check_family_once_in_order(monkeypatch):
+    # run_all looks each family up by name: `halfspace verify` runs them all
+    # and the benchmark's battery times each by replacing the attribute
+    calls = _stub_checks(monkeypatch)
+    rows = verify.run_all()
+    assert calls == CHECKS
+    assert [row[0] for row in rows] == CHECKS
+
+
+@pytest.mark.parametrize("failing,rc", [("check_sector", 1), (None, 0)])
+def test_verify_command_writes_rows_in_order(tmp_path, monkeypatch,
+                                             failing, rc):
+    _stub_checks(monkeypatch, failing)
+    out = tmp_path / "v"
+    assert main(["verify", "--out", str(out), "--quiet"]) == rc
+    lines = (out / "verify.txt").read_text().splitlines()
+    assert lines[0].split() == ["check", "value", "tol", "status"]
+    assert [ln.split()[0] for ln in lines[1:]] == CHECKS
+    assert [ln.split()[-1] for ln in lines[1:]] == [
+        "FAIL" if name == failing else "pass" for name in CHECKS]
 
 
 def test_library_does_not_import_cli():

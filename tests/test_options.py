@@ -1,18 +1,21 @@
 """Every option, every exported name and every public member has a caller.
 
-Every defaulted parameter of a public function has a caller that sets it.
+Every defaulted parameter of a public function has a caller outside the
+tests that sets it to a second value.
 
 A default that no call ever overrides is a constant spelled as an option:
 it doubles the configurations a reader must consider and none of them is
 exercised. The scan below parses ``src/halfspace`` with ``ast``, lists the
 defaulted parameters of each public function or method whose name is
 defined once in the package, and looks for a call of that name that passes
-each of them, by position or by keyword, in ``src/``, ``bench/``,
-``tests/`` or the README's python example. A call with ``*args`` counts as
-passing every positional parameter and one with ``**kwargs`` every
-parameter. A call that only forwards an option of its own enclosing
-function (``f(tol=tol)``) sets the callee's option only if that enclosing
-option is itself set somewhere.
+each of them, by position or by keyword, in ``src/``, ``bench/`` or the
+README's python example. A call with ``*args`` counts as passing every
+positional parameter and one with ``**kwargs`` every parameter. A call that
+only forwards an option of its own enclosing function (``f(tol=tol)``) sets
+the callee's option only if that enclosing option is itself set to a
+second value. A parameter that every such call sets to the literal of its
+default (``check_block(points=64)`` for ``points=64``) has one value, and
+is flagged as well.
 
 Every name in a module's ``__all__`` has a caller outside the tests: a
 public name only the tests use is code the program does not need. The
@@ -38,11 +41,22 @@ PACKAGE = ROOT / "src" / "halfspace"
 # solve_regularity, solve_neu_perp and solve_dirichlet share solve_neumann's
 # signature, whose `torus` the README example sets; the four solvers are
 # called alike, so one of them dropping it would make their calls differ.
+# The console script and ``python -m halfspace.cli`` call ``main()`` with no
+# arguments, which parses ``sys.argv``; only the tests pass ``argv``.
 EXEMPT = {("solve_regularity", "torus"), ("solve_neu_perp", "torus"),
-          ("solve_dirichlet", "torus")}
+          ("solve_dirichlet", "torus"), ("main", "argv")}
 
 STAR, DOUBLE_STAR = "*", "**"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# the value of an argument or default that is not a python literal
+NOT_LITERAL = object()
+
+
+def _literal(node):
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return NOT_LITERAL
 
 
 def _defs():
@@ -64,8 +78,9 @@ def _defs():
 def _options():
     """Map each uniquely named public def to its defaulted parameters.
 
-    Each parameter is (name, position), where position is the index a
-    positional argument of a call takes, or None for keyword-only ones.
+    Each parameter is (name, position, default), where position is the
+    index a positional argument of a call takes, or None for keyword-only
+    ones, and default is the default's literal value or NOT_LITERAL.
     """
     defs = list(_defs())
     counts = Counter(name for name, _, _ in defs)
@@ -76,17 +91,18 @@ def _options():
         args = node.args
         positional = args.posonlyargs + args.args
         skip = 1 if is_method else 0
-        params = [(positional[i].arg, i - skip) for i in
-                  range(len(positional) - len(args.defaults), len(positional))]
-        params += [(arg.arg, None) for arg, default in
+        first = len(positional) - len(args.defaults)
+        params = [(positional[i].arg, i - skip, _literal(default))
+                  for i, default in enumerate(args.defaults, first)]
+        params += [(arg.arg, None, _literal(default)) for arg, default in
                    zip(args.kwonlyargs, args.kw_defaults) if default is not None]
         if params:
             options[name] = params
     return options
 
 
-def _sources(tops=("src", "bench", "tests")):
-    for top in tops:
+def _sources():
+    for top in ("src", "bench"):
         for path in sorted((ROOT / top).rglob("*.py")):
             yield str(path), path.read_text()
     readme = (ROOT / "README.md").read_text()
@@ -95,11 +111,12 @@ def _sources(tops=("src", "bench", "tests")):
 
 
 class _CallCollector(ast.NodeVisitor):
-    """Record (callee, slot, source) for every argument of every call.
+    """Record (callee, slot, source, value) for every argument of every call.
 
     ``slot`` is a position, a keyword, STAR or DOUBLE_STAR. ``source`` is
     (enclosing function, parameter) when the argument is a bare name of a
-    parameter of an enclosing function, else None.
+    parameter of an enclosing function, else None. ``value`` is the
+    argument's literal value or NOT_LITERAL.
     """
 
     def __init__(self):
@@ -129,37 +146,41 @@ class _CallCollector(ast.NodeVisitor):
         if callee is not None:
             for i, arg in enumerate(node.args):
                 if isinstance(arg, ast.Starred):
-                    self.records.append((callee, STAR, None))
+                    self.records.append((callee, STAR, None, NOT_LITERAL))
                 else:
-                    self.records.append((callee, i, self._source(arg)))
+                    self.records.append((callee, i, self._source(arg),
+                                         _literal(arg)))
             for kw in node.keywords:
                 slot = DOUBLE_STAR if kw.arg is None else kw.arg
-                self.records.append((callee, slot, self._source(kw.value)))
+                self.records.append((callee, slot, self._source(kw.value),
+                                     _literal(kw.value)))
         self.generic_visit(node)
 
 
 def unset_options():
-    """Sorted "function(parameter)" strings for defaults no call sets."""
+    """Sorted "function(parameter)" strings for defaults that no call sets
+    to a value other than the default's literal."""
     options = _options()
     collector = _CallCollector()
     for filename, text in _sources():
         collector.visit(ast.parse(text, filename=filename))
     is_option = {(name, param) for name, params in options.items()
-                 for param, _ in params}
+                 for param, _, _ in params}
     set_ = set(EXEMPT)
     changed = True
     while changed:
         changed = False
-        for callee, slot, source in collector.records:
+        for callee, slot, source, value in collector.records:
             if callee not in options:
                 continue
             if source in is_option and source not in set_:
                 continue
-            for param, position in options[callee]:
+            for param, position, default in options[callee]:
                 hit = (slot in (param, DOUBLE_STAR)
                        or (position is not None
                            and slot in (position, STAR)))
-                if hit and (callee, param) not in set_:
+                if (hit and (value is NOT_LITERAL or value != default)
+                        and (callee, param) not in set_):
                     set_.add((callee, param))
                     changed = True
     return sorted(f"{name}({param})" for name, param in is_option - set_)
@@ -167,8 +188,8 @@ def unset_options():
 
 def test_every_option_has_a_caller():
     unset = unset_options()
-    assert not unset, ("defaulted parameters that no call sets; make each "
-                       f"a constant: {unset}")
+    assert not unset, ("defaulted parameters that no call sets to a second "
+                       f"value; make each a constant: {unset}")
 
 
 # ``oracles`` is the independent test-oracle module: the tests are its
@@ -226,7 +247,7 @@ def unreferenced_exports():
     """Sorted "module.name" strings for exports nothing outside the tests
     uses, apart from the name's own definition."""
     collector = _ReferenceCollector()
-    for filename, text in _sources(("src", "bench")):
+    for filename, text in _sources():
         collector.visit_file(filename, ast.parse(text, filename=filename))
     missing = []
     for module, name in _exports():
@@ -271,7 +292,7 @@ def _attribute_reads():
     and the README's python example; ``owner`` is (file, class, member) for
     a read inside a class-level definition, else None."""
     reads = set()
-    for filename, text in _sources(("src", "bench")):
+    for filename, text in _sources():
         for top in ast.parse(text, filename=filename).body:
             is_class = isinstance(top, ast.ClassDef)
             for item in top.body if is_class else [top]:
