@@ -71,6 +71,9 @@ from .grid import (CoefficientField, Field, Torus, gradient_of,
                    partial_columns, vector_block_coefficients)
 
 COND_CAP = 1e10
+# relative size of the normal, higher-degree and curl parts that regularity
+# data may carry
+GRADIENT_TOL = 1e-10
 SCALAR_KINDS = ("neumann", "regularity", "neu_perp", "dirichlet")
 
 __all__ = [
@@ -622,24 +625,26 @@ def dirichlet_second_order_residual(sol: SolutionField, t_samples) -> float:
     return float(np.max(resid / scale, initial=0.0))
 
 
-def _check_gradient(data: Field, tol: float = 1e-10) -> None:
-    """Regularity data must be tangential and curl free (checked per mode)."""
+def _check_gradient(data: Field) -> None:
+    """Regularity data must be tangential and curl free (checked per mode),
+    each to ``GRADIENT_TOL`` relative."""
     torus = data.torus
     n = torus.dim_n
     nor = algebra.normal_mask(n)
-    if np.linalg.norm(data.values[..., nor]) > tol * max(
+    if np.linalg.norm(data.values[..., nor]) > GRADIENT_TOL * max(
             np.linalg.norm(data.values), 1e-300):
         raise ValueError("regularity data must be tangential")
     degs = algebra.mask_degrees(n)
     high = degs > 1
-    if np.linalg.norm(data.values[..., high]) > tol * max(
+    if np.linalg.norm(data.values[..., high]) > GRADIENT_TOL * max(
             np.linalg.norm(data.values), 1e-300):
         raise ValueError("regularity data must be a vector field")
     if n == 2:
         spec = np.fft.fftn(data.values, axes=(0, 1))
         xi1, xi2 = torus.wavenumbers()
         curl = xi1 * spec[..., 4] - xi2 * spec[..., 2]
-        if np.linalg.norm(curl) > tol * max(np.linalg.norm(spec), 1e-300):
+        if np.linalg.norm(curl) > GRADIENT_TOL * max(np.linalg.norm(spec),
+                                                     1e-300):
             raise ValueError("regularity data is not curl free")
 
 

@@ -349,9 +349,11 @@ def cmd_campaign(cfg: RunConfig, out_dir: str, seed: int, quiet: bool) -> int:
     torus = build_torus(cfg)
     B = build_coefficients(cfg, torus, seed)
     if cid == "rellich":
-        result = diagnostics.rellich_campaign(
-            B, seed=seed,
-            num_fields=cfg.get_int("campaign", "fields", default=100))
+        fields = cfg.get_int("campaign", "fields", default=100)
+        if fields < 1:
+            raise ConfigError(f"{cfg._where('campaign', 'fields')}: fields "
+                              f"must be at least 1, got {fields}")
+        result = diagnostics.rellich_campaign(B, seed=seed, num_fields=fields)
     elif cid == "block":
         result = diagnostics.block_campaign(B)
     elif cid == "perturbation":

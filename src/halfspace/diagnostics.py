@@ -255,8 +255,11 @@ def rellich_campaign(B: CoefficientField, seed: int = 0,
     The identities are established only for real symmetric coefficients.
     The campaign gates exactly in that case, detected from ``B`` to within
     1e-13, and records (without gating) the measured errors for any other
-    hermitian or non-hermitian input.
+    hermitian or non-hermitian input.  ``num_fields`` below 1 raises
+    ``ValueError``: a campaign over no fields would pass without a check.
     """
+    if num_fields < 1:
+        raise ValueError(f"num_fields must be at least 1, got {num_fields}")
     torus = B.torus
     n = torus.dim_n
     sym_defect = np.max(np.abs(B.maps - np.conj(np.swapaxes(B.maps, -1, -2))))

@@ -5,17 +5,22 @@ eigendecomposition paths so that agreement between the two routes is
 evidence, not tautology:
 
 * constant-coefficient problems are conjugated to per-Fourier-mode 2x2
-  matrix algebra on span{e_0, xi/|xi|},
+  matrix algebra on span{e_0, xi/|xi|}, taken for all modes at once as
+  (P, 2, 2) stacks,
 * the explicit half-plane Cauchy kernel gives an adaptive-quadrature
-  extension for identity coefficients on the line (QUADPACK ``quad``, the
-  module's one scipy use, imported on the first call),
+  extension for identity coefficients on the line (composite Gauss-Legendre
+  panels in numpy, bisected level by level),
 * the classical Poisson factor e^{-|xi| t} checks the Dirichlet solve,
 * the closed integral int_0^inf (s/(1+s^2))^2 ds/s = 1/2 pins the
   self-adjoint quadratic-estimate value, and
 * resolvents are recomputed by direct dense solves.
+
+The module loads numpy only.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -60,12 +65,6 @@ class SymbolMatrix:
         if self.entries.shape != (2, 2):
             raise ValueError("symbol must be 2x2")
 
-    def eig(self):
-        """Eigenvalues ordered (positive real part first) and eigenvectors."""
-        lam, V = np.linalg.eig(self.entries)
-        order = np.argsort(-lam.real)
-        return lam[order], V[:, order]
-
 
 def _split_blocks(A: np.ndarray):
     A = np.asarray(A, dtype=complex)
@@ -76,19 +75,42 @@ def _split_blocks(A: np.ndarray):
     return a00, a0p, ap0, app
 
 
+def _symbol_entries(A_const: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The mode matrices of a stack of nonzero wave vectors xi (..., n) as
+    a (..., 2, 2) stack."""
+    r = np.linalg.norm(xi, axis=-1)
+    xh = xi / r[..., None]
+    a00, a0p, ap0, app = _split_blocks(A_const)
+    app_xh = np.sum(app * xh[..., None, :], axis=-1)
+    M = np.zeros(xi.shape[:-1] + (2, 2), dtype=complex)
+    M[..., 0, 0] = r * ((1j / a00) * np.sum((a0p + ap0) * xh, axis=-1))
+    M[..., 0, 1] = r * ((1j / a00) * np.sum(app_xh * xh, axis=-1))
+    M[..., 1, 0] = r * -1j
+    return M
+
+
+def _symbol_eigen(M: np.ndarray):
+    """Eigenvalues (P, 2) and eigenvectors (P, 2, 2) of a stack of mode
+    matrices [[a, b], [c, 0]] in closed form: the roots of
+    lambda^2 - a lambda - bc, the larger one by the quadratic formula and
+    the other as their product -bc over it, with eigenvectors (lambda, c).
+    """
+    a, b, c = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0]
+    root = np.sqrt(a * a + 4.0 * b * c)
+    root = np.where((a.conj() * root).real >= 0, root, -root)
+    lam1 = 0.5 * (a + root)
+    lam2 = np.divide(-b * c, lam1, out=np.zeros_like(lam1), where=lam1 != 0)
+    lam = np.stack([lam1, lam2], axis=-1)
+    return lam, np.stack([lam, np.stack([c, c], axis=-1)], axis=-2)
+
+
 def symbol_matrix(A_const: np.ndarray, xi) -> SymbolMatrix:
     """The per-mode matrix |xi| [[(i/a00)(a_0par + a_par0, xi_hat),
     (i/a00)(a_parpar xi_hat, xi_hat)], [-i, 0]]."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    r = np.linalg.norm(xi)
-    if r == 0:
+    if np.linalg.norm(xi) == 0:
         raise ValueError("xi must be nonzero")
-    xh = xi / r
-    a00, a0p, ap0, app = _split_blocks(A_const)
-    top_left = (1j / a00) * np.dot(a0p + ap0, xh)
-    top_right = (1j / a00) * np.dot(app @ xh, xh)
-    M = r * np.array([[top_left, top_right], [-1j, 0.0]], dtype=complex)
-    return SymbolMatrix(xi, M)
+    return SymbolMatrix(xi, _symbol_entries(A_const, xi))
 
 
 def symbol_sign(M: SymbolMatrix) -> np.ndarray:
@@ -103,27 +125,31 @@ def symbol_hardy(A_const: np.ndarray, xi):
 
 
 def symbol_hardy_from_matrix(M: np.ndarray):
-    lam = np.linalg.eigvals(M)
-    order = np.argsort(-lam.real)
-    lam = lam[order]
-    lp, lm = lam
-    if abs(lp - lm) <= 1e-13 * max(abs(lp), abs(lm), 1e-300):
-        raise ValueError("defective 2x2 symbol: coincident eigenvalues")
-    if lp.real <= 0 or lm.real >= 0:
+    stack = M[None]
+    chp, chm = _hardy(stack, _symbol_eigen(stack)[0])
+    return chp[0], chm[0]
+
+
+def _hardy(M: np.ndarray, lam: np.ndarray):
+    """chi_+ and chi_- of a (P, 2, 2) symbol stack from its eigenvalues
+    (P, 2): chi_+- = (M - lambda_-+) / (lambda_+- - lambda_-+), lambda_+
+    the eigenvalue of larger real part.  The first mode that is defective
+    or whose eigenvalues do not straddle the imaginary axis raises."""
+    order = np.argsort(-lam.real, axis=-1)
+    lp, lm = np.moveaxis(np.take_along_axis(lam, order, axis=-1), -1, 0)
+    defective = np.abs(lp - lm) <= 1e-13 * np.maximum(
+        np.maximum(np.abs(lp), np.abs(lm)), 1e-300)
+    bad = np.flatnonzero(defective | (lp.real <= 0) | (lm.real >= 0))
+    if bad.size:
+        p = bad[0]
+        if defective[p]:
+            raise ValueError("defective 2x2 symbol: coincident eigenvalues")
         raise ValueError(
-            f"symbol eigenvalues {lp!r}, {lm!r} do not straddle the "
+            f"symbol eigenvalues {lp[p]!r}, {lm[p]!r} do not straddle the "
             "imaginary axis (coefficients not accretive?)")
     eye = np.eye(2)
-    chi_p = (M - lm * eye) / (lp - lm)
-    chi_m = (M - lp * eye) / (lm - lp)
-    return chi_p, chi_m
-
-
-def _eigen_symbol(M: np.ndarray):
-    """The eigen pairs of a diagonalizable 2x2 matrix as (lambda, V, V^{-1}),
-    from which fn(M) = (V * fn(lambda)) @ V^{-1}."""
-    lam, V = np.linalg.eig(M)
-    return lam, V, np.linalg.inv(V)
+    lp, lm = lp[:, None, None], lm[:, None, None]
+    return (M - lm * eye) / (lp - lm), (M - lp * eye) / (lm - lp)
 
 
 def transversality_discriminant(A_const: np.ndarray, xi) -> complex:
@@ -139,14 +165,15 @@ def transversality_discriminant(A_const: np.ndarray, xi) -> complex:
 # ---------------------------------------------------------------------------
 
 def _mode_basis_columns(dim_n: int, xi) -> np.ndarray:
-    """Coordinates of e_0 and xi_hat (as a 1-vector) in the Lambda basis."""
+    """Coordinates of e_0 and xi_hat (as a 1-vector) in the Lambda basis:
+    (d, 2) for one wave vector xi, (..., d, 2) for a stack (..., n)."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    d = algebra.lambda_dim(dim_n)
-    xh = xi / np.linalg.norm(xi)
-    cols = np.zeros((d, 2), dtype=complex)
-    cols[1, 0] = 1.0
+    xh = xi / np.linalg.norm(xi, axis=-1, keepdims=True)
+    cols = np.zeros(xi.shape[:-1] + (algebra.lambda_dim(dim_n), 2),
+                    dtype=complex)
+    cols[..., 1, 0] = 1.0
     for j in range(dim_n):
-        cols[1 << (j + 1), 1] = xh[j]
+        cols[..., 1 << (j + 1), 1] = xh[..., j]
     return cols
 
 
@@ -157,8 +184,9 @@ def reflection_2x2() -> np.ndarray:
 
 def perturbed_reflection_2x2(A_const: np.ndarray, dim_n: int, xi) -> np.ndarray:
     """The coefficient-twisted reflection on span{e_0, xi_hat}, computed
-    from the pointwise formula (mu*_B - mu)(mu + mu*_B)^{-1} with
-    B = I + A + I acting degree-by-degree."""
+    from the pointwise formula N_B = (mu*_B - mu)(mu + mu*_B)^{-1} with
+    B = I + A + I acting degree-by-degree: cols^H N_B cols, one constant
+    Lambda map compressed to each mode of xi ((n,) or a stack (..., n))."""
     d = algebra.lambda_dim(dim_n)
     B = np.eye(d, dtype=complex)
     idx = [1 << i for i in range(dim_n + 1)]
@@ -170,7 +198,7 @@ def perturbed_reflection_2x2(A_const: np.ndarray, dim_n: int, xi) -> np.ndarray:
     mu_sB = np.linalg.inv(B) @ mu_s @ B
     NB = (mu_sB - mu) @ np.linalg.inv(mu + mu_sB)
     cols = _mode_basis_columns(dim_n, xi)
-    return cols.conj().T @ NB @ cols
+    return np.swapaxes(cols.conj(), -1, -2) @ NB @ cols
 
 
 # ---------------------------------------------------------------------------
@@ -180,37 +208,38 @@ def perturbed_reflection_2x2(A_const: np.ndarray, dim_n: int, xi) -> np.ndarray:
 class ConstantSolution:
     """Per-mode solution of a constant-coefficient boundary value problem.
 
-    Holds the mode coordinates of the boundary trace and each mode's symbol
-    as its eigen pairs (lambda, V, V^{-1}), taken once by
-    ``constant_solver``, and evaluates the interior field by the per-mode
-    semigroup factor (V * e^{-t|lambda|}) @ V^{-1}, with no eigensolve per
-    height.
+    Holds, as stacks over the P kept Fourier modes, the modes' flat indices
+    in the spectrum and each mode symbol's eigen pairs, taken once by
+    ``constant_solver``: the decay rates lambda sgn(Re lambda) (P, 2), the
+    eigenvectors as Lambda-valued columns cols @ V (P, d, 2) and the
+    trace's eigen coordinates V^{-1} f_hat (P, 2).  A height is one
+    broadcast product of the rates' semigroup factors e^{-t|lambda|} with
+    those coordinates and the columns, one scatter into the spectrum and
+    one inverse FFT, with no eigensolve.
     """
 
-    def __init__(self, torus: Torus, mode_data: dict, scalar: bool = False):
+    def __init__(self, torus: Torus, modes: np.ndarray, rates: np.ndarray,
+                 columns: np.ndarray, coords: np.ndarray):
         self.torus = torus
-        # mode index tuple -> ((lambda, V, V^{-1}), f_hat coords, columns)
-        self.mode_data = mode_data
-        self.scalar = scalar
+        self.modes = modes
+        self.rates = rates
+        self.columns = columns
+        self.coords = coords
 
-    def _mode_field(self, coords_fn) -> Field:
+    def _mode_field(self, coords: np.ndarray) -> Field:
         torus = self.torus
         d = torus.lambda_dim
-        spec = np.zeros(torus.shape + (d,), dtype=complex)
-        for kidx, (symbol, fh, cols) in self.mode_data.items():
-            spec[kidx] += cols @ coords_fn(symbol, fh)
-        vals = np.fft.ifftn(spec, axes=tuple(range(torus.dim_n)))
+        spec = np.zeros((torus.num_points, d), dtype=complex)
+        spec[self.modes] = np.einsum("pdk,pk->pd", self.columns, coords)
+        vals = np.fft.ifftn(spec.reshape(torus.shape + (d,)),
+                            axes=tuple(range(torus.dim_n)))
         return Field(torus, vals)
 
     def trace(self) -> Field:
-        return self._mode_field(lambda symbol, fh: fh)
+        return self._mode_field(self.coords)
 
     def at_t(self, t: float) -> Field:
-        def evolve(symbol, fh):
-            lam, V, V_inv = symbol
-            E_t = (V * np.exp(-t * lam * np.sign(lam.real))) @ V_inv
-            return E_t @ fh
-        return self._mode_field(evolve)
+        return self._mode_field(np.exp(-t * self.rates) * self.coords)
 
     def scalar_at_t(self, t: float) -> np.ndarray:
         """The e_0 component (Dirichlet reading) of the interior field."""
@@ -225,45 +254,45 @@ def constant_solver(A_const: np.ndarray, torus: Torus, kind: str,
     data: scalar grid array (phi, psi or u).  For 'regularity' the datum is
     the scalar potential psi; the tangential gradient is formed per mode.
 
-    The zero mode is dropped (kernel policy: no L2 constants on R^n).
+    The zero mode is dropped (kernel policy: no L2 constants on R^n), and
+    so are the modes where the datum's Fourier coefficient is zero.  The
+    kept modes are solved together: one stacked eigensolve of their
+    symbols, stacked Hardy projections and one stacked 2x2 solve.
     """
     A_const = np.asarray(A_const, dtype=complex)
     n = torus.dim_n
     data = np.asarray(data, dtype=complex)
     if data.shape != torus.shape:
         raise ValueError("data must be a scalar grid array")
-    spec = np.fft.fftn(data, axes=tuple(range(n)))
+    coeff = np.fft.fftn(data, axes=tuple(range(n))).reshape(-1)
     ks = np.fft.fftfreq(torus.points_per_axis,
                         d=1.0 / torus.points_per_axis).astype(int)
-    a00 = A_const[0, 0]
-    mode_data = {}
-    for kidx in np.ndindex(*torus.shape):
-        kvec = np.array([ks[i] for i in kidx], dtype=float)
-        if np.all(kvec == 0):
-            continue
-        xi = 2.0 * np.pi * kvec / torus.length
-        coeff = spec[kidx]
-        if coeff == 0:
-            continue
-        M = symbol_matrix(A_const, xi)
-        chp, chm = symbol_hardy_from_matrix(M.entries)
-        E = chp - chm
-        if kind == "neumann":
-            NA = perturbed_reflection_2x2(A_const, n, xi)
-            rhs = np.array([coeff / a00, 0.0])
-            fh = 2.0 * np.linalg.solve(E - NA, rhs)
-        elif kind == "regularity":
-            # datum is grad psi: coordinate along xi_hat is i|xi| psi_hat
-            rhs = np.array([0.0, 1j * np.linalg.norm(xi) * coeff])
-            fh = 2.0 * np.linalg.solve(E + reflection_2x2(), rhs)
-        elif kind in ("neu_perp", "dirichlet"):
-            rhs = np.array([coeff, 0.0])
-            fh = 2.0 * np.linalg.solve(E - reflection_2x2(), rhs)
-        else:
-            raise ValueError(f"unknown problem kind {kind!r}")
-        cols = _mode_basis_columns(n, xi)
-        mode_data[kidx] = (_eigen_symbol(M.entries), fh, cols)
-    return ConstantSolution(torus, mode_data, scalar=(kind == "dirichlet"))
+    kvec = np.stack(np.meshgrid(*[ks] * n, indexing="ij"),
+                    axis=-1).reshape(-1, n).astype(float)
+    modes = np.flatnonzero(np.any(kvec != 0, axis=1) & (coeff != 0))
+    xi = 2.0 * np.pi * kvec[modes] / torus.length
+    coeff = coeff[modes]
+    M = _symbol_entries(A_const, xi)
+    lam, V = _symbol_eigen(M)
+    chp, chm = _hardy(M, lam)
+    E = chp - chm
+    zero = np.zeros_like(coeff)
+    if kind == "neumann":
+        lhs = E - perturbed_reflection_2x2(A_const, n, xi)
+        rhs = (coeff / A_const[0, 0], zero)
+    elif kind == "regularity":
+        # datum is grad psi: coordinate along xi_hat is i|xi| psi_hat
+        lhs = E + reflection_2x2()
+        rhs = (zero, 1j * np.linalg.norm(xi, axis=-1) * coeff)
+    elif kind in ("neu_perp", "dirichlet"):
+        lhs = E - reflection_2x2()
+        rhs = (coeff, zero)
+    else:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    fh = 2.0 * np.linalg.solve(lhs, np.stack(rhs, axis=-1)[..., None])
+    return ConstantSolution(torus, modes, lam * np.sign(lam.real),
+                            _mode_basis_columns(n, xi) @ V,
+                            np.linalg.solve(V, fh)[..., 0])
 
 
 def constant_deviations(sol, A_const: np.ndarray, kind: str,
@@ -290,6 +319,23 @@ def constant_deviations(sol, A_const: np.ndarray, kind: str,
 # explicit kernels
 # ---------------------------------------------------------------------------
 
+# Absolute tolerance of each Cauchy-kernel integral; bisection levels, and
+# panels alive on one level, before the quadrature is declared not
+# convergent.
+CAUCHY_TOL = 1e-8
+_MAX_LEVELS = 50
+_MAX_PANELS = 4096
+
+
+@functools.cache
+def _gauss_rules():
+    """The 10- and 20-point Gauss-Legendre rules on [-1, 1], whose
+    difference on a panel estimates the 10-point rule's error there; formed
+    on first use, so only the Cauchy oracle loads ``numpy.polynomial``."""
+    return (np.polynomial.legendre.leggauss(10),
+            np.polynomial.legendre.leggauss(20))
+
+
 def cauchy_extension_line(g1, t: float, x: float,
                           support: tuple = (-8.0, 8.0)) -> np.ndarray:
     """Explicit upper half-plane extension of tangential data g = g1 e1 for
@@ -298,25 +344,43 @@ def cauchy_extension_line(g1, t: float, x: float,
         F(t, x) = (1/pi) int (-(x - y) e_0 + t e_1) g1(y) / (t^2 + (x-y)^2) dy.
 
     Returns the pair (component along e_0, component along e_1).
-    """
-    from scipy.integrate import quad
 
+    ``g1`` is called on arrays of nodes.  The integral is a composite
+    Gauss-Legendre rule, adapted level by level: every panel is integrated
+    with a 10- and a 20-point rule, a panel whose two values differ by at
+    most its share (by width) of ``CAUCHY_TOL`` is kept with the 20-point
+    value, and every other panel is bisected, all panels of a level at
+    once.  The quadrature stops when the kept and pending differences sum
+    to at most ``CAUCHY_TOL``; past ``_MAX_LEVELS`` levels or
+    ``_MAX_PANELS`` pending panels it raises ``RuntimeError``.
+    """
     if t <= 0:
         raise ValueError("t must be positive")
     lo, hi = support
-    abs_tol = 1e-8
-
-    def kern_e0(y):
-        return -(x - y) * g1(y) / (t ** 2 + (x - y) ** 2)
-
-    def kern_e1(y):
-        return t * g1(y) / (t ** 2 + (x - y) ** 2)
-
-    v0, err0 = quad(kern_e0, lo, hi, epsabs=abs_tol, limit=400)
-    v1, err1 = quad(kern_e1, lo, hi, epsabs=abs_tol, limit=400)
-    if max(err0, err1) > 100 * abs_tol:
-        raise RuntimeError("quadrature failed to converge")
-    return np.array([v0 / np.pi, v1 / np.pi])
+    (x_low, w_low), (x_high, w_high) = _gauss_rules()
+    nodes = np.concatenate([x_low, x_high])
+    split = x_low.size
+    a, b = np.array([lo], dtype=float), np.array([hi], dtype=float)
+    value, error = np.zeros(2), 0.0
+    for _ in range(_MAX_LEVELS):
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        y = mid[:, None] + half[:, None] * nodes
+        g = np.reshape(g1(y.ravel()), y.shape)
+        d = x - y
+        kern = np.stack([-d * g, t * g]) / (t * t + d * d)
+        low = half * (kern[..., :split] @ w_low)
+        high = half * (kern[..., split:] @ w_high)
+        est = np.max(np.abs(high - low), axis=0)
+        done = est <= CAUCHY_TOL * (b - a) / (hi - lo)
+        value += np.sum(high[:, done], axis=1)
+        error += np.sum(est[done])
+        if error + np.sum(est[~done]) <= CAUCHY_TOL:
+            return (value + np.sum(high[:, ~done], axis=1)) / np.pi
+        a, b, mid = a[~done], b[~done], mid[~done]
+        if 2 * a.size > _MAX_PANELS:
+            break
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+    raise RuntimeError("quadrature failed to converge")
 
 
 def poisson_factor(xi: float, t: float) -> float:

@@ -262,6 +262,21 @@ def test_skew_campaign_bad_n_points_exit_code(tmp_path, capsys, n_points):
     assert "camp.cfg:11: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields", ["0", "-3"])
+def test_rellich_campaign_without_fields_names_its_line(tmp_path, capsys,
+                                                        fields):
+    # a campaign over no fields would pass without checking one
+    text = ("[torus]\nn = 1\nlength = 6.0\npoints = 16\n\n"
+            "[coefficients]\nfamily = smooth_symmetric\n\n[campaign]\n"
+            f"id = rellich\nfields = {fields}\n")
+    cfg = _write(tmp_path, "camp.cfg", text)
+    rc = main(["campaign", "--config", cfg, "--out", str(tmp_path / "o"),
+               "--quiet"])
+    assert rc == 2
+    assert "camp.cfg:11: fields must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("cid,key", [("skew", "k_list"),
                                      ("perturbation", "eps_list")])
 def test_empty_campaign_list_names_its_line(tmp_path, capsys, cid, key):
@@ -332,9 +347,18 @@ def test_library_does_not_import_cli():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_python_m_halfspace_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(halfspace.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-m", "halfspace", "--help"],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage: halfspace")
+
+
 def test_solver_runtime_does_not_import_scipy(tmp_path):
-    # scipy serves only the explicit-kernel oracle and the SVD fallback; the
-    # solve command, a variable frame, its solves and its norms never load it
+    # scipy serves only the SVD fallback; the solve command, a variable
+    # frame, its solves, its norms and the explicit-kernel oracle never load it
     src = os.path.dirname(os.path.dirname(halfspace.__file__))
     cfg = _write(tmp_path, "solve.cfg", SOLVE_CFG)
     out = str(tmp_path / "out")
@@ -363,8 +387,8 @@ if loaded:
     sys.exit("solver runtime loaded %d scipy modules, first %s"
              % (len(loaded), loaded[0]))
 oracles.cauchy_extension_line(lambda y: 1.0 / (1.0 + y * y), 1.0, 0.0)
-if "scipy.integrate" not in sys.modules:
-    sys.exit("cauchy_extension_line did not load scipy.integrate")
+if any(m == "scipy" or m.startswith("scipy.") for m in sys.modules):
+    sys.exit("cauchy_extension_line loaded scipy")
 """
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run([sys.executable, "-c", code], env=env,

@@ -3,6 +3,7 @@
 import csv
 
 import numpy as np
+import pytest
 
 from halfspace.diagnostics import (block_campaign, block_coefficients,
                                    duality_campaign, gaussian_data,
@@ -49,6 +50,14 @@ def test_rellich_campaign_passes_real_symmetric():
                            num_fields=20)
     assert res.passed
     assert len(res.rows) > 0
+
+
+@pytest.mark.parametrize("num_fields", [0, -1])
+def test_rellich_campaign_rejects_no_fields(num_fields):
+    # with no fields both maxima would stay 0 and the campaign pass vacuously
+    with pytest.raises(ValueError, match="num_fields must be at least 1"):
+        rellich_campaign(smooth_real_symmetric(_torus(16), 2),
+                         num_fields=num_fields)
 
 
 def test_rellich_campaign_exploratory_for_complex_hermitian():

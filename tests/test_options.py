@@ -1,21 +1,23 @@
 """Every option, every exported name and every public member has a caller.
 
-Every defaulted parameter of a public function has a caller outside the
-tests that sets it to a second value.
+Every defaulted parameter of a function has a caller outside the tests
+that sets it to a second value.
 
 A default that no call ever overrides is a constant spelled as an option:
 it doubles the configurations a reader must consider and none of them is
 exercised. The scan below parses ``src/halfspace`` with ``ast``, lists the
-defaulted parameters of each public function or method whose name is
-defined once in the package, and looks for a call of that name that passes
-each of them, by position or by keyword, in ``src/``, ``bench/`` or the
-README's python example. A call with ``*args`` counts as passing every
-positional parameter and one with ``**kwargs`` every parameter. A call that
-only forwards an option of its own enclosing function (``f(tol=tol)``) sets
-the callee's option only if that enclosing option is itself set to a
-second value. A parameter that every such call sets to the literal of its
-default (``check_block(points=64)`` for ``points=64``) has one value, and
-is flagged as well.
+defaulted parameters of each function or method, private ones included,
+whose name is defined once in the package, and looks for a call of that
+name that passes each of them, by position or by keyword, in ``src/``,
+``bench/`` or the README's python example. Dunder protocol methods such as
+``__array__`` are skipped: numpy, not the package, calls them. A call
+with ``*args`` counts as passing every positional parameter and one with
+``**kwargs`` every parameter. A call that only forwards an option of its
+own enclosing function (``f(tol=tol)``) sets the callee's option only if
+that enclosing option is itself set to a second value. A parameter that
+every such call sets to the literal of its default
+(``check_block(points=64)`` for ``points=64``) has one value, and is
+flagged as well.
 
 Every name in a module's ``__all__`` has a caller outside the tests: a
 public name only the tests use is code the program does not need. The
@@ -76,7 +78,8 @@ def _defs():
 
 
 def _options():
-    """Map each uniquely named public def to its defaulted parameters.
+    """Map each uniquely named def, dunder methods aside, to its defaulted
+    parameters.
 
     Each parameter is (name, position, default), where position is the
     index a positional argument of a call takes, or None for keyword-only
@@ -86,7 +89,8 @@ def _options():
     counts = Counter(name for name, _, _ in defs)
     options = {}
     for name, node, is_method in defs:
-        if name.startswith("_") or counts[name] > 1:
+        if (name.startswith("__") and name.endswith("__")) \
+                or counts[name] > 1:
             continue
         args = node.args
         positional = args.posonlyargs + args.args
