@@ -268,11 +268,11 @@ class PlaneWaveBasis:
         spec = self._fft(X.reshape(t.shape + (t.lambda_dim, k)))
         return spec.reshape(t.num_points, t.lambda_dim, k)
 
-    def _field(self, spec: np.ndarray) -> np.ndarray:
-        """Inverse of ``_spectrum``: (P, d, k) mode slices to (P*d, k)."""
-        t, k = self.torus, spec.shape[2]
-        vals = self._ifft(spec.reshape(t.shape + (t.lambda_dim, k)))
-        return vals.reshape(self.ambient_dim, k)
+    def from_modes(self, spec: np.ndarray) -> np.ndarray:
+        """Inverse of ``_spectrum``: the unitary inverse FFT of (P, d) mode
+        slices to a (P*d,) vector, or of (P, d, k) slices to (P*d, k)."""
+        vals = self._ifft(spec.reshape(self.torus.shape + spec.shape[1:]))
+        return vals.reshape((self.ambient_dim,) + spec.shape[2:])
 
     def _gather(self, spec: np.ndarray) -> np.ndarray:
         """Frame coordinates F_p^H spec_p of every mode, in basis order."""
@@ -297,7 +297,7 @@ class PlaneWaveBasis:
     def from_coords(self, coords: np.ndarray) -> np.ndarray:
         """U coords for a coordinate vector or an (m, k) block."""
         C, single = _as_columns(coords)
-        X = self._field(self._scatter(C))
+        X = self.from_modes(self._scatter(C))
         return X[:, 0] if single else X
 
     def column_block(self, a: int, b: int) -> np.ndarray:

@@ -37,12 +37,19 @@ vector or column block, from that factorization.  The dense frame
 matrices (``frame.E``, ``frame.Pnk``, ``frame.N``, ``frame.NA``) are views
 formed on first access.  Time derivatives are always computed from the
 generator (-|T| on the Hardy part), never by finite differences.  A
-``SolutionField`` forms its eigen-coordinates V^{-1} f once; every later
-evaluation, one height or a whole t-grid as one t-family block, is then
-the block-by-block product V (S o c).  The field also keeps the block of its latest grid of
-two or more heights, read-only and keyed by the heights' values, so that
-the sup and non-tangential norms, ``norms_at_ts`` and the Dirichlet
-residual on one grid evaluate e^{-t|T|} f once.  The non-tangential
+``SolutionField`` forms its eigen-coordinates c = V^{-1} f once; a whole
+t-grid is then one t-family block, the block-by-block product V (S o c).
+One height (``SolutionField.at_t``) is evaluated in Fourier space when the
+frame's eigenvectors never couple two Fourier modes (the plane-wave basis
+with every block of V inside one mode, as for every constant-coefficient
+frame): the frame keeps the per-mode lift L_p = F_p V_(p) of its
+eigenbasis and the decay rates |lambda|, and a height is the product
+e^{-t|lambda|} o c, one contraction with L per mode and one inverse FFT.
+Other frames lift the height's coordinates V (S o c) through the basis.
+The field also keeps the block of its latest grid of two or more heights,
+read-only and keyed by the heights' values, so that the sup and
+non-tangential norms, ``norms_at_ts`` and the Dirichlet residual on one
+grid evaluate e^{-t|T|} f once.  The non-tangential
 maximal function takes the Whitney-box means of all heights at once, as
 differences of cumulative sums in t over the sorted grid and in x over the
 periodically extended axes.
@@ -62,8 +69,8 @@ from functools import cached_property
 import numpy as np
 
 from . import algebra, calculus
-from .assembly import (NB_operator, TB_operator, hat_h1_basis, hat_hk_basis,
-                       reflection_operator, restrict)
+from .assembly import (NB_operator, PlaneWaveBasis, TB_operator, hat_h1_basis,
+                       hat_hk_basis, reflection_operator, restrict)
 from .calculus import (BlockDiagonal, apply_to_vector, decompose,
                        exp_minus_t_abs, psi_abs_exp, semigroup_dt, sgn,
                        square_function)
@@ -289,6 +296,39 @@ class BoundaryFrame:
         return BlockDiagonal.gather(
             refl, calculus.block_partition(self.T.entries, refl))
 
+    # -- per-mode semigroup, formed on first use ----------------------------
+
+    @cached_property
+    def _mode_lift(self) -> np.ndarray | None:
+        """The per-mode lift of the eigenbasis, L_p = F_p V_(p) for the
+        mode frames F_p and the r x r part V_(p) of V on mode p's
+        coordinates: a (P, d, r) stack, formed from the blocks of V.  None
+        unless the basis is a ``PlaneWaveBasis`` and every block of V lies
+        inside one Fourier mode (every constant-coefficient frame)."""
+        basis = self.basis
+        if not isinstance(basis, PlaneWaveBasis):
+            return None
+        # the mode and frame column of every coordinate, in basis order
+        mode, slot = np.nonzero(basis.present)
+        V = np.zeros(basis.present.shape + basis.present.shape[1:],
+                     dtype=complex)
+        V_blocks = self.dec.V_blocks
+        for idx, blk in zip(V_blocks.groups, V_blocks.blocks):
+            p = mode[idx]
+            if np.any(p != p[:, :1]):
+                return None
+            s = slot[idx]
+            V[p[:, :1, None], s[:, :, None], s[:, None, :]] = blk
+        return basis.frames @ V
+
+    @cached_property
+    def _decay_rates(self) -> np.ndarray:
+        """|lambda| = lambda sgn(lambda) of every eigenvalue, 0 on the
+        kernel, after the sector check of ``calculus.apply_to_vector``
+        (SectorViolationError at a (near-)imaginary eigenvalue)."""
+        return calculus._symbol_values(self.dec, calculus.FunctionDescriptor(
+            "|z|", calculus._holo_abs, kernel_value=0.0, sign_sensitive=True))
+
     # -- dense views, formed on first access --------------------------------
 
     @property
@@ -427,7 +467,33 @@ class SolutionField:
             self.coords_at_ts(ts), axis=0)
 
     def at_t(self, t: float) -> Field:
-        return self.frame.to_field(self.coords_at_t(t))
+        """F_t = e^{-t|T|} f on the grid at one height t >= 0.
+
+        On a frame whose eigenvectors never couple two Fourier modes (the
+        frame's ``_mode_lift``, every constant-coefficient frame), the
+        height is evaluated in Fourier space: the factors e^{-t|lambda|}
+        times the eigen-coordinates (1 on the kernel, subnormals flushed as
+        in ``calculus.apply_to_vector``), placed in their mode slots,
+        contracted with the per-mode lift L_p = F_p V_(p) in one product and
+        taken to the grid by the basis's unitary inverse FFT.  Any other
+        frame lifts ``coords_at_t(t)`` through the basis.  On both routes
+        t = 0 gives the trace field itself, exactly.
+        """
+        frame = self.frame
+        lift = frame._mode_lift
+        if lift is None:
+            return frame.to_field(self.coords_at_t(t))
+        t = float(t)
+        _check_heights(np.float64(t))
+        rates = frame._decay_rates
+        if t == 0:
+            return self.trace_field()
+        x = calculus._flush_subnormals(np.exp(-t * rates) * self.eig_coords)
+        basis = frame.basis
+        slots = np.zeros(basis.present.shape, dtype=complex)
+        slots[basis.present] = x
+        return Field.from_flat(frame.torus, basis.from_modes(
+            np.einsum("pdr,pr->pd", lift, slots)))
 
     def trace_field(self) -> Field:
         return self.frame.to_field(self.coords)
@@ -444,8 +510,10 @@ class SolutionField:
         """Log-spaced heights from 1e-2/max|lambda| to 1e2/min non-kernel
         |lambda|, 10 per decade."""
         dec = self.frame.dec
-        t_min = 1e-2 / dec.spectral_radius()
+        # an all-kernel spectrum raises ValueError here, before dividing by
+        # its zero spectral radius
         t_max = 1e2 / dec.min_nonkernel()
+        t_min = 1e-2 / dec.spectral_radius()
         m = max(int(np.ceil(np.log10(t_max / t_min) * 10)), 2)
         return np.exp(np.linspace(np.log(t_min), np.log(t_max), m))
 

@@ -12,17 +12,20 @@ import numpy as np
 import pytest
 
 from halfspace import bvp, calculus
-from halfspace.assembly import derivative_matrix
+from halfspace.assembly import PlaneWaveBasis, derivative_matrix
 from halfspace.bvp import (BoundaryFrame, SolutionField,
                            dirichlet_second_order_residual, nontangential_max,
-                           norm_sup_t, norm_triplebar_dt, solve_neumann)
+                           norm_sup_t, norm_triplebar_dt, solve_kind,
+                           solve_neumann, solve_transmission)
 from halfspace.calculus import (apply_to_vector, exp_minus_t_abs,
                                 psi_abs_exp, psi_exp, q_t,
                                 quadratic_constants, semigroup_dt,
                                 square_function)
-from halfspace.diagnostics import (gaussian_data, random_accretive_constant,
+from halfspace.diagnostics import (block_coefficients, gaussian_data,
+                                   random_accretive_constant,
                                    smooth_real_symmetric)
-from halfspace.grid import Torus, vector_block_coefficients
+from halfspace.grid import (Torus, gradient_of, identity_coefficients,
+                            vector_block_coefficients)
 
 RTOL = 1e-13
 
@@ -120,9 +123,34 @@ def frame_n2():
         torus, random_accretive_constant(1, 2)))
 
 
+@pytest.fixture(scope="module")
+def per_mode_frames():
+    """Identity and constant coefficients at n = 1, N = 64 and at n = 2,
+    N = 8, where the zero mode has three frame columns: frames whose
+    eigenvectors never couple two Fourier modes."""
+    frames = {}
+    for n, N in ((1, 64), (2, 8)):
+        torus = Torus(n, 2 * np.pi, N)
+        frames["identity", n] = BoundaryFrame(identity_coefficients(torus))
+        frames["constant", n] = BoundaryFrame(vector_block_coefficients(
+            torus, random_accretive_constant(1, n)))
+    return frames
+
+
 def _solution(frame):
     sol, _ = solve_neumann(None, gaussian_data(frame.torus), frame=frame)
     return sol
+
+
+def _all_kinds(frame):
+    """The solutions of the four scalar kinds on one datum and the lower
+    side of a transmission solve with its gradient."""
+    torus = frame.torus
+    scalar = gaussian_data(torus)
+    sols = [solve_kind(kind, frame, scalar)[0] for kind in bvp.SCALAR_KINDS]
+    g = frame.to_field(frame.to_coords(gradient_of(torus, scalar))[0])
+    (_, lower), _ = solve_transmission(frame.B, 1, 2.0, 1.0, g, frame=frame)
+    return sols + [lower]
 
 
 def _rel(a, b):
@@ -235,8 +263,11 @@ def test_dirichlet_residual_matches_dense_derivative_loop(name, request):
     assert _rel(dirichlet_second_order_residual(sol, ts), ref) <= 1e-12
 
 
-def test_block_path_rejects_negative_t(frame_n1):
+def test_block_path_rejects_negative_t(frame_n1, per_mode_frames):
     sol = _solution(frame_n1)
+    for field in (sol, _solution(per_mode_frames["constant", 1])):
+        with pytest.raises(ValueError, match="t >= 0"):
+            field.at_t(-0.1)
     ts = np.array([0.5, -0.1, 1.0])
     with pytest.raises(ValueError):
         sol.coords_at_ts(ts)
@@ -252,15 +283,32 @@ def test_block_path_rejects_negative_t(frame_n1):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_block_path_rejects_non_finite_t(frame_n1, bad):
+def test_block_path_rejects_non_finite_t(frame_n1, per_mode_frames, bad):
     sol = _solution(frame_n1)
+    per_mode = _solution(per_mode_frames["constant", 1])
     ts = np.array([bad, 1.0])
     for evaluate in (sol.coords_at_ts, sol.norms_at_ts,
+                     lambda ts: sol.at_t(ts[0]),
+                     lambda ts: per_mode.at_t(ts[0]),
                      lambda ts: norm_sup_t(sol, ts),
                      lambda ts: nontangential_max(sol, t_samples=ts),
                      lambda ts: dirichlet_second_order_residual(sol, ts)):
         with pytest.raises(ValueError, match="finite"):
             evaluate(ts)
+
+
+def test_all_kernel_frame_raises_a_typed_error():
+    # degree-2 fields at n = 1 are the constants: m = 1 and T = 0
+    frame = BoundaryFrame(identity_coefficients(Torus(1, 2 * np.pi, 16)),
+                          degree=2)
+    assert frame.dec.dim == frame.kernel_dim == 1
+    # a dense degree-k basis: heights are lifted through coords_at_t
+    assert frame._mode_lift is None
+    sol = SolutionField(frame, np.ones(1, dtype=complex))
+    for call in (sol.default_t_samples, lambda: norm_sup_t(sol),
+                 lambda: nontangential_max(sol)):
+        with pytest.raises(ValueError, match="empty non-kernel spectrum"):
+            call()
 
 
 def test_norms_reject_an_empty_grid(frame_n1):
@@ -367,31 +415,77 @@ def test_t_family_sign_check_once_per_block():
     dec = calculus.decompose(np.diag([3j, -2j, 0.7j, 0.0]))
     with pytest.raises(calculus.SectorViolationError):
         calculus._symbol_values(dec, exp_minus_t_abs(np.array([0.1, 1.0])))
+    # the per-mode height route makes the same check, at t = 0 as well
+    frame = BoundaryFrame(identity_coefficients(Torus(1, 2 * np.pi, 16)))
+    assert frame._mode_lift is not None
+    frame.dec.__dict__["near_imaginary"] = np.array([1j])
+    sol = SolutionField(frame, frame.Pnk @ np.ones(frame.dec.dim))
+    for t in (0.5, 0.0):
+        with pytest.raises(calculus.SectorViolationError):
+            sol.at_t(t)
     # q_t is holomorphic across the axis and is evaluated
     assert calculus._symbol_values(dec, q_t(np.array([0.1, 1.0]))).shape == \
         (4, 2)
 
 
-def test_at_t_loop_forms_eigen_coordinates_once(frame_n1, monkeypatch):
-    coords = _solution(frame_n1).coords
-    sol = SolutionField(frame_n1, coords)
-    calls = []
-    real = calculus.SpectralDecomposition.coordinates
+def _underflow_height(frame):
+    """A height at which e^{-t|lambda|} is exactly 0 at every non-kernel
+    eigenvalue."""
+    dec = frame.dec
+    t = 1e3 / np.min(np.abs(dec.eigenvalues[dec.nonkernel].real))
+    assert not np.any(np.exp(-t * frame._decay_rates[dec.nonkernel]))
+    return t
 
-    def counting(self, vec):
-        calls.append(1)
-        return real(self, vec)
 
-    monkeypatch.setattr(calculus.SpectralDecomposition, "coordinates",
-                        counting)
+def test_at_t_loop_forms_eigen_coordinates_once(frame_n1, per_mode_frames,
+                                                monkeypatch):
+    # the variable and block frames lift coords_at_t, bitwise as before;
+    # the per-mode frames take each height in Fourier space, on every kind
+    # of solution, with no apply_to_vector and no basis lift
+    block = BoundaryFrame(block_coefficients(Torus(1, 2 * np.pi, 32), 3))
+    coupled = [(frame, [_solution(frame)]) for frame in (frame_n1, block)]
+    per_mode = [(frame, _all_kinds(frame))
+                for frame in per_mode_frames.values()]
+    assert all(f._mode_lift is None for f, _ in coupled)
+    assert all(f._mode_lift is not None for f, _ in per_mode)
+    calls = {"coordinates": 0, "apply_to_vector": 0, "from_coords": 0}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((calculus.SpectralDecomposition, "coordinates"),
+                        (calculus, "apply_to_vector"),
+                        (PlaneWaveBasis, "from_coords")):
+        monkeypatch.setattr(owner, name, counting(owner, name))
+    monkeypatch.setattr(bvp, "apply_to_vector", calculus.apply_to_vector)
     ts = np.exp(np.linspace(np.log(0.01), np.log(10.0), 60))
-    fields = [sol.at_t(t) for t in ts]
-    dirichlet_second_order_residual(sol, [0.5])
-    sol.coords_at_ts(ts)
-    assert len(calls) == 1
-    c = frame_n1.dec.coordinates(coords)
-    for t, field in zip(ts[::7], fields[::7]):
-        ref = frame_n1.to_field(apply_to_vector(frame_n1.dec,
-                                                exp_minus_t_abs(t), c))
-        assert np.linalg.norm(field.values - ref.values) <= \
-            RTOL * np.linalg.norm(ref.values)
+    for frame, solutions in coupled + per_mode:
+        heights = np.concatenate([ts, [1e-3, 0.3, 5.0,
+                                       _underflow_height(frame)]])
+        lifted = frame._mode_lift is None
+        for coords in (s.coords for s in solutions):
+            sol = SolutionField(frame, coords)
+            calls.update(dict.fromkeys(calls, 0))
+            fields = [sol.at_t(t) for t in heights]
+            per_height = len(heights) if lifted else 0
+            assert calls == {"coordinates": 1, "apply_to_vector": per_height,
+                             "from_coords": per_height}
+            assert np.array_equal(sol.at_t(0.0).values,
+                                  sol.trace_field().values)
+            dirichlet_second_order_residual(sol, [0.5])
+            sol.coords_at_ts(ts)
+            assert calls["coordinates"] == 1
+            c = frame.dec.coordinates(coords)
+            for t, field in zip(heights, fields):
+                ref = frame.to_field(apply_to_vector(frame.dec,
+                                                     exp_minus_t_abs(t), c))
+                if lifted:
+                    assert np.array_equal(field.values, ref.values)
+                else:
+                    assert np.linalg.norm(field.values - ref.values) <= \
+                        RTOL * np.linalg.norm(ref.values)
