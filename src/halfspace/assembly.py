@@ -32,7 +32,8 @@ that is a Fourier multiplier carries its per-mode symbols sigma_p
 (``FieldOperator.mode_symbols``): the reflection N, and T_B and N_B when
 all of B's grid maps are equal (constant coefficients).  Such an operator
 is compressed exactly, mode by mode, to the blocks F_p^H sigma_p F_p, with
-the exact leak and the exact norm max_p ||sigma_p||_2.  A frame therefore
+the exact norm max_p ||sigma_p||_2.  Every route measures the invariance
+leak in the Frobenius norm, an upper bound of its 2-norm.  A frame therefore
 never forms a (N^n 2^(n+1))^2 matrix, nor the dense N^n 2^(n+1) x m basis.
 The constrained degree-k bases use the same structure.  With the pointwise
 map G = N^+ + N^- B (invertible for accretive B: its normal block is B's),
@@ -238,7 +239,6 @@ class PlaneWaveBasis:
         self.frames = frames
         self.present = present
         self.label = label
-        self.gram_defect = defect
         self._frames_h = frames_h
         self._dim = int(np.sum(present))
         # every frame column present: coordinates are the (P, r) slices
@@ -323,13 +323,12 @@ class PlaneWaveBasis:
     def restrict_multiplier(self, symbols: np.ndarray):
         """U^H op U for the Fourier multiplier op with per-mode symbols
         ``symbols`` (shape (P, d, d)), exactly per mode: block p is
-        F_p^H sigma_p F_p.  Returns it with the exact 2-norm of the leak
-        (I - F_p F_p^H) sigma_p F_p, which is block diagonal too, so its
-        norm is the largest per-mode one."""
+        F_p^H sigma_p F_p.  Returns it with the Frobenius norm of the leak
+        (I - F_p F_p^H) sigma_p F_p over all modes, an upper bound of the
+        leak's 2-norm."""
         SF = symbols @ self.frames
         blocks = self._frames_h @ SF
-        leak_norm = float(np.max(np.linalg.norm(
-            SF - self.frames @ blocks, ord=2, axis=(1, 2)), initial=0.0))
+        leak_norm = float(np.linalg.norm(SF - self.frames @ blocks))
         index = np.full(self.present.shape, -1)
         index[self.present] = np.arange(self.dim)
         both = self.present[:, :, None] & self.present[:, None, :]
@@ -812,12 +811,14 @@ def restrict(op: OperatorMatrix | FieldOperator,
     images is compressed by ``basis.split`` (for a ``PlaneWaveBasis``, in
     Fourier space).  A Fourier multiplier on a ``PlaneWaveBasis`` is
     compressed exactly, per mode.  If ``invariance_tol`` is given, also
-    measures the invariance defect ||(I - P) op P||_2 / ||op||_2, attaches it
-    to the returned matrix as ``invariance_defect`` and raises a
-    SubspaceInvarianceError if it exceeds the tolerance.  The leak norm is
-    exact.  ||op||_2 is exact for a dense operator and for a multiplier,
-    and the ``norm_estimate`` lower bound for any other matrix-free one, so
-    that defect is never below the exact value.
+    measures the invariance defect ||(I - U U^H) op U||_F / ||op||_2,
+    attaches it to the returned matrix as ``invariance_defect`` and raises
+    a SubspaceInvarianceError if it exceeds the tolerance.  The leak is
+    measured in the Frobenius norm, summed a chunk at a time, so no leak
+    matrix is kept: an upper bound of its 2-norm, at most sqrt(rank) times
+    it.  ||op||_2 is exact for a dense operator and for a multiplier, and
+    the ``norm_estimate`` lower bound for any other matrix-free one, so the
+    defect is never below the exact ||(I - P) op P||_2 / ||op||_2.
     """
     if basis.ambient_dim != op.dim:
         raise ValueError("basis ambient dimension does not match operator")
@@ -827,24 +828,19 @@ def restrict(op: OperatorMatrix | FieldOperator,
     else:
         k = basis.dim
         compressed = np.empty((k, k), dtype=complex)
-        leak = (None if invariance_tol is None
-                else np.empty((basis.ambient_dim, k), dtype=complex))
+        leak_sq = 0.0
         # a bounded number of columns at a time, so that the working
         # arrays stay small
         step = max(1, _RESTRICT_CHUNK // basis.ambient_dim)
         for a in range(0, k, step):
             b = min(a + step, k)
             Z = op @ basis.column_block(a, b)
-            if leak is None:
+            if invariance_tol is None:
                 compressed[:, a:b] = basis.to_coords(Z)
             else:
-                compressed[:, a:b], leak[:, a:b] = basis.split(Z)
-        if leak is not None:
-            # rows that are exactly zero carry no norm: the plane-wave leak
-            # is zero in every Lambda component an operator never reaches
-            rows = leak[np.any(leak, axis=1)]
-            del leak
-            leak_norm = np.linalg.norm(rows, 2) if rows.size else 0.0
+                compressed[:, a:b], leak = basis.split(Z)
+                leak_sq += np.vdot(leak, leak).real
+        leak_norm = np.sqrt(leak_sq)
     defect = None
     if invariance_tol is not None:
         defect = 0.0
@@ -894,8 +890,9 @@ def hodge_split(B: CoefficientField, f: Field):
     The null spaces come from the per-mode null spaces of the symbols of d
     and d*: null(i m d) = null d and null(B^{-1} i m d* B) = B^{-1} null d*,
     cut at 1e-9 relative to the largest symbol singular value.  The
-    constants are taken out of null d only: f1 is mean free, and so is
-    f2 = (f - mean) - f1.
+    constants are taken out of null d only, as its zero-mode plane waves:
+    f1 is mean free, and so is f2 = (f - mean) - f1.  B^{-1} null d*
+    stays whole and enters the least squares as it is.
 
     Returns (f1, f2, constant_part, split_constant) where split_constant is
     (||f1|| + ||f2||) / ||f - mean||, the measured topological-splitting
@@ -909,22 +906,18 @@ def hodge_split(B: CoefficientField, f: Field):
     const_vec = np.tile(mean, P)
     v = vec - const_vec
     eye = np.eye(d)
-    n1 = _null_plane_waves(torus, _mode_symbols(torus, "d"), eye,
-                           1e-9).columns
+    W1 = _null_plane_waves(torus, _mode_symbols(torus, "d"), eye, 1e-9)
+    # the symbol of d vanishes at the zero mode, so null d's zero-mode
+    # plane waves are the constants; B^{-1} null d* stays whole, since for
+    # variable B the fields B^{-1} c are not constant and projecting the
+    # constants out would leave null(B^{-1} i m d* B)
+    present = W1.present.copy()
+    present[0] = False
+    U1 = PlaneWaveBasis(torus, W1.frames * present[:, None, :],
+                        present).columns
     Binv = _pointwise_inverse(torus, B.maps, "coefficient map B")
-    n2 = _pointwise_field_operator(torus, Binv) @ _null_plane_waves(
+    U2 = _pointwise_field_operator(torus, Binv) @ _null_plane_waves(
         torus, _mode_symbols(torus, "d_star"), eye, 1e-9).columns
-    # the constants lie in null d and in null d*, so they are taken out of
-    # null d only (what is left of it is mean free); B^{-1} null d* stays
-    # whole, since for variable B the fields B^{-1} c are not constant and
-    # projecting the constants out would leave null(B^{-1} i m d* B)
-    consts = np.zeros((P, d, d), dtype=complex)
-    consts[:, np.arange(d), np.arange(d)] = 1.0 / np.sqrt(P)
-    consts = consts.reshape(P * d, d)
-    u, s, _ = np.linalg.svd(n1 - consts @ (consts.conj().T @ n1),
-                            full_matrices=False)
-    U1 = u[:, s > 1e-10]
-    U2 = np.linalg.qr(n2)[0]
     stacked = np.hstack([U1, U2])
     coef, *_ = np.linalg.lstsq(stacked, v, rcond=None)
     v1 = U1 @ coef[:U1.shape[1]]

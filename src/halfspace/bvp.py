@@ -197,7 +197,6 @@ class BoundaryInverse:
         self.label = label
         self.cond = cond
         self.null_dim = null_dim
-        self.singular_values = -np.sort(-kept)
         self._groups = op.groups
         self._inverses = [
             calculus.DeflatedInverse(b, np.sum(s <= cutoff, axis=1), s_max)
@@ -244,9 +243,9 @@ class BoundaryFrame:
     per lambda.  All solves and campaigns for the same coefficients share a
     frame.  The frame matrices are held as blocks: ``E_blocks``,
     ``Pnk_blocks``, ``PK_blocks`` and ``E_solve_blocks`` on the partition
-    ``groups`` of T, ``N_blocks`` and ``NA_blocks`` on the connected blocks
-    of T and the reflection; ``E``, ``Pnk``, ``N`` and ``NA`` are the dense
-    views of four of them.
+    ``dec.V_blocks.groups`` of T, ``N_blocks`` and ``NA_blocks`` on the
+    connected blocks of T and the reflection; ``E``, ``Pnk``, ``N`` and
+    ``NA`` are the dense views of four of them.
     """
 
     def __init__(self, B: CoefficientField, degree: int = 1,
@@ -277,7 +276,6 @@ class BoundaryFrame:
         # partition its boundary operators are factored on.  The steps
         # keep the order of the dense products, so that the peak memory of
         # the build is not raised.
-        self.groups = self.dec.V_blocks.groups
         self.E_blocks = calculus.apply_function(self.dec, sgn())
         self.N_blocks = self._reflection_blocks(refl)
         self.NA_blocks = self._reflection_blocks(
@@ -722,8 +720,10 @@ def solve_transmission(B: CoefficientField, degree: int, alpha_plus: complex,
     """Two-sided transmission problem for degree-k fields.
 
     Solves (lambda - E N_B) f = 2/(a+ - a-) E g on the constrained degree-k
-    subspace, splits f into Hardy halves and verifies both jump conditions.
-    A datum more than 1e-8 (relative) outside that subspace is rejected.
+    subspace, splits f into Hardy halves and verifies both jump conditions:
+    the boundary residual is the larger jump over the sum of the two jumps'
+    datum scales ||mu g|| + ||mu* B g||.  A datum more than 1e-8 (relative)
+    outside that subspace is rejected.
     """
     if alpha_plus == alpha_minus:
         raise ValueError("alpha_plus and alpha_minus must differ")
@@ -764,8 +764,11 @@ def solve_transmission(B: CoefficientField, degree: int, alpha_plus: complex,
     Bg = np.einsum("...ij,...j->...i", Bmat, gv)
     j2 = (alpha_plus * Bfp - alpha_minus * Bfm - Bg) @ mus.T
     j2_scale = np.linalg.norm(Bg @ mus.T)
-    resid = max(_rel(np.linalg.norm(j1), j1_scale),
-                _rel(np.linalg.norm(j2), j2_scale))
+    # one scale for both jumps: for identity or block B and a gradient
+    # datum the normal part of B g is exactly zero, so j2_scale alone
+    # would turn a rounding-size jump into a huge relative residual
+    resid = _rel(max(np.linalg.norm(j1), np.linalg.norm(j2)),
+                 j1_scale + j2_scale)
     report = SolveReport(
         formula="(lambda - E N_B) f = 2/(a+ - a-) E g",
         condition_numbers={inv.label: inv.cond},

@@ -246,8 +246,15 @@ def build_coefficients(cfg: RunConfig, torus: Torus,
 def build_scalar_data(cfg: RunConfig, torus: Torus) -> np.ndarray:
     profile = cfg.get("problem", "data", required=True)
     if profile == "mode":
-        return diagnostics.mode_data(
-            torus, cfg.get_int("problem", "mode_index", default=1))
+        index = cfg.get_int("problem", "mode_index", default=1)
+        # mode 0 is the constant, which the mean removal discards, and a
+        # mode past points/2 aliases to a lower one
+        top = torus.points_per_axis // 2
+        if not 1 <= index <= top:
+            raise ConfigError(
+                f"{cfg._where('problem', 'mode_index')}: 'mode_index' must "
+                f"be between 1 and points/2 = {top}, got {index}")
+        return diagnostics.mode_data(torus, index)
     if profile == "gaussian":
         return diagnostics.gaussian_data(torus)
     if profile == "step":

@@ -234,7 +234,9 @@ def _noninvariant_bases(torus):
                          + [(2, 8, f) for f in FAMILIES[:4]])
 def test_structured_defect_bounds_dense(n, N, name):
     # the Krylov estimate of ||T_B||_2 is a lower bound, so the structured
-    # defect is never below the dense one, and it is within 10% of it
+    # defect is never below the dense one, and it is within 10% of it; both
+    # take the leak's Frobenius norm, so neither is below the exact
+    # ||(I - U U^H) T U||_2 / ||T||_2
     torus = Torus(n, 2 * np.pi, N)
     B = _family(torus, name)
     op = TB_operator(B)
@@ -248,6 +250,10 @@ def test_structured_defect_bounds_dense(n, N, name):
             restrict(op, basis, 1e-8)
         d, s = dense.value.defect, structured.value.defect
         assert d * (1 - 1e-12) <= s <= 1.1 * d, basis.label
+        U = basis.columns
+        TU = T_dense.entries @ U
+        leak = np.linalg.norm(TU - U @ (U.conj().T @ TU), 2) / exact
+        assert d >= leak * (1 - 1e-12), basis.label
 
 
 def test_structured_restrict_rejects_random_subspace():
@@ -587,24 +593,34 @@ def test_variable_coefficients_are_not_multipliers():
     assert NB_operator(B).mode_symbols is None
 
 
-def test_plane_wave_basis_n2_N32_is_small_and_certified_per_mode():
+def _traced_peak(fn):
+    """(fn(), the peak traced memory in bytes above the start)."""
     import tracemalloc
-    torus = Torus(2, 2 * np.pi, 32)
-    # one dense basis would be 8192 x 2049 complex entries, 268 MB
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        basis = hat_h1_basis(torus)
-        peak = tracemalloc.get_traced_memory()[1] - start
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - start
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def test_plane_wave_basis_n2_N32_is_small_and_certified_per_mode():
+    torus = Torus(2, 2 * np.pi, 32)
+    # one dense basis would be 8192 x 2049 complex entries, 268 MB
+    basis, peak = _traced_peak(lambda: hat_h1_basis(torus))
     assert peak < 16 * 2 ** 20
     assert basis.dim == 2 * torus.num_points + 1
-    assert basis.gram_defect <= 1e-15
+    # per mode, F^H F is the identity on the present columns, zero on the
+    # padding
+    gram = np.conj(np.swapaxes(basis.frames, 1, 2)) @ basis.frames
+    r = gram.shape[-1]
+    gram[:, np.arange(r), np.arange(r)] -= basis.present
+    assert np.max(np.linalg.norm(gram, axis=(1, 2))) <= 1e-15
     # a frame whose columns are not orthonormal in one mode is refused
     bad = basis.frames.copy()
     bad[5, :, 1] = bad[5, :, 0]
@@ -615,3 +631,15 @@ def test_plane_wave_basis_n2_N32_is_small_and_certified_per_mode():
     bad[7, 0, 2] = 1.0
     with pytest.raises(ValueError, match="not orthonormal"):
         assembly.PlaneWaveBasis(torus, bad, basis.present)
+
+
+def test_restrict_keeps_no_leak_matrix():
+    # the leak of T_B is summed a chunk at a time: the P*d x m leak matrix
+    # (16 MiB at n = 2, N = 16) is never held, so the peak stays under 1.5
+    # such matrices
+    torus = Torus(2, 2 * np.pi, 16)
+    op = TB_operator(smooth_real_symmetric(torus, 3))
+    basis = hat_h1_basis(torus)
+    T, peak = _traced_peak(lambda: restrict(op, basis, 1e-8))
+    assert T.invariance_defect <= 1e-12
+    assert peak < 1.5 * basis.ambient_dim * basis.dim * 16

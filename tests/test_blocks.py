@@ -224,7 +224,7 @@ def test_boundary_operators_factor_on_their_own_partition():
     # but not in N_A: E -+ N split into 1 + (m - 1), E - N_A does not
     torus = Torus(1, 2 * np.pi, 32)
     frame = BoundaryFrame(skew_coefficients(torus, 4.0))
-    assert [g.shape for g in frame.groups] == [(1, 1), (1, 63)]
+    assert [g.shape for g in frame.dec.V_blocks.groups] == [(1, 1), (1, 63)]
     for kind, sizes in (("neumann", [64]), ("regularity", [1, 63]),
                         ("neu_perp", [1, 63])):
         op, _ = frame.boundary_operator(kind)
@@ -374,7 +374,10 @@ def test_stacked_group_with_mixed_null_counts_matches_dense_pseudo_inverse():
     assert inv.null_dim == null_dim == 4
     assert abs(inv.cond - cond) <= 1e-12 * cond
     s = np.linalg.svd(op.dense(), compute_uv=False)
-    assert _rel(inv.singular_values, s[:14 - null_dim]) <= 1e-14
+    # the inverse takes the singular values of each size group alone
+    got = -np.sort(-np.concatenate([calculus.svdvals(b).ravel()
+                                    for b in op.blocks]))
+    assert _rel(got[:14 - null_dim], s[:14 - null_dim]) <= 1e-14
     rhs = cplx(14, 3)
     assert _rel(inv.solve(rhs), pinv @ rhs) <= 1e-12
     with pytest.raises(bvp.WellPosednessError, match="null directions"):

@@ -127,10 +127,16 @@ def test_dirichlet_identity_matches_poisson(identity_frame):
     assert np.allclose(got, ref, atol=1e-9)
 
 
-def test_transmission_jump_conditions(smooth_frame):
-    frame_src = smooth_frame
-    torus = frame_src.torus
-    B = frame_src.B
+@pytest.mark.parametrize("n,N,name", [
+    (1, 64, "smooth_symmetric"), (1, 64, "identity"), (1, 64, "block"),
+    (2, 8, "identity"), (2, 8, "block")])
+def test_transmission_jump_conditions(n, N, name):
+    # for identity and block B the normal part of B g is exactly zero on a
+    # gradient datum g, so the second jump has no scale of its own
+    torus = Torus(n, 2 * np.pi, N)
+    B = {"smooth_symmetric": lambda: smooth_real_symmetric(torus, seed=3),
+         "identity": lambda: identity_coefficients(torus),
+         "block": lambda: block_coefficients(torus, 3)}[name]()
     frame = BoundaryFrame(B, degree=1)
     g_coords, _ = frame.to_coords(_gradient_data(torus, gaussian_data(torus)))
     g_field = frame.to_field(g_coords)

@@ -182,22 +182,32 @@ def test_transmission_config_errors_exit_2_with_their_line(tmp_path, capsys,
     assert f"tr.cfg:{line}: " in capsys.readouterr().err
 
 
-# a value the family builder rejects names its key's line: `family` is on
-# line 7 of this config and the key after it on line 8
-@pytest.mark.parametrize("n,keys,line", [
-    pytest.param(2, "family = skew\nk = 1", 7, id="skew-on-n2"),
-    pytest.param(1, "family = block\nseed = -1", 8, id="negative-seed"),
-    pytest.param(1, "family = smooth_symmetric\nkappa_min = 5", 8,
-                 id="kappa_min-above-1"),
-    pytest.param(1, "family = smooth_symmetric\nkappa_min = -5", 8,
-                 id="smooth-not-accretive"),
-    pytest.param(1, "family = constant\nentries = 1 0 0 0 0 0 -1 0", 8,
-                 id="constant-not-accretive")])
+# a value the family builder or the data profile rejects names its key's
+# line: `family` is on line 7 of this config, the key after it on line 8
+# and, after a one-line [coefficients], `mode_index` on line 12; a mode
+# index must lie in 1..points/2 = 4
+@pytest.mark.parametrize("n,keys,data,line", [
+    pytest.param(2, "family = skew\nk = 1", "gaussian", 7, id="skew-on-n2"),
+    pytest.param(1, "family = block\nseed = -1", "gaussian", 8,
+                 id="negative-seed"),
+    pytest.param(1, "family = smooth_symmetric\nkappa_min = 5", "gaussian",
+                 8, id="kappa_min-above-1"),
+    pytest.param(1, "family = smooth_symmetric\nkappa_min = -5", "gaussian",
+                 8, id="smooth-not-accretive"),
+    pytest.param(1, "family = constant\nentries = 1 0 0 0 0 0 -1 0",
+                 "gaussian", 8, id="constant-not-accretive"),
+    pytest.param(1, "family = identity", "mode\nmode_index = 0", 12,
+                 id="mode_index-0"),
+    pytest.param(1, "family = identity", "mode\nmode_index = -1", 12,
+                 id="mode_index-negative"),
+    pytest.param(1, "family = identity", "mode\nmode_index = 5", 12,
+                 id="mode_index-aliased")])
 def test_coefficient_builder_errors_exit_2_with_their_line(tmp_path, capsys,
-                                                           n, keys, line):
+                                                           n, keys, data,
+                                                           line):
     text = (f"[torus]\nn = {n}\nlength = 6.0\npoints = 8\n\n"
             f"[coefficients]\n{keys}\n\n"
-            "[problem]\nkind = neumann\ndata = gaussian\n")
+            f"[problem]\nkind = neumann\ndata = {data}\n")
     cfg = _write(tmp_path, "coef.cfg", text)
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
                "--quiet"])

@@ -26,10 +26,11 @@ import in ``src/``, ``bench/`` or the README's python example, outside the
 name's own definition; ``oracles``, the test-oracle module, is exempt.
 
 The same rule holds for members. The third scan lists the public methods,
-properties and annotated (dataclass) fields of every class in the
-non-exempt modules and looks for a read of each as an attribute in
-``src/``, ``bench/`` or the README's python example, outside the member's
-own definition.
+properties, annotated (dataclass) fields and ``self.<name>`` attributes set
+in ``__init__`` of every class in the non-exempt modules, exception classes'
+attributes aside, and looks for a read of each as an attribute in ``src/``,
+``bench/`` or the README's python example, outside the member's own
+definition.
 """
 
 import ast
@@ -269,9 +270,30 @@ def test_every_export_has_a_caller_outside_the_tests():
                          f"{missing}")
 
 
+def _is_exception(node):
+    """Whether a class derives from a name ending in Error or Exception:
+    the fields of a typed error are its payload for the caller."""
+    return any((base.id if isinstance(base, ast.Name) else
+                getattr(base, "attr", "")).endswith(("Error", "Exception"))
+               for base in node.bases)
+
+
+def _init_attributes(item):
+    """Names of the ``self.<name> = ...`` targets in a method body."""
+    for node in ast.walk(item):
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            if (isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"):
+                yield target.attr
+
+
 def _members():
-    """Yield (module file, class, name) for every public method, property
-    and annotated (dataclass) field of a class in the non-exempt modules."""
+    """Yield (module file, class, name) for every public method, property,
+    annotated (dataclass) field and ``__init__`` attribute of a class in
+    the non-exempt modules, exception classes' attributes aside."""
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem in EXPORT_EXEMPT_MODULES:
             continue
@@ -280,15 +302,19 @@ def _members():
             if not isinstance(node, ast.ClassDef):
                 continue
             for item in node.body:
-                if isinstance(item, FUNCTIONS):
-                    name = item.name
+                if isinstance(item, FUNCTIONS) and item.name == "__init__":
+                    names = ([] if _is_exception(node)
+                             else list(_init_attributes(item)))
+                elif isinstance(item, FUNCTIONS):
+                    names = [item.name]
                 elif (isinstance(item, ast.AnnAssign)
                       and isinstance(item.target, ast.Name)):
-                    name = item.target.id
+                    names = [item.target.id]
                 else:
                     continue
-                if not name.startswith("_"):
-                    yield path.name, node.name, name
+                for name in names:
+                    if not name.startswith("_"):
+                        yield path.name, node.name, name
 
 
 def _attribute_reads():
