@@ -39,17 +39,22 @@ formed on first access.  Time derivatives are always computed from the
 generator (-|T| on the Hardy part), never by finite differences.  A
 ``SolutionField`` forms its eigen-coordinates c = V^{-1} f once; a whole
 t-grid is then one t-family block, the block-by-block product V (S o c).
+The symbol values S themselves depend on the frame and the heights alone:
+the decomposition keeps them, read-only and keyed by the heights' values
+(``calculus._symbol_values``), so that every solve on a frame shares the
+e^{-t|lambda|} of each height and grid, and the derivative blocks of the
+Dirichlet residual, instead of forming them again.
 One height (``SolutionField.at_t``) is evaluated in Fourier space when the
 frame's eigenvectors never couple two Fourier modes (the plane-wave basis
 with every block of V inside one mode, as for every constant-coefficient
 frame): the frame keeps the per-mode lift L_p = F_p V_(p) of its
-eigenbasis and the decay rates |lambda|, and a height is the product
-e^{-t|lambda|} o c, one contraction with L per mode and one inverse FFT.
-Other frames lift the height's coordinates V (S o c) through the basis.
-The field also keeps the block of its latest grid of two or more heights,
-read-only and keyed by the heights' values, so that the sup and
-non-tangential norms, ``norms_at_ts`` and the Dirichlet residual on one
-grid evaluate e^{-t|T|} f once.  The non-tangential
+eigenbasis, and a height is the product e^{-t|lambda|} o c of the shared
+factors and the coordinates, one contraction with L per mode and one
+inverse FFT.  Other frames lift the height's coordinates V (S o c) through
+the basis.  The field also keeps the block of its latest grid of two or
+more heights, read-only and keyed by the heights' values, so that the sup
+and non-tangential norms, ``norms_at_ts`` and the Dirichlet residual on
+one grid evaluate e^{-t|T|} f once.  The non-tangential
 maximal function takes the Whitney-box means of all heights at once, as
 differences of cumulative sums in t over the sorted grid and in x over the
 periodically extended axes.
@@ -319,14 +324,6 @@ class BoundaryFrame:
             V[p[:, :1, None], s[:, :, None], s[:, None, :]] = blk
         return basis.frames @ V
 
-    @cached_property
-    def _decay_rates(self) -> np.ndarray:
-        """|lambda| = lambda sgn(lambda) of every eigenvalue, 0 on the
-        kernel, after the sector check of ``calculus.apply_to_vector``
-        (SectorViolationError at a (near-)imaginary eigenvalue)."""
-        return calculus._symbol_values(self.dec, calculus.FunctionDescriptor(
-            "|z|", calculus._holo_abs, kernel_value=0.0, sign_sensitive=True))
-
     # -- dense views, formed on first access --------------------------------
 
     @property
@@ -470,12 +467,16 @@ class SolutionField:
         On a frame whose eigenvectors never couple two Fourier modes (the
         frame's ``_mode_lift``, every constant-coefficient frame), the
         height is evaluated in Fourier space: the factors e^{-t|lambda|}
-        times the eigen-coordinates (1 on the kernel, subnormals flushed as
-        in ``calculus.apply_to_vector``), placed in their mode slots,
+        (1 on the kernel), taken from the decomposition's symbol memo
+        (``calculus._symbol_values``, formed once per frame and height),
+        times the eigen-coordinates (subnormals flushed as in
+        ``calculus.apply_to_vector``), placed in their mode slots,
         contracted with the per-mode lift L_p = F_p V_(p) in one product and
-        taken to the grid by the basis's unitary inverse FFT.  Any other
-        frame lifts ``coords_at_t(t)`` through the basis.  On both routes
-        t = 0 gives the trace field itself, exactly.
+        taken to the grid by the basis's unitary inverse FFT.  The factors
+        are taken before t = 0 is singled out, so that the sector check
+        (SectorViolationError at a (near-)imaginary eigenvalue) is made at
+        every height.  Any other frame lifts ``coords_at_t(t)`` through the
+        basis.  On both routes t = 0 gives the trace field itself, exactly.
         """
         frame = self.frame
         lift = frame._mode_lift
@@ -483,10 +484,10 @@ class SolutionField:
             return frame.to_field(self.coords_at_t(t))
         t = float(t)
         _check_heights(np.float64(t))
-        rates = frame._decay_rates
+        factors = calculus._symbol_values(frame.dec, exp_minus_t_abs(t))
         if t == 0:
             return self.trace_field()
-        x = calculus._flush_subnormals(np.exp(-t * rates) * self.eig_coords)
+        x = calculus._flush_subnormals(factors * self.eig_coords)
         basis = frame.basis
         slots = np.zeros(basis.present.shape, dtype=complex)
         slots[basis.present] = x

@@ -67,9 +67,16 @@ of symbol values S_ij = b_j(lambda_i), the columns b_j(T) f are V (S o c)
 t-families (``exp_minus_t_abs``, ``semigroup_dt``, ``psi_abs_exp``,
 ``psi_exp``, ``q_t``) take a whole array of heights and evaluate S
 as one outer-product block, with one sign-sensitivity check and one kernel
-substitution per block.  ``apply_to_vector`` takes c itself, so a caller
-that applies many blocks to the same f (``bvp.SolutionField``) forms c once
-and each block costs the one product V (S o c).
+substitution per block.  S depends on the spectrum and the heights alone,
+never on f: each t-family carries a value key (the family, its parameters
+and the heights' float64 bytes), and the decomposition keeps the read-only
+S of every keyed family in a memo bounded by ``_SYMBOL_MEMO_COLUMNS``
+height columns, oldest evicted first, so that every solve and every
+``bvp.SolutionField`` on one frame shares the blocks of its height grids.
+The sign-sensitivity check is made on every call, before the memo is read.
+``apply_to_vector`` takes c itself, so a caller that applies many blocks to
+the same f (``bvp.SolutionField``) forms c once and each block costs the
+one product V (S o c).
 
 Square-function norms int_0^inf ||psi_t(T) f||^2 dt/t are exact Hermitian
 forms: with c = V^{-1} f on the non-kernel indices, ``square_function`` is
@@ -126,6 +133,9 @@ COND_V_CAP = 1e8
 _GRADED_TOL = 1e-13
 # entries per row chunk of ``block_partition``'s label sweep (1 MB of labels)
 _PARTITION_CHUNK = 1 << 18
+# height columns of t-family symbol values kept per decomposition (2 MB of
+# complex values at m = 512)
+_SYMBOL_MEMO_COLUMNS = 256
 
 
 class IllConditionedEigenbasisError(np.linalg.LinAlgError):
@@ -146,6 +156,11 @@ class FunctionDescriptor:
     undefined on the imaginary axis.  A square-function family psi_t
     declares its Gram kernel: ``gram`` maps eigenvalue arrays (mu, nu) to
     int_0^inf conj(psi_t(mu)) psi_t(nu) dt/t, broadcast.
+
+    ``key`` names the symbol's values: ``_t_family`` sets it to the family,
+    its parameters and the heights' float64 bytes, and ``_symbol_values``
+    keeps the values of a keyed symbol on the decomposition.  It is None
+    for every other symbol, which is evaluated afresh on each call.
     """
 
     name: str
@@ -153,6 +168,7 @@ class FunctionDescriptor:
     kernel_value: complex
     sign_sensitive: bool = False
     gram: object = None  # callable (mu, nu) -> complex array
+    key: tuple | None = None
 
     def __call__(self, lam):
         return self.fn(np.asarray(lam, dtype=complex))
@@ -199,17 +215,22 @@ def _t_family(name: str, t, fn, kernel_value: complex,
               gram=None) -> FunctionDescriptor:
     """The symbol z -> fn(z, t) at one height t, or, for a 1-D array of
     heights, the family whose value at an array z is the block
-    fn(z[..., None], t) = [b_{t_j}(z_i)], one column per height."""
-    ts = np.asarray(t, dtype=float)
+    fn(z[..., None], t) = [b_{t_j}(z_i)], one column per height.
+
+    Its ``key`` is (name, params, the heights' shape and float64 bytes);
+    the heights are copied, so the key stays that of the values."""
+    ts = np.array(t, dtype=float)
+    key = (name, params, ts.shape, ts.tobytes())
     if ts.ndim == 0:
+        height = float(ts)
         return FunctionDescriptor(f"{name}(t={t!r}{params})",
-                                  lambda z: fn(z, t), kernel_value,
-                                  sign_sensitive, gram)
+                                  lambda z: fn(z, height), kernel_value,
+                                  sign_sensitive, gram, key)
     if ts.ndim != 1:
         raise ValueError("heights must be a scalar or a 1-D array")
     return FunctionDescriptor(f"{name}(t=<{ts.size} heights>{params})",
                               lambda z: fn(z[..., None], ts), kernel_value,
-                              sign_sensitive, gram)
+                              sign_sensitive, gram, key)
 
 
 def q_t(t) -> FunctionDescriptor:
@@ -500,6 +521,12 @@ class SpectralDecomposition:
         """V^* V block by block, formed once for the square functions."""
         return self.V_blocks.H @ self.V_blocks
 
+    @cached_property
+    def _symbol_memo(self) -> "_SymbolMemo":
+        """The read-only symbol blocks of keyed t-families
+        (``_symbol_values``), shared by every solve on the decomposition."""
+        return _SymbolMemo()
+
     def nonkernel_projector(self) -> BlockDiagonal:
         return (self.V_blocks * self.nonkernel.astype(complex)) \
             @ self.Vinv_blocks
@@ -512,6 +539,26 @@ class SpectralDecomposition:
         if lam.size == 0:
             raise ValueError("empty non-kernel spectrum")
         return float(np.min(np.abs(lam)))
+
+
+class _SymbolMemo(dict):
+    """Symbol blocks by ``FunctionDescriptor.key``, oldest first, holding at
+    most ``_SYMBOL_MEMO_COLUMNS`` height columns in all: a new block evicts
+    the oldest ones past that bound, and a block wider than the bound is
+    not kept.  ``columns`` is the running count of the columns held."""
+
+    columns = 0
+
+    def put(self, key: tuple, vals: np.ndarray) -> None:
+        """Keep ``vals`` (made read-only) under ``key``."""
+        vals.flags.writeable = False
+        width = int(np.prod(vals.shape[1:]))
+        if width > _SYMBOL_MEMO_COLUMNS:
+            return
+        while self.columns + width > _SYMBOL_MEMO_COLUMNS:
+            self.columns -= int(np.prod(self.pop(next(iter(self))).shape[1:]))
+        self[key] = vals
+        self.columns += width
 
 
 def block_partition(mat: np.ndarray, *more: np.ndarray) -> list:
@@ -1018,7 +1065,13 @@ def _symbol_values(dec: SpectralDecomposition, b) -> np.ndarray:
 
     A sign-sensitive symbol at a (near-)imaginary non-kernel eigenvalue
     raises SectorViolationError; the check is made once per symbol or
-    family.
+    family, on every call and before the memo is read, so that a failure
+    is never kept.  The values of a keyed symbol (a t-family, whose
+    ``key`` is set by ``_t_family``) depend only on the decomposition and
+    the heights: they are formed once, kept read-only in the
+    decomposition's memo (``SpectralDecomposition._symbol_memo``, at most
+    ``_SYMBOL_MEMO_COLUMNS`` height columns, oldest evicted first) and
+    returned again to every later call with the same key.
     """
     if not isinstance(b, FunctionDescriptor):
         blocks = [_symbol_values(dec, s) for s in b]
@@ -1028,9 +1081,14 @@ def _symbol_values(dec: SpectralDecomposition, b) -> np.ndarray:
         raise SectorViolationError(
             f"symbol {b.name!r} undefined at (near-)imaginary eigenvalue "
             f"{dec.near_imaginary[0]!r}")
+    if b.key is not None and b.key in dec._symbol_memo:
+        return dec._symbol_memo[b.key]
     vals = b(dec.eigenvalues)
     kernel = dec.kernel_indices.reshape((-1,) + (1,) * (vals.ndim - 1))
-    return np.where(kernel, complex(b.kernel_value), vals)
+    vals = np.where(kernel, complex(b.kernel_value), vals)
+    if b.key is not None:
+        dec._symbol_memo.put(b.key, vals)
+    return vals
 
 
 def apply_function(dec: SpectralDecomposition,

@@ -4,7 +4,8 @@ Config files are flat ``key = value`` text with bracketed section headers.
 Parsing either succeeds totally or fails with a line-numbered message.  All
 output files are written atomically (temp file then rename).  Exit codes:
 2 for config errors, 3 for well-posedness failures, 4 for numerical
-failures.
+failures, among them a ``solve`` whose report misses its stated accuracy
+(``SOLVE_BOUNDS``), which writes no output.
 """
 
 from __future__ import annotations
@@ -27,12 +28,34 @@ from .grid import (CoefficientField, Torus, field_to_csv, gradient_of,
 EXIT_CONFIG = 2
 EXIT_WELLPOSEDNESS = 3
 EXIT_NUMERICAL = 4
+# the stated accuracy of a solve: report metric -> largest value accepted
+SOLVE_BOUNDS = {"boundary_residual": 1e-8, "hardy_defect": 1e-8,
+                "second_order_residual": 1e-6}
 
-__all__ = ["main", "ConfigError", "RunConfig", "parse_config"]
+__all__ = ["main", "ConfigError", "NumericalHealthError", "RunConfig",
+           "parse_config"]
 
 
 class ConfigError(ValueError):
     """Invalid configuration; message carries file/line context."""
+
+
+class NumericalHealthError(ArithmeticError):
+    """A solve's report is past the stated accuracy of one of its metrics
+    (``SOLVE_BOUNDS``); the message names the solve kind and the metric."""
+
+
+def check_solve_health(kind: str, report) -> None:
+    """Raise NumericalHealthError for the first metric of ``report`` past its
+    bound in ``SOLVE_BOUNDS`` (a metric the report does not carry, such as
+    the second-order residual of a non-Dirichlet solve, is not checked; a
+    nan fails)."""
+    for metric, bound in SOLVE_BOUNDS.items():
+        value = getattr(report, metric)
+        if value is not None and not value <= bound:
+            raise NumericalHealthError(
+                f"{kind} solve: {metric} = {value:.3e} exceeds its stated "
+                f"bound {bound:.0e}")
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +348,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str, seed: int, quiet: bool) -> int:
     else:
         frame = BoundaryFrame(B, **frame_kwargs)
         sol, report = solve_kind(kind, frame, build_scalar_data(cfg, torus))
+    check_solve_health(kind, report)
 
     t_samples = sol.default_t_samples()
     trace_norm = frame.phys_norm(sol.coords)
@@ -510,7 +534,8 @@ def main(argv=None) -> int:
         return EXIT_WELLPOSEDNESS
     except (calculus.IllConditionedEigenbasisError,
             calculus.SectorViolationError, PointwiseInversionError,
-            SubspaceInvarianceError, np.linalg.LinAlgError) as exc:
+            SubspaceInvarianceError, NumericalHealthError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -105,6 +105,36 @@ def test_solve_command_evaluates_its_sample_grid_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("kind, metric, value", [
+    ("neumann", "boundary_residual", 1e-7),
+    ("regularity", "boundary_residual", float("nan")),
+    ("dirichlet", "second_order_residual", 1e-5),
+    ("transmission", "hardy_defect", 1e-7),
+])
+def test_solve_past_a_stated_bound_exits_4_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, kind, metric, value):
+    # one report pushed past its bound in SOLVE_BOUNDS (a nan fails too)
+    from halfspace import cli
+
+    def past_bound(real):
+        def solve(*args, **kwargs):
+            sol, report = real(*args, **kwargs)
+            setattr(report, metric, value)
+            return sol, report
+        return solve
+
+    for name in ("solve_kind", "solve_transmission"):
+        monkeypatch.setattr(cli, name, past_bound(getattr(cli, name)))
+    cfg = _write(tmp_path, "solve.cfg",
+                 SOLVE_CFG.replace("kind = neumann", f"kind = {kind}"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert f"{kind} solve: {metric} = " in err
+    assert not out.exists()
+
+
 def test_config_error_exit_code(tmp_path):
     bad = _write(tmp_path, "bad.cfg", "[torus]\nn = 1\npoints = oops\n")
     rc = main(["solve", "--config", bad, "--out", str(tmp_path / "o"),

@@ -22,8 +22,8 @@ from halfspace.calculus import (apply_to_vector, exp_minus_t_abs,
                                 quadratic_constants, semigroup_dt,
                                 square_function)
 from halfspace.diagnostics import (block_coefficients, gaussian_data,
-                                   random_accretive_constant,
-                                   smooth_real_symmetric)
+                                   mode_data, random_accretive_constant,
+                                   skew_coefficients, smooth_real_symmetric)
 from halfspace.grid import (Torus, gradient_of, identity_coefficients,
                             vector_block_coefficients)
 
@@ -433,7 +433,8 @@ def _underflow_height(frame):
     eigenvalue."""
     dec = frame.dec
     t = 1e3 / np.min(np.abs(dec.eigenvalues[dec.nonkernel].real))
-    assert not np.any(np.exp(-t * frame._decay_rates[dec.nonkernel]))
+    assert not np.any(calculus._symbol_values(
+        dec, exp_minus_t_abs(t))[dec.nonkernel])
     return t
 
 
@@ -489,3 +490,112 @@ def test_at_t_loop_forms_eigen_coordinates_once(frame_n1, per_mode_frames,
                 else:
                     assert np.linalg.norm(field.values - ref.values) <= \
                         RTOL * np.linalg.norm(ref.values)
+
+
+# ---------------------------------------------------------------------------
+# the decomposition's symbol memo
+# ---------------------------------------------------------------------------
+
+MEMO_FRAMES = {
+    "constant": lambda: vector_block_coefficients(
+        Torus(1, 2 * np.pi, 32), random_accretive_constant(1, 1)),
+    "block": lambda: block_coefficients(Torus(1, 2 * np.pi, 32), 3),
+    "skew_k4": lambda: skew_coefficients(Torus(1, 2 * np.pi, 32), 4.0),
+    "smooth_symmetric_n2": lambda: smooth_real_symmetric(
+        Torus(2, 2 * np.pi, 8), seed=3),
+}
+
+
+def _memo_outputs(frame, index):
+    """The Dirichlet solve of the index-th datum on ``frame`` and what the
+    memo serves it: fields at single heights, the grid block, the three
+    norms and both Dirichlet residuals."""
+    sol, report = solve_kind("dirichlet", frame,
+                             mode_data(frame.torus, index + 1))
+    ts = sol.default_t_samples()
+    return ([sol.at_t(float(t)).values for t in (0.0, *ts[::9])]
+            + [sol.coords_at_ts(ts), norm_sup_t(sol, ts),
+               norm_triplebar_dt(sol), nontangential_max(sol, t_samples=ts),
+               report.second_order_residual,
+               dirichlet_second_order_residual(sol, ts[::6])])
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_FRAMES))
+def test_later_solves_on_a_frame_match_a_fresh_frame_bitwise(name):
+    # the first solve on the shared frame is a solve on a fresh frame
+    shared = BoundaryFrame(MEMO_FRAMES[name]())
+    _memo_outputs(shared, 0)
+    memo = shared.dec._symbol_memo
+    held = (len(memo), memo.columns)
+    assert held[0] > 0
+    for index in (1, 2):
+        got = _memo_outputs(shared, index)
+        # every block of the later solves is served from the memo
+        assert (len(memo), memo.columns) == held
+        ref = _memo_outputs(BoundaryFrame(MEMO_FRAMES[name]()), index)
+        for a, b in zip(got, ref):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_memo_holds_at_most_its_column_bound():
+    frame = BoundaryFrame(identity_coefficients(Torus(1, 2 * np.pi, 16)))
+    memo = frame.dec._symbol_memo
+    bound = calculus._SYMBOL_MEMO_COLUMNS
+    sol = SolutionField(frame, frame.Pnk @ np.ones(frame.dec.dim))
+    heights = np.linspace(0.0, 10.0, 2000)
+    for t in heights:
+        sol.at_t(t)
+        assert memo.columns <= bound
+    assert memo.columns == bound == len(memo)
+    # the newest heights are kept, the oldest evicted
+    assert exp_minus_t_abs(heights[-1]).key in memo
+    assert exp_minus_t_abs(heights[0]).key not in memo
+    # a grid wider than the bound is evaluated but not kept
+    wide = exp_minus_t_abs(heights[:bound + 1])
+    assert calculus._symbol_values(frame.dec, wide).shape[1] == bound + 1
+    assert wide.key not in memo and memo.columns == bound
+    # a grid of 100 heights evicts 100 single heights
+    grid = exp_minus_t_abs(heights[:100])
+    calculus._symbol_values(frame.dec, grid)
+    assert grid.key in memo and memo.columns == bound
+    assert len(memo) == bound - 100 + 1
+    assert memo.columns == sum(np.prod(v.shape[1:]) for v in memo.values())
+
+
+def test_sector_check_runs_again_after_a_memo_hit():
+    frame = BoundaryFrame(identity_coefficients(Torus(1, 2 * np.pi, 16)))
+    assert frame._mode_lift is not None
+    sol = SolutionField(frame, frame.Pnk @ np.ones(frame.dec.dim))
+    ts = np.array([0.5, 1.0])
+    for _ in range(2):
+        sol.at_t(0.5)
+        sol.at_t(0.0)
+        sol.coords_at_ts(ts)
+    assert exp_minus_t_abs(0.5).key in frame.dec._symbol_memo
+    assert exp_minus_t_abs(ts).key in frame.dec._symbol_memo
+    frame.dec.__dict__["near_imaginary"] = np.array([1j])
+    for t in (0.5, 0.0):
+        with pytest.raises(calculus.SectorViolationError):
+            sol.at_t(t)
+    with pytest.raises(calculus.SectorViolationError):
+        SolutionField(frame, sol.coords).coords_at_ts(ts)
+
+
+def test_memo_blocks_are_read_only_and_shared(frame_n1):
+    dec = frame_n1.dec
+    ts = np.array([0.1, 0.5, 2.0])
+    family = exp_minus_t_abs(ts)
+    block = calculus._symbol_values(dec, family)
+    # the key is that of the heights' values, taken when the family is made
+    ts[0] = 0.2
+    assert calculus._symbol_values(dec, exp_minus_t_abs([0.1, 0.5, 2.0])) \
+        is block
+    assert calculus._symbol_values(dec, exp_minus_t_abs(ts)) is not block
+    for vals in (block, calculus._symbol_values(dec, exp_minus_t_abs(0.3))):
+        assert not vals.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            vals[0] = 0.0
+    # symbols without a key are evaluated afresh and are the caller's
+    fresh = calculus._symbol_values(dec, calculus.sgn())
+    assert fresh.flags.writeable
+    assert calculus._symbol_values(dec, calculus.sgn()) is not fresh
