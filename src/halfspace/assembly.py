@@ -31,9 +31,10 @@ invariance leak is the part of each mode outside its frame.  An operator
 that is a Fourier multiplier carries its per-mode symbols sigma_p
 (``FieldOperator.mode_symbols``): the reflection N, and T_B and N_B when
 all of B's grid maps are equal (constant coefficients).  Such an operator
-is compressed exactly, mode by mode, to the blocks F_p^H sigma_p F_p, with
-the exact norm max_p ||sigma_p||_2.  Every route measures the invariance
-leak in the Frobenius norm, an upper bound of its 2-norm.  A frame therefore
+is compressed exactly, mode by mode, to the blocks F_p^H sigma_p F_p.
+Every route measures the invariance leak in the Frobenius norm, an upper
+bound of its 2-norm, and divides it by one scale, ||op Q||_2 on a fixed
+four-column orthonormal block Q, a lower bound of ||op||_2.  A frame therefore
 never forms a (N^n 2^(n+1))^2 matrix, nor the dense N^n 2^(n+1) x m basis.
 The constrained degree-k bases use the same structure.  With the pointwise
 map G = N^+ + N^- B (invertible for accretive B: its normal block is B's),
@@ -543,100 +544,33 @@ def assemble_NB(B: CoefficientField, variant: str = "hat"):
 class FieldOperator:
     """Operator on the full field space known only by its action.
 
-    ``apply`` and ``adjoint`` map column blocks of shape grid_shape + (d, k)
-    (k fields side by side, the Lambda index second to last) to the same
-    shape; ``matmat``, ``@`` and ``rmatmat`` take flattened (P*d, k)
-    blocks.  No (P*d)^2 matrix is ever formed.  ``mode_symbols`` is set
-    when the operator is a Fourier multiplier: shape (P, d, d) in flat FFT
-    order, it maps the plane wave e^{i xi_p.x} v to e^{i xi_p.x} sigma_p v.
-    A constant pointwise map is the multiplier whose modes all share one
-    symbol.  It is ``None`` when the operator couples modes.
+    ``apply`` maps column blocks of shape grid_shape + (d, k) (k fields
+    side by side, the Lambda index second to last) to the same shape; ``@``
+    takes flattened (P*d, k) blocks.  No (P*d)^2 matrix is ever formed.
+    ``mode_symbols`` is set when the operator is a Fourier multiplier:
+    shape (P, d, d) in flat FFT order, it maps the plane wave
+    e^{i xi_p.x} v to e^{i xi_p.x} sigma_p v.  A constant pointwise map is
+    the multiplier whose modes all share one symbol.  It is ``None`` when
+    the operator couples modes.
     """
 
-    def __init__(self, torus: Torus, apply, adjoint,
+    def __init__(self, torus: Torus, apply,
                  mode_symbols: np.ndarray | None = None):
         self.torus = torus
         self.apply = apply
-        self.adjoint = adjoint
         self.mode_symbols = mode_symbols
 
     @property
     def dim(self) -> int:
         return self.torus.num_points * self.torus.lambda_dim
 
-    def _flat(self, fn, X: np.ndarray) -> np.ndarray:
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=complex)
         if X.ndim != 2 or X.shape[0] != self.dim:
             raise ValueError(f"expected a ({self.dim}, k) column block")
         k = X.shape[1]
         grid = self.torus.shape + (self.torus.lambda_dim, k)
-        return fn(X.reshape(grid)).reshape(self.dim, k)
-
-    def matmat(self, X: np.ndarray) -> np.ndarray:
-        return self._flat(self.apply, X)
-
-    __matmul__ = matmat
-
-    def rmatmat(self, X: np.ndarray) -> np.ndarray:
-        return self._flat(self.adjoint, X)
-
-    def norm(self) -> float:
-        """The 2-norm: exact, max_p ||sigma_p||_2, for a multiplier, and the
-        ``norm_estimate`` lower bound otherwise."""
-        if self.mode_symbols is None:
-            return self.norm_estimate()
-        return float(np.max(np.linalg.norm(self.mode_symbols, ord=2,
-                                           axis=(1, 2)), initial=0.0))
-
-    def norm_estimate(self) -> float:
-        """Deterministic lower bound for the 2-norm.
-
-        The largest singular value of the operator on an orthonormal block
-        Krylov basis of op^H op: a fixed pseudo-random start block, one
-        block per step, fully reorthogonalized, stopped once a step raises
-        the value by less than 1e-13 relative (at most 40 steps).  It never
-        exceeds the exact norm; when the Krylov space would fill the field
-        space the whole space is used and the value is exact.
-
-        Written with numpy alone: scipy's ``svds`` (ARPACK) runs on scipy's
-        own OpenBLAS, whose spinning threads contend with numpy's; on a
-        2-core machine it made the benchmark's ``battery`` workload 1.7x
-        slower per operation.
-        """
-        block, steps = 4, 40
-        if block * steps >= self.dim:
-            return float(np.linalg.norm(
-                self.matmat(np.eye(self.dim, dtype=complex)), 2))
-        rng = np.random.default_rng(0)
-        Q = np.linalg.qr(rng.standard_normal((self.dim, block))
-                         + 1j * rng.standard_normal((self.dim, block)))[0]
-        basis, images = [], []
-        gram = np.zeros((0, 0), dtype=complex)
-        value = 0.0
-        for _ in range(steps):
-            basis.append(Q)
-            Z = self.matmat(Q)
-            # Gram matrix of the images op Q_i: its top eigenvalue is the
-            # squared norm of op on the span, accurate to rounding
-            cross = np.hstack(images).conj().T @ Z if images else \
-                np.zeros((0, block), dtype=complex)
-            gram = np.block([[gram, cross], [cross.conj().T, Z.conj().T @ Z]])
-            images.append(Z)
-            prev, value = value, float(np.sqrt(max(
-                np.linalg.eigvalsh(gram)[-1], 0.0)))
-            if value - prev <= 1e-13 * value:
-                break
-            Y = self.rmatmat(Z)
-            for _ in range(2):
-                for V in basis:
-                    Y -= V @ (V.conj().T @ Y)
-            Q = np.linalg.qr(Y)[0]
-        return value
-
-
-def _herm(maps: np.ndarray) -> np.ndarray:
-    """Pointwise conjugate transpose of Lambda-maps."""
-    return np.conj(np.swapaxes(maps, -1, -2))
+        return self.apply(X.reshape(grid)).reshape(self.dim, k)
 
 
 def _common_map(maps: np.ndarray) -> np.ndarray | None:
@@ -657,23 +591,20 @@ def _pointwise_field_operator(torus: Torus,
                               maps: np.ndarray) -> FieldOperator:
     """Per-point Lambda-maps (grid_shape + (d, d), or one constant (d, d)
     map) as a matrix-free operator; a constant map is a multiplier."""
-    maps_h = _herm(maps)
     symbols = None
     if maps.ndim == 2:
         d = torus.lambda_dim
         symbols = np.broadcast_to(maps, (torus.num_points, d, d))
-    return FieldOperator(torus, lambda X: maps @ X, lambda X: maps_h @ X,
-                         mode_symbols=symbols)
+    return FieldOperator(torus, lambda X: maps @ X, mode_symbols=symbols)
 
 
 def TB_operator(B: CoefficientField) -> FieldOperator:
     """T_B = M_B^{-1} (m d + B^{-1} m d* B), matrix free.
 
     Batched FFT derivatives along the grid axes composed with the constant
-    map m and the pointwise maps B, B^{-1} and M_B^{-1}; the adjoint
-    applies the conjugate-transposed maps and d* = d^H in reverse order.
-    When all of B's grid maps are equal, T_B is a Fourier multiplier with
-    the symbols sigma_p = C1 D(xi_p) + C2 D*(xi_p) B.
+    map m and the pointwise maps B, B^{-1} and M_B^{-1}.  When all of B's
+    grid maps are equal, T_B is a Fourier multiplier with the symbols
+    sigma_p = C1 D(xi_p) + C2 D*(xi_p) B.
     """
     torus = B.torus
     Bm = B.maps
@@ -684,16 +615,10 @@ def TB_operator(B: CoefficientField) -> FieldOperator:
     # C2 = M_B^{-1} B^{-1} m
     C1 = MBinv @ m
     C2 = MBinv @ Binv @ m
-    Bh, C1h, C2h = _herm(Bm), _herm(C1), _herm(C2)
 
     def apply(X):
         out = C1 @ d_columns(torus, X)
         out += C2 @ d_star_columns(torus, Bm @ X)
-        return out
-
-    def adjoint(Y):
-        out = d_star_columns(torus, C1h @ Y)
-        out += Bh @ d_columns(torus, C2h @ Y)
         return out
 
     symbols = None
@@ -703,7 +628,7 @@ def TB_operator(B: CoefficientField) -> FieldOperator:
         C1_0, C2_0 = (C.reshape(-1, d, d)[0] for C in (C1, C2))
         symbols = (C1_0 @ _mode_symbols(torus, "d")
                    + C2_0 @ (_mode_symbols(torus, "d_star") @ B0))
-    return FieldOperator(torus, apply, adjoint, mode_symbols=symbols)
+    return FieldOperator(torus, apply, mode_symbols=symbols)
 
 
 def NB_operator(B: CoefficientField) -> FieldOperator:
@@ -801,6 +726,17 @@ def hat_hk_basis(B: CoefficientField, k: int) -> SubspaceBasis:
     return SubspaceBasis(q, label=f"hat_hk(k={k})")
 
 
+def _norm_lower_bound(op: OperatorMatrix | FieldOperator) -> float:
+    """||op Q||_2 for a fixed pseudo-random orthonormal block Q of four
+    columns (``default_rng(0)``, the QR of complex normals): a deterministic
+    lower bound of ||op||_2."""
+    rng = np.random.default_rng(0)
+    shape = (op.dim, 4)
+    Q = np.linalg.qr(rng.standard_normal(shape)
+                     + 1j * rng.standard_normal(shape))[0]
+    return float(np.linalg.norm(op @ Q, 2))
+
+
 def restrict(op: OperatorMatrix | FieldOperator,
              basis: SubspaceBasis | PlaneWaveBasis,
              invariance_tol: float | None = None) -> OperatorMatrix:
@@ -816,13 +752,14 @@ def restrict(op: OperatorMatrix | FieldOperator,
     a SubspaceInvarianceError if it exceeds the tolerance.  The leak is
     measured in the Frobenius norm, summed a chunk at a time, so no leak
     matrix is kept: an upper bound of its 2-norm, at most sqrt(rank) times
-    it.  ||op||_2 is exact for a dense operator and for a multiplier, and
-    the ``norm_estimate`` lower bound for any other matrix-free one, so the
-    defect is never below the exact ||(I - P) op P||_2 / ||op||_2.
+    it.  The scale is ``_norm_lower_bound``, ||op Q||_2 on a fixed
+    four-column orthonormal block Q, a lower bound of ||op||_2 for every
+    route, so the defect is never below the exact
+    ||(I - P) op P||_2 / ||op||_2.
     """
     if basis.ambient_dim != op.dim:
         raise ValueError("basis ambient dimension does not match operator")
-    symbols = getattr(op, "mode_symbols", None)
+    symbols = op.mode_symbols if isinstance(op, FieldOperator) else None
     if symbols is not None and isinstance(basis, PlaneWaveBasis):
         compressed, leak_norm = basis.restrict_multiplier(symbols)
     else:
@@ -844,10 +781,8 @@ def restrict(op: OperatorMatrix | FieldOperator,
     defect = None
     if invariance_tol is not None:
         defect = 0.0
-        if leak_norm > 0:  # a zero leak needs no operator norm
-            norm = (np.linalg.norm(op.entries, 2)
-                    if isinstance(op, OperatorMatrix) else op.norm())
-            defect = float(leak_norm / max(norm, 1e-300))
+        if leak_norm > 0:  # a zero leak needs no operator scale
+            defect = float(leak_norm / max(_norm_lower_bound(op), 1e-300))
         if defect > invariance_tol:
             raise SubspaceInvarianceError(
                 f"operator does not preserve subspace {basis.label!r}: "

@@ -265,7 +265,7 @@ class BoundaryFrame:
         else:
             self.basis = hat_hk_basis(B, degree)
         # T, N and N_A are applied to the basis columns matrix free; the
-        # defect scale ||T_B||_2 is a lower-bound estimate, so the
+        # defect scale ||T_B Q||_2 is a lower bound of ||T_B||_2, so the
         # recorded defect is never below the exact one
         self.T = restrict(TB_operator(B), self.basis,
                           invariance_tol=invariance_tol)

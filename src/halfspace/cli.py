@@ -201,6 +201,11 @@ def parse_config(path: str) -> RunConfig:
 # config -> objects
 # ---------------------------------------------------------------------------
 
+# the [torus] key that each Torus validation message is about, by its
+# first word
+_TORUS_KEYS = {"dim_n": "n", "length": "length", "points_per_axis": "points"}
+
+
 def build_torus(cfg: RunConfig) -> Torus:
     n = cfg.get_int("torus", "n", required=True)
     length = cfg.get_float("torus", "length", default=2 * np.pi)
@@ -208,7 +213,9 @@ def build_torus(cfg: RunConfig) -> Torus:
     try:
         return Torus(n, length, points)
     except ValueError as exc:
-        raise ConfigError(f"{cfg.path}: invalid torus: {exc}") from None
+        key = _TORUS_KEYS[str(exc).split()[0]]
+        raise ConfigError(
+            f"{cfg._where('torus', key)}: invalid torus: {exc}") from None
 
 
 def build_coefficients(cfg: RunConfig, torus: Torus,
@@ -248,17 +255,20 @@ def build_coefficients(cfg: RunConfig, torus: Torus,
             dim = torus.dim_n + 1
             if len(entries) != 2 * dim * dim:
                 raise ConfigError(
-                    f"{cfg.path}: 'entries' needs {2 * dim * dim} numbers "
-                    f"(row-major, re/im interleaved), got {len(entries)}")
+                    f"{cfg._where('coefficients', key)}: 'entries' needs "
+                    f"{2 * dim * dim} numbers (row-major, re/im "
+                    f"interleaved), got {len(entries)}")
             vals = np.asarray(entries).reshape(dim * dim, 2)
             A = (vals[:, 0] + 1j * vals[:, 1]).reshape(dim, dim)
         try:
             B = vector_block_coefficients(torus, A)
         except ValueError as exc:
-            raise ConfigError(f"{cfg.path}: bad constant matrix: {exc}") \
-                from None
+            raise ConfigError(
+                f"{cfg._where('coefficients', key)}: bad constant matrix: "
+                f"{exc}") from None
     else:
-        raise ConfigError(f"{cfg.path}: unknown coefficient family {family!r}")
+        raise ConfigError(f"{cfg._where('coefficients', 'family')}: unknown "
+                          f"coefficient family {family!r}")
     if not B.is_accretive():
         raise ConfigError(
             f"{cfg._where('coefficients', key)}: the coefficients are not "
@@ -282,7 +292,8 @@ def build_scalar_data(cfg: RunConfig, torus: Torus) -> np.ndarray:
         return diagnostics.gaussian_data(torus)
     if profile == "step":
         return diagnostics.step_data(torus)
-    raise ConfigError(f"{cfg.path}: unknown data profile {profile!r}")
+    raise ConfigError(
+        f"{cfg._where('problem', 'data')}: unknown data profile {profile!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +331,17 @@ def cmd_solve(cfg: RunConfig, out_dir: str, seed: int, quiet: bool) -> int:
     B = build_coefficients(cfg, torus, seed)
     kind = cfg.get("problem", "kind", required=True)
     if kind not in SCALAR_KINDS + ("transmission",):
-        raise ConfigError(f"{cfg.path}: unknown problem kind {kind!r}")
+        raise ConfigError(
+            f"{cfg._where('problem', 'kind')}: unknown problem kind {kind!r}")
     frame_kwargs = {}
     if cfg.has("tolerances", "invariance_tol"):
-        frame_kwargs["invariance_tol"] = cfg.get_float(
-            "tolerances", "invariance_tol")
+        tol = cfg.get_float("tolerances", "invariance_tol")
+        # a tolerance <= 0 would fail every frame, even one with no leak
+        if tol <= 0:
+            raise ConfigError(
+                f"{cfg._where('tolerances', 'invariance_tol')}: "
+                f"'invariance_tol' must be positive, got {tol}")
+        frame_kwargs["invariance_tol"] = tol
     if kind == "transmission":
         # the datum is the gradient of the scalar profile, a 1-vector field
         degree = cfg.get_int("problem", "degree", default=1)
@@ -426,7 +443,8 @@ def cmd_campaign(cfg: RunConfig, out_dir: str, seed: int, quiet: bool) -> int:
     elif cid == "offdiag":
         result = diagnostics.offdiag_campaign(B, seed=seed)
     else:
-        raise ConfigError(f"{cfg.path}: unknown campaign id {cid!r}")
+        raise ConfigError(
+            f"{cfg._where('campaign', 'id')}: unknown campaign id {cid!r}")
     os.makedirs(out_dir, exist_ok=True)
     tmp = os.path.join(out_dir, "campaign.csv.tmp")
     result.to_csv(tmp)
@@ -442,7 +460,8 @@ def cmd_oracle(cfg: RunConfig, out_dir: str, seed: int, quiet: bool) -> int:
     oracle for all four problem kinds."""
     torus = build_torus(cfg)
     if torus.dim_n != 1:
-        raise ConfigError(f"{cfg.path}: the oracle comparison runs on n = 1")
+        raise ConfigError(f"{cfg._where('torus', 'n')}: the oracle "
+                          f"comparison runs on n = 1")
     family = cfg.get("coefficients", "family", default="identity")
     if family == "identity":
         A = np.eye(2, dtype=complex)
@@ -451,7 +470,8 @@ def cmd_oracle(cfg: RunConfig, out_dir: str, seed: int, quiet: bool) -> int:
         A = B_tmp.vector_block()[(0,) * torus.dim_n]
     else:
         raise ConfigError(
-            f"{cfg.path}: oracle comparison needs constant coefficients")
+            f"{cfg._where('coefficients', 'family')}: oracle comparison "
+            f"needs constant coefficients")
     B = vector_block_coefficients(torus, A)
     frame = BoundaryFrame(B)
     scalar = build_scalar_data(cfg, torus) if cfg.has("problem", "data") \

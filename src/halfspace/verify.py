@@ -18,8 +18,8 @@ from .assembly import TB_operator, hat_h1_basis, restrict
 from .bvp import (SCALAR_KINDS, BoundaryFrame, nontangential_max,
                   norm_sup_t, norm_triplebar_dt, solve_dirichlet, solve_kind,
                   solve_neu_perp, solve_regularity)
-from .calculus import (q_t, quadratic_constants, sector_half_angle,
-                       sector_margin, square_function)
+from .calculus import (DEFAULT_KERNEL_TOL, q_t, quadratic_constants,
+                       sector_half_angle, sector_margin, square_function)
 from .grid import (Field, Torus, identity_coefficients,
                    vector_block_coefficients)
 
@@ -193,7 +193,7 @@ def check_sector(points: int = 128):
         # (whose conditioning can degrade long before the spectrum does)
         T = restrict(TB_operator(B), hat_h1_basis(torus), 1e-8)
         lam = np.linalg.eigvals(T.entries)
-        nonkernel = np.abs(lam) > 1e-10 * np.max(np.abs(lam))
+        nonkernel = np.abs(lam) > DEFAULT_KERNEL_TOL * np.max(np.abs(lam))
         margin = sector_margin(lam[nonkernel],
                                sector_half_angle(B.kappa, B.sup_norm))
         out.append(_entry(f"sector.{label}", max(margin, 0.0), tol))

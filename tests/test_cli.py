@@ -178,6 +178,20 @@ def test_nan_invariance_tol_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_nonpositive_invariance_tol_exits_2_with_its_line(tmp_path, capsys,
+                                                          tol):
+    # a tolerance <= 0 would fail a frame whose defect is exactly 0
+    cfg = _write(tmp_path, "tol.cfg",
+                 SOLVE_CFG + f"\n[tolerances]\ninvariance_tol = {tol}\n")
+    rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
+               "--quiet"])
+    assert rc == 2
+    assert "tol.cfg:15: 'invariance_tol' must be positive" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_problem_section_exit_code(tmp_path):
     cfg = _write(tmp_path, "nop.cfg",
                  "[torus]\nn = 1\nlength = 6.0\npoints = 32\n")
@@ -212,32 +226,45 @@ def test_transmission_config_errors_exit_2_with_their_line(tmp_path, capsys,
     assert f"tr.cfg:{line}: " in capsys.readouterr().err
 
 
-# a value the family builder or the data profile rejects names its key's
-# line: `family` is on line 7 of this config, the key after it on line 8
-# and, after a one-line [coefficients], `mode_index` on line 12; a mode
-# index must lie in 1..points/2 = 4
-@pytest.mark.parametrize("n,keys,data,line", [
-    pytest.param(2, "family = skew\nk = 1", "gaussian", 7, id="skew-on-n2"),
-    pytest.param(1, "family = block\nseed = -1", "gaussian", 8,
+# a config value that the torus, the family builder, the problem kind or the
+# data profile rejects names its key's line.  In COEF_CFG with one-line
+# [coefficients] keys, `n`, `length` and `points` are on lines 2-4,
+# `family` on line 7, `kind` on line 10 and `data` on line 11; a second
+# coefficient key lands on line 8 and a key after `data` on line 12.  A
+# mode index must lie in 1..points/2 = 4
+COEF_CFG = ("[torus]\nn = {n}\nlength = {length}\npoints = {points}\n\n"
+            "[coefficients]\n{keys}\n\n"
+            "[problem]\nkind = {kind}\ndata = {data}\n")
+COEF_DEFAULTS = dict(n=1, length="6.0", points=8, keys="family = identity",
+                     kind="neumann", data="gaussian")
+
+
+@pytest.mark.parametrize("fields,line", [
+    pytest.param(dict(n=2, keys="family = skew\nk = 1"), 7, id="skew-on-n2"),
+    pytest.param(dict(keys="family = block\nseed = -1"), 8,
                  id="negative-seed"),
-    pytest.param(1, "family = smooth_symmetric\nkappa_min = 5", "gaussian",
-                 8, id="kappa_min-above-1"),
-    pytest.param(1, "family = smooth_symmetric\nkappa_min = -5", "gaussian",
-                 8, id="smooth-not-accretive"),
-    pytest.param(1, "family = constant\nentries = 1 0 0 0 0 0 -1 0",
-                 "gaussian", 8, id="constant-not-accretive"),
-    pytest.param(1, "family = identity", "mode\nmode_index = 0", 12,
-                 id="mode_index-0"),
-    pytest.param(1, "family = identity", "mode\nmode_index = -1", 12,
+    pytest.param(dict(keys="family = smooth_symmetric\nkappa_min = 5"), 8,
+                 id="kappa_min-above-1"),
+    pytest.param(dict(keys="family = smooth_symmetric\nkappa_min = -5"), 8,
+                 id="smooth-not-accretive"),
+    pytest.param(dict(keys="family = constant\nentries = 1 0 0 0 0 0 -1 0"),
+                 8, id="constant-not-accretive"),
+    pytest.param(dict(data="mode\nmode_index = 0"), 12, id="mode_index-0"),
+    pytest.param(dict(data="mode\nmode_index = -1"), 12,
                  id="mode_index-negative"),
-    pytest.param(1, "family = identity", "mode\nmode_index = 5", 12,
-                 id="mode_index-aliased")])
+    pytest.param(dict(data="mode\nmode_index = 5"), 12,
+                 id="mode_index-aliased"),
+    pytest.param(dict(keys="family = nonsense"), 7, id="unknown-family"),
+    pytest.param(dict(keys="family = constant\nentries = 1 0 0 0"), 8,
+                 id="entries-wrong-length"),
+    pytest.param(dict(kind="bogus"), 10, id="unknown-kind"),
+    pytest.param(dict(data="bogus"), 11, id="unknown-data"),
+    pytest.param(dict(n=3), 2, id="torus-n"),
+    pytest.param(dict(length="-1"), 3, id="torus-length"),
+    pytest.param(dict(points=12), 4, id="torus-points")])
 def test_coefficient_builder_errors_exit_2_with_their_line(tmp_path, capsys,
-                                                           n, keys, data,
-                                                           line):
-    text = (f"[torus]\nn = {n}\nlength = 6.0\npoints = 8\n\n"
-            f"[coefficients]\n{keys}\n\n"
-            f"[problem]\nkind = neumann\ndata = {data}\n")
+                                                           fields, line):
+    text = COEF_CFG.format(**{**COEF_DEFAULTS, **fields})
     cfg = _write(tmp_path, "coef.cfg", text)
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
                "--quiet"])
@@ -281,13 +308,14 @@ id = rellich
     assert "overall: pass" in (out / "summary.txt").read_text()
 
 
-def test_unknown_campaign_exit_code(tmp_path):
+def test_unknown_campaign_exit_code(tmp_path, capsys):
     text = ("[torus]\nn = 1\nlength = 6.0\npoints = 32\n\n"
             "[coefficients]\nfamily = identity\n\n[campaign]\nid = bogus\n")
     cfg = _write(tmp_path, "camp.cfg", text)
     rc = main(["campaign", "--config", cfg, "--out", str(tmp_path / "o"),
                "--quiet"])
     assert rc == 2
+    assert "camp.cfg:10: unknown campaign id" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n_points", ["", "0", "64, 100"])
@@ -342,6 +370,20 @@ def test_oracle_command(tmp_path):
     header, body = rows[0], rows[1:]
     dev_col = header.index("relative_deviation")
     assert all(float(r[dev_col]) <= 1e-9 for r in body)
+
+
+# the oracle comparison refuses n = 2 (line 2) and a variable family (line 7)
+@pytest.mark.parametrize("n,family,line", [(2, "identity", 2),
+                                           (1, "block", 7)])
+def test_oracle_refusals_exit_2_with_their_line(tmp_path, capsys, n, family,
+                                                line):
+    text = (f"[torus]\nn = {n}\nlength = 6.0\npoints = 16\n\n"
+            f"[coefficients]\nfamily = {family}\n")
+    cfg = _write(tmp_path, "oracle.cfg", text)
+    rc = main(["oracle", "--config", cfg, "--out", str(tmp_path / "o"),
+               "--quiet"])
+    assert rc == 2
+    assert f"oracle.cfg:{line}: " in capsys.readouterr().err
 
 
 def _stub_checks(monkeypatch, failing=None):
